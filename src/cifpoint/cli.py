@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -132,6 +133,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_time(t: float) -> float:
+    if not (math.isfinite(t) and t > 0.0):
+        raise _UsageError(f"times must be finite and positive, got {t:g}")
+    return t
+
+
 def _parse_times(text: str) -> list[float]:
     try:
         times = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -139,7 +146,7 @@ def _parse_times(text: str) -> list[float]:
         raise _UsageError(f"bad time list {text!r}") from None
     if not times:
         raise _UsageError("empty time list")
-    return times
+    return [_check_time(t) for t in times]
 
 
 def _load(args):
@@ -155,8 +162,10 @@ def _emit(payload: dict, args, human: str) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    data = _load(args)
     times = _parse_times(args.times)
+    if not 0.0 < args.level < 1.0:
+        raise _UsageError(f"--level must lie strictly between 0 and 1, got {args.level:g}")
+    data = _load(args)
     variance = VarianceKind(args.variance)
     kind = TransformKind(args.method)
     groups_payload = []
@@ -230,10 +239,15 @@ def _result_payload(res) -> dict:
 
 
 def _cmd_test(args) -> int:
+    times = [_check_time(args.time)] if args.time is not None else _parse_times(args.times)
     data = _load(args)
     if len(data.groups) < 2:
         raise InvalidRecord("test needs at least two groups; pass --group-col")
-    times = [args.time] if args.time is not None else _parse_times(args.times)
+    if args.method in _PSEUDO_METHODS + ("all",) and len(data.groups) != 2:
+        raise _UsageError(
+            f"the pseudo-value tests need exactly two groups, got {len(data.groups)}; "
+            "pick a transform method"
+        )
     if args.method == "all":
         methods = [(m, v) for v in ("gaynor", "aalen") for m in _TRANSFORM_METHODS]
         methods += [(m, None) for m in _PSEUDO_METHODS]

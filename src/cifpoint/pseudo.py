@@ -12,6 +12,22 @@ indicators 1{T_i <= tau, cause k}.  Group effects are then estimated
 from generalized estimating equations with an independence working
 covariance (Liang & Zeger 1986), and the group coefficient gives a
 Wald test of equal incidence at the horizon.
+
+The leave-one-out estimates need no refit.  Write Y_j, d_j and dk_j
+for the at-risk count, the failures and the cause-k failures at the
+j-th distinct failure time t_j, S and F for the full-sample
+Aalen-Johansen survival and incidence, and t_m for the last failure
+time at or before both T_i and tau.  Removing subject i lowers Y_j by
+one at every t_j <= t_m, removes its own failure from d_m and dk_m
+when T_i = t_m, and changes no count after t_m.  Hence
+
+    C_minus_i(tau) = F'(t_m) + S'(t_m) / S(t_m) * (F(tau) - F(t_m))
+
+where F' and S' run the Aalen-Johansen recursion over t_1..t_m with
+Y_j - 1 in place of Y_j, which for all subjects at once is one shared
+prefix product and prefix sum plus a per-subject correction at t_m.
+After one sort the cost is O(N + K) per horizon for K distinct
+failure times, against O(N K) for N separate refits.
 """
 
 from __future__ import annotations
@@ -99,15 +115,13 @@ class GeeFit:
 
 
 def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
-                   taus: np.ndarray, chunk: int) -> np.ndarray:
+                   taus: np.ndarray) -> np.ndarray:
     n = times.size
     failed = statuses > 0
-    knots = np.unique(times[failed & (times <= taus.max())])
-    if knots.size == 0:
-        return np.zeros((n, taus.size))
-
-    order = np.sort(times)
-    at_risk = (n - np.searchsorted(order, knots, side="left")).astype(float)
+    # knot 0 is a placeholder with no events before every time, so each
+    # subject and each horizon has a last knot at or before it
+    knots = np.concatenate(([-np.inf], np.unique(times[failed & (times <= taus.max())])))
+    at_risk = (n - np.searchsorted(np.sort(times), knots, side="left")).astype(float)
     relevant = failed & (times <= knots[-1])
     pos = np.searchsorted(knots, times[relevant])
     events = np.bincount(pos, minlength=knots.size).astype(float)
@@ -115,47 +129,52 @@ def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
         pos[statuses[relevant] == cause], minlength=knots.size
     ).astype(float)
 
-    # column index of the last knot at or before each horizon (-1: none)
+    # full sample: survival just after, and incidence up to, each knot
+    surv = np.cumprod(1.0 - events / at_risk)
+    inc = np.cumsum(np.concatenate(([1.0], surv[:-1])) * cause_events / at_risk)
+
+    # the same with one subject fewer at risk, as seen by a subject still
+    # at risk at every knot so far; entry j covers the knots before j.  A
+    # lone subject at risk can only be one failing at the last knot, and
+    # taking out its own event leaves nothing there to divide.
+    fewer = at_risk - 1.0
+    fewer[fewer == 0.0] = 1.0
+    surv_fewer = np.concatenate(([1.0], np.cumprod(1.0 - events / fewer)[:-1]))
+    inc_fewer = np.concatenate(([0.0], np.cumsum(surv_fewer * cause_events / fewer)[:-1]))
+
+    # (subject, horizon) grid: j is the last knot at or before both the
+    # subject's time and the horizon.  Leaving subject i out lowers the
+    # at-risk count at knots up to j, takes its own event out of knot j,
+    # and leaves every later knot as in the full sample.
     cut = np.searchsorted(knots, taus, side="right") - 1
+    last = np.searchsorted(knots, times, side="right") - 1
+    j = np.minimum(last[:, None], cut[None, :])
+    own = (failed & (times == knots[last]))[:, None] & (last[:, None] == j)
+    d = events[j] - own
+    dk = cause_events[j] - (own & (statuses == cause)[:, None])
+    inc_i = inc_fewer[j] + surv_fewer[j] * dk / fewer[j]
+    surv_i = surv_fewer[j] * (1.0 - d / fewer[j])
 
-    def incidence_at_cuts(a, d, dk):
-        factors = np.where(a > 0.0, (a - d) / np.where(a > 0.0, a, 1.0), 1.0)
-        surv_prev = np.concatenate(
-            (np.ones(a.shape[:-1] + (1,)), np.cumprod(factors, axis=-1)[..., :-1]),
-            axis=-1,
-        )
-        inc = np.where(a > 0.0, surv_prev * dk / np.where(a > 0.0, a, 1.0), 0.0)
-        cum = np.cumsum(inc, axis=-1)
-        return np.where(cut >= 0, cum[..., cut], 0.0)
-
-    full = incidence_at_cuts(at_risk, events, cause_events)
-    is_cause = statuses == cause
-
-    theta = np.empty((n, taus.size))
-    for start in range(0, n, chunk):
-        block = slice(start, min(start + chunk, n))
-        t_blk = times[block, None]
-        hit = (t_blk == knots[None, :]) & failed[block, None]
-        a_i = at_risk[None, :] - (t_blk >= knots[None, :])
-        d_i = events[None, :] - hit
-        dk_i = cause_events[None, :] - (hit & is_cause[block, None])
-        loo = incidence_at_cuts(a_i, d_i, dk_i)
-        theta[block] = loo + n * (full[None, :] - loo)
-    return theta
+    # past knot j the leave-one-out curve is the full-sample tail rescaled
+    # by the ratio of the two survivals at j, which is positive there
+    full = inc[cut]
+    ratio = np.divide(surv_i, surv[j], out=np.zeros_like(surv_i), where=j < cut)
+    loo = inc_i + ratio * (full - inc[j])
+    return loo + n * (full - loo)
 
 
-def pseudo_values(data: Dataset, cause: int, times, chunk: int = 1024) -> PseudoValueMatrix:
+def pseudo_values(data: Dataset, cause: int, times) -> PseudoValueMatrix:
     """Jackknife pseudo-values of the pooled-sample incidence of `cause`.
 
-    `times` must be strictly increasing positive horizons.  All groups
+    `times` must be strictly increasing finite positive horizons.  All groups
     are pooled for the estimate; rows align with `data.records`.
     """
     taus = np.asarray(times, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
-    if np.any(taus <= 0.0) or np.any(np.diff(taus) <= 0.0):
-        raise ValueError("times must be positive and strictly increasing")
-    values = _pooled_pseudo(data.times, data.statuses, int(cause), taus, chunk)
+    if not np.all(np.isfinite(taus) & (taus > 0.0)) or np.any(np.diff(taus) <= 0.0):
+        raise ValueError("times must be finite, positive and strictly increasing")
+    values = _pooled_pseudo(data.times, data.statuses, int(cause), taus)
     return PseudoValueMatrix(values=values, times=taus, cause=int(cause))
 
 
@@ -248,7 +267,7 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
 
 
 def pseudo_test(data: Dataset, cause: int, t: float,
-                link: LinkKind = LinkKind.CLOGLOG, chunk: int = 1024) -> FixedTimeTestResult:
+                link: LinkKind = LinkKind.CLOGLOG) -> FixedTimeTestResult:
     """Wald test of the group effect on the incidence of `cause` at `t`.
 
     The dataset must have exactly two groups; the indicator is 1 for
@@ -258,7 +277,7 @@ def pseudo_test(data: Dataset, cause: int, t: float,
     link = LinkKind(link)
     if len(data.groups) != 2:
         raise ValueError(f"pseudo_test needs exactly two groups, got {len(data.groups)}")
-    pseudo = pseudo_values(data, cause, [t], chunk=chunk)
+    pseudo = pseudo_values(data, cause, [t])
     x = data.group_indicator(data.groups[0]).astype(float)
     fit = gee_fit(pseudo, x, link)
     effect = fit.group_effect

@@ -251,7 +251,7 @@ def _transform_outcomes(tables, t: float, alpha: float, outcome: dict) -> None:
 
 
 def _pseudo_outcomes(times, statuses, x, t: float, alpha: float, outcome: dict) -> None:
-    theta = _pooled_pseudo(times, statuses, 1, np.array([t]), chunk=times.size)
+    theta = _pooled_pseudo(times, statuses, 1, np.array([t]))
     for test, link in (("pseudo_llog", LinkKind.CLOGLOG), ("pseudo_logit", LinkKind.LOGIT)):
         try:
             fit = gee_fit(theta, x, link)

@@ -97,6 +97,24 @@ class TestEstimate:
              "--cause", "1", "--times", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("times", ["nan", "inf", "1,-1", "0"])
+    def test_bad_times_are_usage_errors(self, data_csv, times, capsys):
+        code, out, err = run(
+            ["estimate", "--input", str(data_csv), "--group-col", "arm",
+             "--cause", "1", "--times", times], capsys)
+        assert code == 1
+        assert "finite and positive" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("level", ["1.5", "0", "1", "nan"])
+    def test_bad_level_is_usage_error(self, data_csv, level, capsys):
+        code, out, err = run(
+            ["estimate", "--input", str(data_csv), "--group-col", "arm",
+             "--cause", "1", "--times", "3", "--level", level], capsys)
+        assert code == 1
+        assert "--level" in err
+        assert out == ""
+
 
 class TestTest:
     def test_single_method(self, data_csv, capsys):
@@ -149,6 +167,29 @@ class TestTest:
         kept = {r["method"] for r in payload["results"]}
         assert "linear" in kept
         assert payload["failures"]
+
+    @pytest.mark.parametrize("flag", [["--time", "-2"], ["--time", "nan"], ["--times", "1,-3"]])
+    def test_bad_time_is_usage_error(self, data_csv, flag, capsys):
+        code, out, err = run(
+            ["test", "--input", str(data_csv), "--group-col", "arm",
+             "--cause", "1", *flag], capsys)
+        assert code == 1
+        assert "finite and positive" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("method", ["all", "pseudo-llog", "pseudo-logit"])
+    def test_pseudo_methods_need_two_groups(self, tmp_path, method, capsys):
+        path = tmp_path / "three.csv"
+        rows = ["time,status,arm"]
+        for arm in "xyz":
+            rows += [f"{t},{s},{arm}" for t, s in zip(*FIXTURE_A)]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run(
+            ["test", "--input", str(path), "--group-col", "arm",
+             "--cause", "1", "--time", "3", "--method", method], capsys)
+        assert code == 1
+        assert "exactly two groups" in err
+        assert out == ""
 
     def test_single_group_rejected(self, tmp_path, capsys):
         path = tmp_path / "one.csv"

@@ -2,15 +2,49 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cifpoint.data import build_event_table
 from cifpoint.errors import SeparationDetected
 from cifpoint.estimation import cif_estimate
 from cifpoint.pseudo import LinkKind, gee_fit, pseudo_test, pseudo_values
 
-from conftest import make_dataset, random_dataset
+from conftest import FIXTURE_A, make_dataset, random_dataset
 
 TOL = 1e-12
+
+
+def loop_incidence(times, statuses, cause, tau):
+    """Aalen-Johansen incidence of `cause` at `tau`, by the defining sums."""
+    surv, inc = 1.0, 0.0
+    for u in sorted({t for t, s in zip(times, statuses) if s > 0 and t <= tau}):
+        at_risk = sum(1 for t in times if t >= u)
+        d = sum(1 for t, s in zip(times, statuses) if t == u and s > 0)
+        dk = sum(1 for t, s in zip(times, statuses) if t == u and s == cause)
+        inc += surv * dk / at_risk
+        surv *= 1.0 - d / at_risk
+    return inc
+
+
+def brute_pseudo(times, statuses, cause, taus):
+    """Jackknife pseudo-values from n + 1 separate estimates per horizon."""
+    times, statuses = list(times), list(statuses)
+    n = len(times)
+    theta = np.empty((n, len(taus)))
+    for h, tau in enumerate(taus):
+        full = loop_incidence(times, statuses, cause, tau)
+        for i in range(n):
+            loo = loop_incidence(times[:i] + times[i + 1:],
+                                 statuses[:i] + statuses[i + 1:], cause, tau)
+            theta[i, h] = n * full - (n - 1) * loo
+    return theta
+
+
+def assert_matches_brute_force(times, statuses, cause, taus):
+    pv = pseudo_values(make_dataset(times, statuses), cause, taus)
+    expected = brute_pseudo(times, statuses, cause, taus)
+    assert np.allclose(pv.values, expected, rtol=0, atol=TOL * len(times))
 
 
 class TestPseudoValues:
@@ -38,13 +72,6 @@ class TestPseudoValues:
         single = pseudo_values(dataset_a, 1, [1.0])
         assert np.array_equal(pv.values[:, 0], single.values[:, 0])
 
-    def test_chunk_independence(self):
-        rng = np.random.default_rng(9)
-        data = random_dataset(rng, 101, groups=("g",))
-        a = pseudo_values(data, 1, [0.5, 1.0], chunk=7)
-        b = pseudo_values(data, 1, [0.5, 1.0], chunk=1024)
-        assert np.array_equal(a.values, b.values)
-
     def test_rows_align_with_records(self, dataset_a):
         pv = pseudo_values(dataset_a, 1, [3.0])
         perm = [2, 0, 4, 1, 3]
@@ -62,6 +89,9 @@ class TestPseudoValues:
             pseudo_values(dataset_a, 1, [2.0, 1.0])
         with pytest.raises(ValueError):
             pseudo_values(dataset_a, 1, [0.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                pseudo_values(dataset_a, 1, [1.0, bad])
 
     def test_mean_is_estimate_when_uncensored(self):
         # with no censoring the pseudo-values are indicators, so their
@@ -73,6 +103,61 @@ class TestPseudoValues:
         pv = pseudo_values(data, 1, [0.8])
         curve = cif_estimate(build_event_table(data, "g"), 1)
         assert abs(pv.values[:, 0].mean() - curve.at(0.8)) <= 1e-10
+
+
+class TestLeaveOneOutKernel:
+    """The linear-time kernel against n + 1 separate estimates."""
+
+    @pytest.mark.parametrize("cause", [1, 2])
+    def test_fixture_a_every_horizon_kind(self, cause):
+        # knots at 1, 3 and 4: before the first, between two, on one
+        # and past the last
+        assert_matches_brute_force(*FIXTURE_A, cause, [0.5, 2.0, 3.0, 10.0])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_censored_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 70
+        t = np.round(rng.exponential(1.0, size=n), 1) + 0.1
+        c = np.round(rng.uniform(0.0, 2.0, size=n), 1) + 0.1
+        statuses = np.where(t <= c, rng.integers(1, 3, size=n), 0)
+        times = np.minimum(t, c)
+        taus = [0.05, float(np.median(times)), 0.75, 1.0, 5.0]
+        for cause in (1, 2):
+            assert_matches_brute_force(times.tolist(), statuses.tolist(), cause, taus)
+
+    @pytest.mark.parametrize("times, statuses", [
+        ([2.0], [1]),
+        ([2.0], [0]),
+        ([1.0, 2.0, 3.0], [0, 0, 0]),
+        ([1.0, 2.0, 3.0], [2, 0, 2]),
+        ([2.0, 2.0, 2.0, 2.0], [1, 2, 1, 1]),
+        ([1.0, 2.0, 3.0, 4.0], [1, 0, 2, 1]),
+        ([1.0, 2.0, 4.0, 4.0], [1, 0, 1, 0]),
+    ], ids=["one-failure", "one-censored", "all-censored", "no-cause-events",
+            "all-tied", "lone-at-risk-fails-last", "censored-tie-at-last"])
+    def test_degenerate_samples(self, times, statuses):
+        assert_matches_brute_force(times, statuses, 1, [1.5, 3.0, 6.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2)),
+                      min_size=1, max_size=25),
+        taus=st.lists(st.sampled_from([0.5, 1.0, 2.5, 4.0, 7.0]),
+                      min_size=1, max_size=3, unique=True).map(sorted),
+        cause=st.sampled_from([1, 2]),
+        perm_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_brute_force_and_permutation(self, rows, taus, cause, perm_seed):
+        times = [float(t) for t, _ in rows]
+        statuses = [s for _, s in rows]
+        assert_matches_brute_force(times, statuses, cause, taus)
+        pv = pseudo_values(make_dataset(times, statuses), cause, taus)
+        perm = np.random.default_rng(perm_seed).permutation(len(rows))
+        shuffled = pseudo_values(
+            make_dataset([times[i] for i in perm], [statuses[i] for i in perm]),
+            cause, taus)
+        assert np.allclose(shuffled.values, pv.values[perm], rtol=0, atol=TOL * len(rows))
 
 
 class TestGeeFit:
