@@ -3,9 +3,10 @@
 The package estimates cumulative incidence functions, attaches two
 variance estimators, and compares groups at chosen time points through
 transformation tests, quadratic-form tests, pointwise confidence
-intervals, and pseudo-value regression.  A simulation harness measures
-size and power of the tests and summarizes the resulting rates with
-linear models.
+intervals, and pseudo-value regression.  One battery function runs the
+twelve fixed-time tests for the command line and for a simulation
+harness, which measures size and power of the tests and summarizes the
+resulting rates with linear models.
 """
 
 from .data import (
@@ -45,6 +46,8 @@ from .errors import UnreachableTarget
 from .pseudo import GeeFit, LinkKind, PseudoValueMatrix, gee_fit, pseudo_test, pseudo_values
 from .simulation import (
     TEST_IDS,
+    TEST_METHODS,
+    BatteryOutcome,
     Scenario,
     ScenarioResult,
     analytic_cif,
@@ -53,6 +56,7 @@ from .simulation import (
     parse_scenarios,
     read_results_csv,
     results_to_json,
+    run_battery,
     run_scenario,
     sample_group,
     write_results_csv,
@@ -63,6 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnovaTable",
+    "BatteryOutcome",
     "CifCurve",
     "CifPointError",
     "Coefficient",
@@ -85,6 +90,7 @@ __all__ = [
     "StepFunction",
     "SubjectRecord",
     "TEST_IDS",
+    "TEST_METHODS",
     "TransformKind",
     "UnreachableTarget",
     "VarianceKind",
@@ -113,6 +119,7 @@ __all__ = [
     "pseudo_values",
     "read_results_csv",
     "results_to_json",
+    "run_battery",
     "run_scenario",
     "sample_group",
     "transform",

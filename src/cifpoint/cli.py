@@ -37,13 +37,14 @@ from .errors import (
     ZeroVariance,
 )
 from .estimation import cif_estimate
-from .fixed_time import TransformKind, k_sample_test, pointwise_ci, two_sample_test
-from .pseudo import LinkKind, pseudo_test
+from .fixed_time import TransformKind, pointwise_ci
 from .simulation import (
     TEST_IDS,
+    TEST_METHODS,
     parse_scenarios,
     read_results_csv,
     results_to_json,
+    run_battery,
     run_scenario,
     write_results_csv,
 )
@@ -59,9 +60,6 @@ _NUMERICAL_ERRORS = (
     RankDeficientDesign,
     UnreachableTarget,
 )
-
-_TRANSFORM_METHODS = ("linear", "log", "llog", "arcs", "logit")
-_PSEUDO_METHODS = ("pseudo-llog", "pseudo-logit")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,7 +88,7 @@ def _build_parser() -> _Parser:
     est.add_argument("--cause", type=int, required=True)
     est.add_argument("--times", required=True, help="comma-separated times")
     est.add_argument("--variance", choices=["aalen", "gaynor"], default="gaynor")
-    est.add_argument("--method", choices=list(_TRANSFORM_METHODS), default="llog",
+    est.add_argument("--method", choices=[k.value for k in TransformKind], default="llog",
                      help="transform used for the confidence intervals")
     est.add_argument("--level", type=float, default=0.95)
     est.add_argument("--json", action="store_true")
@@ -102,9 +100,8 @@ def _build_parser() -> _Parser:
     group = tst.add_mutually_exclusive_group(required=True)
     group.add_argument("--time", type=float, default=None)
     group.add_argument("--times", default=None, help="comma-separated times, tested independently")
-    tst.add_argument("--method",
-                     choices=list(_TRANSFORM_METHODS) + list(_PSEUDO_METHODS) + ["all"],
-                     default="llog")
+    tst.add_argument("--method", default="llog",
+                     choices=list(dict.fromkeys(m for m, _ in TEST_METHODS.values())) + ["all"])
     tst.add_argument("--variance", choices=["aalen", "gaynor"], default="gaynor")
     tst.add_argument("--json", action="store_true")
     tst.add_argument("--out", default=None)
@@ -211,16 +208,6 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _one_test(data, tables, cause, t, method, variance):
-    if method in _PSEUDO_METHODS:
-        link = LinkKind.CLOGLOG if method == "pseudo-llog" else LinkKind.LOGIT
-        return pseudo_test(data, cause, t, link)
-    kind = TransformKind(method)
-    if len(tables) == 2:
-        return two_sample_test(tables[0], tables[1], cause, t, kind, variance)
-    return k_sample_test(tables, cause, t, kind, variance)
-
-
 def _result_payload(res) -> dict:
     return {
         "method": res.method,
@@ -243,41 +230,41 @@ def _cmd_test(args) -> int:
     data = _load(args)
     if len(data.groups) < 2:
         raise InvalidRecord("test needs at least two groups; pass --group-col")
-    if args.method in _PSEUDO_METHODS + ("all",) and len(data.groups) != 2:
+    if args.method == "all":
+        tests = TEST_IDS
+    else:
+        tests = [test for test, (method, variance) in TEST_METHODS.items()
+                 if method == args.method and variance in (None, args.variance)]
+    pseudo = any(TEST_METHODS[test][1] is None for test in tests)
+    if pseudo and len(data.groups) != 2:
         raise _UsageError(
             f"the pseudo-value tests need exactly two groups, got {len(data.groups)}; "
             "pick a transform method"
         )
-    if args.method == "all":
-        methods = [(m, v) for v in ("gaynor", "aalen") for m in _TRANSFORM_METHODS]
-        methods += [(m, None) for m in _PSEUDO_METHODS]
-    elif args.method in _PSEUDO_METHODS:
-        methods = [(args.method, None)]
-    else:
-        methods = [(args.method, args.variance)]
 
     tables = [build_event_table(data, g) for g in data.groups]
+    pooled = None
+    if pseudo:
+        pooled = (data.times, data.statuses, data.group_indicator(data.groups[0]))
     results, failures, lines = [], [], []
     for t in times:
-        for method, variance in methods:
-            label = method if variance is None else f"{method} ({variance})"
-            try:
-                res = _one_test(data, tables, args.cause, t,
-                                method, VarianceKind(variance or "gaynor"))
-                results.append(_result_payload(res))
+        for o in run_battery(tables, args.cause, t, pooled, tests):
+            label = o.method if o.variance is None else f"{o.method} ({o.variance})"
+            if o.error is None:
+                results.append(_result_payload(o.result))
                 lines.append(
-                    f"t={t:g} {label}: statistic {res.statistic:.3f} "
-                    f"df {res.df} p {res.p_value:.3f}"
+                    f"t={t:g} {label}: statistic {o.result.statistic:.3f} "
+                    f"df {o.result.df} p {o.result.p_value:.3f}"
                 )
-            except _NUMERICAL_ERRORS as exc:
+            else:
                 failures.append({
-                    "method": method,
-                    "variance": variance,
+                    "method": o.method,
+                    "variance": o.variance,
                     "time": t,
-                    "error_type": type(exc).__name__,
-                    "message": str(exc),
+                    "error_type": type(o.error).__name__,
+                    "message": str(o.error),
                 })
-                lines.append(f"t={t:g} {label}: failed ({type(exc).__name__}: {exc})")
+                lines.append(f"t={t:g} {label}: failed ({type(o.error).__name__}: {o.error})")
     payload = {
         "command": "test",
         "cause": args.cause,

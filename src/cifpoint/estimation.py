@@ -16,6 +16,7 @@ functions, flat between failure times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,10 @@ class StepFunction:
             raise ValueError("knots must be strictly increasing")
 
     def at(self, t):
-        """Evaluate at scalar or array `t`."""
+        """Evaluate at scalar or array `t`, which must not be NaN."""
         t = np.asarray(t, dtype=float)
+        if np.isnan(t).any():
+            raise ValueError("cannot evaluate a step function at NaN")
         idx = np.searchsorted(self.knots, t, side="right")
         padded = np.concatenate(([self.before], self.values))
         out = padded[idx]
@@ -78,18 +81,26 @@ def km_survival(table: EventTable) -> StepFunction:
     return StepFunction(knots=table.times.copy(), values=values, before=1.0)
 
 
-def _survival_before(table: EventTable) -> np.ndarray:
-    """S(t_{j-1}): Kaplan-Meier survival just before each failure time."""
-    values = np.cumprod(_km_factors(table))
-    return np.concatenate(([1.0], values[:-1]))
+def _finite_horizon(t) -> float:
+    """`t` as a float, refusing NaN and infinite horizons."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    return t
 
 
-def cif_increments(table: EventTable, cause: int) -> np.ndarray:
-    """Per-knot jumps S(t_{j-1}) * d_kj / a_j of the cause-k estimate."""
-    dk = table.cause_events.get(cause)
-    if dk is None:
-        return np.zeros(0)
-    return _survival_before(table) * dk / table.at_risk
+def _knot_terms(table: EventTable, cause: int, j: int):
+    """Counts and cause-`cause` jumps at the first `j` failure times.
+
+    Returns (a, d, d_k, S(t_{i-1}), S(t_{i-1}) * d_ki / a_i) as float
+    arrays; the jumps sum to the Aalen-Johansen estimate at t_j, and
+    both variance estimators are functions of these five arrays.
+    """
+    a = table.at_risk[:j].astype(float)
+    d = table.events[:j].astype(float)
+    dk = table.cause_events[cause][:j].astype(float)
+    s_prev = np.concatenate(([1.0], np.cumprod((a - d) / a)[:-1]))
+    return a, d, dk, s_prev, s_prev * dk / a
 
 
 def cif_estimate(table: EventTable, cause: int) -> CifCurve:
@@ -102,7 +113,7 @@ def cif_estimate(table: EventTable, cause: int) -> CifCurve:
     if dk is None or not np.any(dk > 0):
         steps = StepFunction(knots=np.zeros(0), values=np.zeros(0), before=0.0)
         return CifCurve(group=table.group, cause=cause, steps=steps)
-    values = np.cumsum(cif_increments(table, cause))
+    values = np.cumsum(_knot_terms(table, cause, table.times.size)[4])
     steps = StepFunction(knots=table.times.copy(), values=values, before=0.0)
     return CifCurve(group=table.group, cause=cause, steps=steps)
 

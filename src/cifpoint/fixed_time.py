@@ -23,8 +23,7 @@ from scipy.special import gammaincc, ndtri
 
 from .data import EventTable
 from .errors import NotEstimable, ZeroVariance
-from .estimation import cif_estimate
-from .variance import VarianceKind, cif_variance
+from .variance import VarianceKind, estimate_and_variances
 
 __all__ = [
     "TransformKind",
@@ -145,21 +144,25 @@ def chi2_pvalue(x: float, df: int) -> float:
     return float(gammaincc(df / 2.0, x / 2.0))
 
 
-def _group_pieces(table: EventTable, cause: int, t: float,
-                  kind: TransformKind, variance: VarianceKind):
-    est = cif_estimate(table, cause).at(t)
-    var = cif_variance(table, cause, t, variance)
-    return est, var, transform(est, kind), transform_variance(est, var, kind)
+def _transformed(estimate: float, variance, kind: TransformKind):
+    """(phi(I), V[phi(I)]); a variance given as the error that stopped
+    it is raised here, ahead of the transform's own checks."""
+    if isinstance(variance, Exception):
+        raise variance
+    return transform(estimate, kind), transform_variance(estimate, variance, kind)
 
 
-def two_sample_test(table1: EventTable, table2: EventTable, cause: int, t: float,
-                    kind: TransformKind = TransformKind.LOGLOG,
-                    variance: VarianceKind = VarianceKind.GAYNOR) -> FixedTimeTestResult:
-    """Chi-squared comparison of two groups' incidence of `cause` at `t`."""
-    kind = TransformKind(kind)
-    variance = VarianceKind(variance)
-    e1, v1, p1, w1 = _group_pieces(table1, cause, t, kind, variance)
-    e2, v2, p2, w2 = _group_pieces(table2, cause, t, kind, variance)
+def _point(table: EventTable, cause: int, t: float, variance: VarianceKind):
+    estimate, variances = estimate_and_variances(table, cause, t, (variance,))
+    return estimate, variances[variance]
+
+
+def _two_sample(groups, points, cause: int, t: float, kind: TransformKind,
+                variance: VarianceKind) -> FixedTimeTestResult:
+    """Two-group statistic from each group's (estimate, variance)."""
+    (e1, v1), (e2, v2) = points
+    p1, w1 = _transformed(e1, v1, kind)
+    p2, w2 = _transformed(e2, v2, kind)
     num = (p1 - p2) ** 2
     den = w1 + w2
     if den == 0.0:
@@ -175,13 +178,53 @@ def two_sample_test(table1: EventTable, table2: EventTable, cause: int, t: float
         statistic=stat,
         df=1,
         p_value=chi2_pvalue(stat, 1),
-        time=float(t),
+        time=t,
         cause=int(cause),
         method=kind.value,
         variance=variance.value,
-        groups=(GroupSummary(table1.group, e1, v1), GroupSummary(table2.group, e2, v2)),
+        groups=(GroupSummary(groups[0], e1, v1), GroupSummary(groups[1], e2, v2)),
         effect=p1 - p2,
     )
+
+
+def _k_sample(groups, points, cause: int, t: float, kind: TransformKind,
+              variance: VarianceKind) -> FixedTimeTestResult:
+    """Quadratic-form statistic from each group's (estimate, variance)."""
+    phi, w = np.array([_transformed(e, v, kind) for e, v in points]).T
+    contrasts = phi[0] - phi[1:]
+    cov = np.full((len(points) - 1, len(points) - 1), w[0])
+    cov[np.diag_indices_from(cov)] = w[0] + w[1:]
+    try:
+        stat = float(contrasts @ np.linalg.solve(cov, contrasts))
+    except np.linalg.LinAlgError:
+        if np.all(contrasts == 0.0):
+            stat = 0.0
+        else:
+            raise ZeroVariance(
+                f"groups differ at t={t!r} but the contrast covariance is singular"
+            ) from None
+    stat = max(stat, 0.0)
+    df = len(points) - 1
+    return FixedTimeTestResult(
+        statistic=stat,
+        df=df,
+        p_value=chi2_pvalue(stat, df),
+        time=t,
+        cause=int(cause),
+        method=kind.value,
+        variance=variance.value,
+        groups=tuple(GroupSummary(g, e, v) for g, (e, v) in zip(groups, points)),
+    )
+
+
+def two_sample_test(table1: EventTable, table2: EventTable, cause: int, t: float,
+                    kind: TransformKind = TransformKind.LOGLOG,
+                    variance: VarianceKind = VarianceKind.GAYNOR) -> FixedTimeTestResult:
+    """Chi-squared comparison of two groups' incidence of `cause` at `t`."""
+    variance = VarianceKind(variance)
+    points = [_point(tb, cause, t, variance) for tb in (table1, table2)]
+    return _two_sample((table1.group, table2.group), points, cause, float(t),
+                       TransformKind(kind), variance)
 
 
 def k_sample_test(tables, cause: int, t: float,
@@ -197,35 +240,10 @@ def k_sample_test(tables, cause: int, t: float,
     tables = list(tables)
     if len(tables) < 2:
         raise ValueError("k_sample_test needs at least two groups")
-    kind = TransformKind(kind)
     variance = VarianceKind(variance)
-    pieces = [_group_pieces(tb, cause, t, kind, variance) for tb in tables]
-    phi = np.array([p[2] for p in pieces])
-    w = np.array([p[3] for p in pieces])
-    contrasts = phi[0] - phi[1:]
-    cov = np.full((len(tables) - 1, len(tables) - 1), w[0])
-    cov[np.diag_indices_from(cov)] = w[0] + w[1:]
-    try:
-        stat = float(contrasts @ np.linalg.solve(cov, contrasts))
-    except np.linalg.LinAlgError:
-        if np.all(contrasts == 0.0):
-            stat = 0.0
-        else:
-            raise ZeroVariance(
-                f"groups differ at t={t!r} but the contrast covariance is singular"
-            ) from None
-    stat = max(stat, 0.0)
-    df = len(tables) - 1
-    return FixedTimeTestResult(
-        statistic=stat,
-        df=df,
-        p_value=chi2_pvalue(stat, df),
-        time=float(t),
-        cause=int(cause),
-        method=kind.value,
-        variance=variance.value,
-        groups=tuple(GroupSummary(tb.group, p[0], p[1]) for tb, p in zip(tables, pieces)),
-    )
+    points = [_point(tb, cause, t, variance) for tb in tables]
+    return _k_sample([tb.group for tb in tables], points, cause, float(t),
+                     TransformKind(kind), variance)
 
 
 def pointwise_ci(table: EventTable, cause: int, t: float,
@@ -237,7 +255,7 @@ def pointwise_ci(table: EventTable, cause: int, t: float,
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level!r}")
     kind = TransformKind(kind)
-    est, var, phi, w = _group_pieces(table, cause, t, kind, VarianceKind(variance))
+    phi, w = _transformed(*_point(table, cause, t, VarianceKind(variance)), kind)
     z = float(ndtri(0.5 + level / 2.0))
     half = z * math.sqrt(w)
     ends = sorted(

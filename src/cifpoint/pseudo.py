@@ -13,6 +13,16 @@ from generalized estimating equations with an independence working
 covariance (Liang & Zeger 1986), and the group coefficient gives a
 Wald test of equal incidence at the horizon.
 
+At one horizon with an intercept and a 0/1 group indicator the model
+is saturated, and the estimating equations are solved exactly by the
+group means m_1 and m_0 of the pseudo-values: the effect is
+g(m_1) - g(m_0) and its sandwich variance is
+
+    sum over groups of g'(m_g)^2 * sum_i (theta_i - m_g)^2 / n_g^2
+
+for the link g.  `pseudo_test` uses this closed form; `gee_fit` solves
+the general several-horizon model by Newton iteration.
+
 The leave-one-out estimates need no refit.  Write Y_j, d_j and dk_j
 for the at-risk count, the failures and the cause-k failures at the
 j-th distinct failure time t_j, S and F for the full-sample
@@ -44,6 +54,7 @@ from .fixed_time import FixedTimeTestResult, GroupSummary, chi2_pvalue
 
 __all__ = [
     "LinkKind",
+    "PSEUDO_METHODS",
     "PseudoValueMatrix",
     "GeeFit",
     "pseudo_values",
@@ -52,6 +63,7 @@ __all__ = [
 ]
 
 _GEE_TOL = 1e-10
+_GEE_STEP_TOL = 1e-8
 _GEE_MAX_ITER = 50
 
 
@@ -60,10 +72,21 @@ class LinkKind(enum.Enum):
     CLOGLOG = "cloglog"
 
 
+# method label of each pseudo-value test, in battery order
+PSEUDO_METHODS = {LinkKind.CLOGLOG: "pseudo-llog", LinkKind.LOGIT: "pseudo-logit"}
+
+
 def _link(x: float, kind: LinkKind) -> float:
     if kind is LinkKind.LOGIT:
         return math.log(x / (1.0 - x))
     return math.log(-math.log(1.0 - x))
+
+
+def _link_slope(x: float, kind: LinkKind) -> float:
+    """g'(x), the derivative of the link."""
+    if kind is LinkKind.LOGIT:
+        return 1.0 / (x * (1.0 - x))
+    return -1.0 / ((1.0 - x) * math.log(1.0 - x))
 
 
 def _inverse_link(eta: np.ndarray, kind: LinkKind) -> np.ndarray:
@@ -186,10 +209,11 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
 
         U(beta) = sum_i D_i' (theta_i - mu_i),    mu_ih = ginv(alpha_h + beta2 x_i)
 
-    solved by damped Newton iteration; the reported covariance is the
-    robust sandwich.  Raises SeparationDetected when a group mean
-    pseudo-value sits outside (0, 1) and NonConvergence if the solver
-    fails to drive max|U| below tolerance.
+    solved by damped Newton iteration until max|U| and the next Newton
+    step are both below tolerance; the reported covariance is the robust
+    sandwich.  Raises SeparationDetected when a group mean pseudo-value
+    sits outside (0, 1) and NonConvergence if the solver fails to
+    converge or meets a singular information matrix.
     """
     link = LinkKind(link)
     theta = pseudo.values if isinstance(pseudo, PseudoValueMatrix) else np.asarray(pseudo, float)
@@ -219,8 +243,10 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
 
     def score(b):
         eta = b[None, :m] + b[m] * x[:, None]
-        dmu = _mean_derivative(eta, link)
-        resid = theta - _inverse_link(eta, link)
+        # exp overflows to the right limits, a mean of 0 or 1
+        with np.errstate(over="ignore"):
+            dmu = _mean_derivative(eta, link)
+            resid = theta - _inverse_link(eta, link)
         contrib = dmu * resid
         u = np.concatenate((contrib.sum(axis=0), [float(x @ contrib.sum(axis=1))]))
         return u, dmu, contrib
@@ -233,10 +259,32 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
         info[m, m] = float(x @ d2.sum(axis=1))
         return info
 
+    def solve(info, rhs):
+        out = None
+        if np.linalg.cond(info) * np.finfo(float).eps < 1.0:
+            out = np.linalg.solve(info, rhs)
+        if out is None or not np.all(np.isfinite(out)):
+            raise NonConvergence(
+                f"information matrix is singular after {iterations} iterations "
+                f"(max |U| = {gap:g})",
+                beta=beta,
+                residual=gap,
+            )
+        return out
+
     u, dmu, _ = score(beta)
     gap = float(np.abs(u).max())
     iterations = 0
-    while gap >= _GEE_TOL:
+    while True:
+        step = solve(information(dmu), u)
+        # a small score alone is not a root: where a fitted mean runs to 0
+        # or 1 the mean derivative vanishes and takes max|U| below
+        # tolerance far from the solution, so the derivative must stay
+        # positive and the next Newton step be small too
+        small_step = np.abs(step).max() <= _GEE_STEP_TOL * (1.0 + np.abs(beta).max())
+        if gap < _GEE_TOL and small_step and dmu.min() > 0.0:
+            beta = beta + step
+            break
         if iterations >= _GEE_MAX_ITER:
             raise NonConvergence(
                 f"estimating equations not solved after {iterations} iterations "
@@ -244,7 +292,6 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
                 beta=beta,
                 residual=gap,
             )
-        step = np.linalg.solve(information(dmu), u)
         scale = 1.0
         while True:
             candidate = beta + scale * step
@@ -261,9 +308,53 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
     per_subject[:, :m] = contrib
     per_subject[:, m] = x * contrib.sum(axis=1)
     info = information(dmu)
-    bread = np.linalg.solve(info, per_subject.T @ per_subject)
-    sandwich = np.linalg.solve(info, bread.T).T
+    bread = solve(info, per_subject.T @ per_subject)
+    sandwich = solve(info, bread.T).T
     return GeeFit(beta=beta, sandwich=sandwich, iterations=iterations, link=link)
+
+
+def _group_moments(theta: np.ndarray, x: np.ndarray):
+    """[(m_1, se_1^2), (m_0, se_0^2)]: the mean pseudo-value of the
+    x == 1 group, then of the x == 0 group, each with the squared
+    standard error sum_i (theta_i - m)^2 / n^2 of that mean.
+
+    Raises SeparationDetected when a mean lies within n * eps of 0 or
+    1, the margin `gee_fit` uses.
+    """
+    edge = theta.size * np.finfo(float).eps
+    moments = []
+    for flag in (1, 0):
+        group = theta[x == flag]
+        mean = float(group.mean())
+        if not edge < mean < 1.0 - edge:
+            raise SeparationDetected(f"group {flag} mean pseudo-value outside (0, 1): {mean!r}")
+        moments.append((mean, float(np.square(group - mean).sum()) / group.size**2))
+    return moments
+
+
+def _saturated_test(moments, groups, cause: int, t: float,
+                    link: LinkKind) -> FixedTimeTestResult:
+    """Wald test from the closed-form saturated fit at one horizon."""
+    (m1, s1), (m0, s0) = moments
+    effect = _link(m1, link) - _link(m0, link)
+    var = _link_slope(m1, link) ** 2 * s1 + _link_slope(m0, link) ** 2 * s0
+    if var == 0.0:
+        if effect != 0.0:
+            raise ZeroVariance(f"group effect {effect!r} has zero sandwich variance")
+        stat = 0.0
+    else:
+        stat = effect**2 / var
+    return FixedTimeTestResult(
+        statistic=stat,
+        df=1,
+        p_value=chi2_pvalue(stat, 1),
+        time=t,
+        cause=int(cause),
+        method=PSEUDO_METHODS[link],
+        variance=None,
+        groups=(GroupSummary(groups[0], m1, None), GroupSummary(groups[1], m0, None)),
+        effect=effect,
+    )
 
 
 def pseudo_test(data: Dataset, cause: int, t: float,
@@ -272,36 +363,12 @@ def pseudo_test(data: Dataset, cause: int, t: float,
 
     The dataset must have exactly two groups; the indicator is 1 for
     the first group, so a positive effect means higher transformed
-    incidence in the first group.
+    incidence in the first group.  The fit is the closed-form
+    saturated GEE described in the module docstring.
     """
     link = LinkKind(link)
     if len(data.groups) != 2:
         raise ValueError(f"pseudo_test needs exactly two groups, got {len(data.groups)}")
     pseudo = pseudo_values(data, cause, [t])
-    x = data.group_indicator(data.groups[0]).astype(float)
-    fit = gee_fit(pseudo, x, link)
-    effect = fit.group_effect
-    var = fit.group_effect_variance
-    if var == 0.0:
-        if effect == 0.0:
-            stat = 0.0
-        else:
-            raise ZeroVariance(f"group effect {effect!r} has zero sandwich variance")
-    else:
-        stat = effect**2 / var
-    label = "pseudo-llog" if link is LinkKind.CLOGLOG else "pseudo-logit"
-    groups = tuple(
-        GroupSummary(g, float(pseudo.values[x == flag, 0].mean()), None)
-        for g, flag in zip(data.groups, (1.0, 0.0))
-    )
-    return FixedTimeTestResult(
-        statistic=float(stat),
-        df=1,
-        p_value=chi2_pvalue(float(stat), 1),
-        time=float(t),
-        cause=int(cause),
-        method=label,
-        variance=None,
-        groups=groups,
-        effect=effect,
-    )
+    moments = _group_moments(pseudo.values[:, 0], data.group_indicator(data.groups[0]))
+    return _saturated_test(moments, data.groups, cause, float(t), link)

@@ -13,7 +13,8 @@ the second group.  Censoring is uniform on (0, b) with b calibrated by
 bisection so the expected censored fraction hits a target.  Each
 replication runs the whole battery of twelve tests (five transforms
 times two variance estimators, plus the two pseudo-value links) at one
-fixed time and records rejections at level alpha.
+fixed time and records rejections at level alpha.  The battery,
+`run_battery`, is also what `cifpoint test` runs on observed data.
 
 Replications use independent counter-based streams keyed by the master
 seed and the replication index, so results are reproducible bit for
@@ -35,19 +36,22 @@ from .data import event_table_from_arrays
 from .errors import (
     CifPointError,
     DegenerateRiskSet,
-    NonConvergence,
     NotEstimable,
+    NumericalError,
     SeparationDetected,
     UnreachableTarget,
     ZeroVariance,
 )
-from .estimation import cif_estimate
-from .fixed_time import TransformKind, chi2_pvalue, transform, transform_variance
-from .pseudo import LinkKind, _pooled_pseudo, gee_fit
-from .variance import aalen_variance, gaynor_variance
+from .estimation import _finite_horizon
+from .fixed_time import FixedTimeTestResult, TransformKind, _k_sample, _two_sample
+from .pseudo import PSEUDO_METHODS, _group_moments, _pooled_pseudo, _saturated_test
+from .variance import VarianceKind, estimate_and_variances
 
 __all__ = [
     "TEST_IDS",
+    "TEST_METHODS",
+    "BatteryOutcome",
+    "run_battery",
     "Scenario",
     "ScenarioResult",
     "analytic_cif",
@@ -61,28 +65,88 @@ __all__ = [
     "results_to_json",
 ]
 
-TEST_IDS = (
-    "gaynor_linear",
-    "gaynor_log",
-    "gaynor_llog",
-    "gaynor_arcs",
-    "gaynor_logit",
-    "aalen_linear",
-    "aalen_log",
-    "aalen_llog",
-    "aalen_arcs",
-    "aalen_logit",
-    "pseudo_llog",
-    "pseudo_logit",
-)
+# test id -> (method, variance) as FixedTimeTestResult and the CLI name
+# them: the five transforms under each variance estimator, then the two
+# pseudo-value links
+TEST_METHODS = {
+    **{f"{v.value}_{k.value}": (k.value, v.value)
+       for v in (VarianceKind.GAYNOR, VarianceKind.AALEN) for k in TransformKind},
+    **{label.replace("-", "_"): (label, None) for label in PSEUDO_METHODS.values()},
+}
+TEST_IDS = tuple(TEST_METHODS)
+_LINKS = {label: link for link, label in PSEUDO_METHODS.items()}
 
-_TRANSFORMS = (
-    ("linear", TransformKind.LINEAR),
-    ("log", TransformKind.LOG),
-    ("llog", TransformKind.LOGLOG),
-    ("arcs", TransformKind.ARCSINE_SQRT),
-    ("logit", TransformKind.LOGIT),
-)
+# errors that exclude one test of one replication; any other error is a
+# fault and stops the run
+_EXCLUDING = (NotEstimable, ZeroVariance, DegenerateRiskSet, SeparationDetected)
+
+
+@dataclass(frozen=True)
+class BatteryOutcome:
+    """One test of the battery at one time: its result, or the error
+    that excluded it."""
+
+    test: str
+    method: str
+    variance: str | None
+    result: FixedTimeTestResult | None
+    error: CifPointError | None
+
+
+def run_battery(tables, cause: int, t: float, pooled=None,
+                tests=TEST_IDS) -> list[BatteryOutcome]:
+    """Run the requested tests of the battery at `t`, in TEST_IDS order.
+
+    `tables` are the groups' event tables; the transform tests compare
+    two groups as `two_sample_test` and more as `k_sample_test` do, from
+    one pass over each table for its estimate and both variances.  The
+    pseudo-value tests need exactly two groups and `pooled`, the arrays
+    (times, statuses, x) of all subjects with x = 1 marking the first
+    table's group; the pooled pseudo-values are computed once for both
+    links.  The numbers equal those of `two_sample_test`, `k_sample_test`
+    and `pseudo_test` bit for bit.
+    """
+    unknown = set(tests) - set(TEST_IDS)
+    if unknown:
+        raise ValueError(f"unknown tests {sorted(unknown)}")
+    if len(tables) < 2:
+        raise ValueError("the battery needs at least two groups")
+    t = _finite_horizon(t)
+    groups = [tb.group for tb in tables]
+    compare = _two_sample if len(tables) == 2 else _k_sample
+    summaries = moments = None
+    outcomes = []
+    for test in TEST_IDS:
+        if test not in tests:
+            continue
+        method, variance = TEST_METHODS[test]
+        try:
+            if variance is not None:
+                if summaries is None:
+                    summaries = [estimate_and_variances(tb, cause, t) for tb in tables]
+                kind = VarianceKind(variance)
+                points = [(estimate, variances[kind]) for estimate, variances in summaries]
+                result = compare(groups, points, cause, t, TransformKind(method), kind)
+            else:
+                if moments is None:
+                    if len(tables) != 2 or pooled is None:
+                        raise ValueError("the pseudo-value tests need two groups "
+                                         "and the pooled subjects")
+                    times, statuses, x = pooled
+                    theta = _pooled_pseudo(times, statuses, int(cause), np.array([t]))
+                    # a separation stops both links
+                    try:
+                        moments = _group_moments(theta[:, 0], x)
+                    except SeparationDetected as exc:
+                        moments = exc
+                if isinstance(moments, Exception):
+                    raise moments
+                result = _saturated_test(moments, groups, cause, t, _LINKS[method])
+        except (*_EXCLUDING, NumericalError) as exc:
+            outcomes.append(BatteryOutcome(test, method, variance, None, exc))
+        else:
+            outcomes.append(BatteryOutcome(test, method, variance, result, None))
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -226,47 +290,6 @@ def calibrate_censoring(beta: float, p: float, weights: tuple[float, float],
     return 0.5 * (lo + hi)
 
 
-def _transform_outcomes(tables, t: float, alpha: float, outcome: dict) -> None:
-    pieces = {}
-    for prefix, variance_fn in (("gaynor", gaynor_variance), ("aalen", aalen_variance)):
-        pieces[prefix] = [
-            (cif_estimate(tb, 1).at(t), variance_fn(tb, 1, t)) for tb in tables
-        ]
-    for prefix in ("gaynor", "aalen"):
-        (e1, v1), (e2, v2) = pieces[prefix]
-        for name, kind in _TRANSFORMS:
-            test = f"{prefix}_{name}"
-            try:
-                num = (transform(e1, kind) - transform(e2, kind)) ** 2
-                den = transform_variance(e1, v1, kind) + transform_variance(e2, v2, kind)
-                if den == 0.0:
-                    if num != 0.0:
-                        raise ZeroVariance("degenerate replication")
-                    stat = 0.0
-                else:
-                    stat = num / den
-                outcome[test] = chi2_pvalue(stat, 1) < alpha
-            except (NotEstimable, ZeroVariance, DegenerateRiskSet):
-                outcome[test] = None
-
-
-def _pseudo_outcomes(times, statuses, x, t: float, alpha: float, outcome: dict) -> None:
-    theta = _pooled_pseudo(times, statuses, 1, np.array([t]))
-    for test, link in (("pseudo_llog", LinkKind.CLOGLOG), ("pseudo_logit", LinkKind.LOGIT)):
-        try:
-            fit = gee_fit(theta, x, link)
-            var = fit.group_effect_variance
-            if var == 0.0:
-                if fit.group_effect != 0.0:
-                    raise ZeroVariance("degenerate replication")
-                stat = 0.0
-            else:
-                stat = fit.group_effect**2 / var
-            outcome[test] = chi2_pvalue(stat, 1) < alpha
-        except (SeparationDetected, NonConvergence, ZeroVariance):
-            outcome[test] = None
-
-
 def _replicate(s: Scenario, rep: int, bounds: tuple[float, float]) -> dict:
     """Run the twelve-test battery once; values True/False/None
     (None marks a replication excluded for that test)."""
@@ -277,16 +300,19 @@ def _replicate(s: Scenario, rep: int, bounds: tuple[float, float]) -> dict:
         event_table_from_arrays(t1, s1, group="1", causes=(1, 2)),
         event_table_from_arrays(t2, s2, group="2", causes=(1, 2)),
     )
-    outcome: dict = {}
-    _transform_outcomes(tables, s.t_fixed, s.alpha, outcome)
-    _pseudo_outcomes(
+    pooled = (
         np.concatenate((t1, t2)),
         np.concatenate((s1, s2)),
         np.concatenate((np.ones(s.n1), np.zeros(s.n2))),
-        s.t_fixed,
-        s.alpha,
-        outcome,
     )
+    outcome = {}
+    for o in run_battery(tables, 1, s.t_fixed, pooled):
+        if o.error is None:
+            outcome[o.test] = o.result.p_value < s.alpha
+        elif isinstance(o.error, _EXCLUDING):
+            outcome[o.test] = None
+        else:
+            raise o.error
     return outcome
 
 

@@ -21,9 +21,15 @@ import numpy as np
 
 from .data import EventTable
 from .errors import DegenerateRiskSet, NumericalError
-from .estimation import _survival_before, cif_increments
+from .estimation import _finite_horizon, _knot_terms
 
-__all__ = ["VarianceKind", "aalen_variance", "gaynor_variance", "cif_variance"]
+__all__ = [
+    "VarianceKind",
+    "aalen_variance",
+    "gaynor_variance",
+    "cif_variance",
+    "estimate_and_variances",
+]
 
 _CLAMP = 1e-14
 
@@ -52,22 +58,19 @@ def _guarded_ratio(num: np.ndarray, den: np.ndarray, label: str) -> np.ndarray:
     return out
 
 
-def aalen_variance(table: EventTable, cause: int, t: float) -> float:
-    """Counting-process variance of the cause-`cause` incidence at `t`."""
-    j = int(np.searchsorted(table.times, t, side="right"))
-    if j == 0:
-        return 0.0
-    dk_full = table.cause_events.get(cause)
-    if dk_full is None:
-        return 0.0
+def _terms(table: EventTable, cause: int, t: float):
+    """Knot terms through the last failure time at or before `t`, or
+    None when the estimate is 0 there with nothing to vary."""
+    j = int(np.searchsorted(table.times, _finite_horizon(t), side="right"))
+    if j == 0 or cause not in table.cause_events:
+        return None
+    return _knot_terms(table, cause, j)
 
-    a = table.at_risk[:j].astype(float)
-    d = table.events[:j].astype(float)
-    dk = dk_full[:j].astype(float)
-    s_prev = _survival_before(table)[:j]
-    cum = np.cumsum(cif_increments(table, cause))[:j]
+
+def _aalen(terms) -> float:
+    a, d, dk, s_prev, inc = terms
+    cum = np.cumsum(inc)
     diff = cum[-1] - cum
-
     sq = _guarded_ratio(diff**2 * d, (a - 1.0) * (a - d), "aalen squared term")
     binom = _guarded_ratio(s_prev**2 * dk * (a - dk), a**2 * (a - 1.0), "aalen binomial term")
     cross = _guarded_ratio(
@@ -76,20 +79,8 @@ def aalen_variance(table: EventTable, cause: int, t: float) -> float:
     return _clamped(sq.sum() + binom.sum() - 2.0 * cross.sum(), "aalen")
 
 
-def gaynor_variance(table: EventTable, cause: int, t: float) -> float:
-    """Increment-sum variance of the cause-`cause` incidence at `t`."""
-    j = int(np.searchsorted(table.times, t, side="right"))
-    if j == 0:
-        return 0.0
-    dk_full = table.cause_events.get(cause)
-    if dk_full is None:
-        return 0.0
-
-    a = table.at_risk[:j].astype(float)
-    d = table.events[:j].astype(float)
-    dk = dk_full[:j].astype(float)
-    inc = cif_increments(table, cause)[:j]
-
+def _gaynor(terms) -> float:
+    a, d, dk, _, inc = terms
     # prefix[i] = sum over l < i of d_l / (a_l (a_l - d_l)); a saturated
     # knot (a_l = d_l) can only be the last one, where no later increment
     # exists to multiply it, so its ratio is dropped if that holds.
@@ -107,10 +98,44 @@ def gaynor_variance(table: EventTable, cause: int, t: float) -> float:
     return _clamped(own.sum() + 2.0 * pairs.sum(), "gaynor")
 
 
+_ESTIMATORS = {VarianceKind.GAYNOR: _gaynor, VarianceKind.AALEN: _aalen}
+
+
+def aalen_variance(table: EventTable, cause: int, t: float) -> float:
+    """Counting-process variance of the cause-`cause` incidence at `t`."""
+    return cif_variance(table, cause, t, VarianceKind.AALEN)
+
+
+def gaynor_variance(table: EventTable, cause: int, t: float) -> float:
+    """Increment-sum variance of the cause-`cause` incidence at `t`."""
+    return cif_variance(table, cause, t, VarianceKind.GAYNOR)
+
+
 def cif_variance(table: EventTable, cause: int, t: float,
                  kind: VarianceKind = VarianceKind.GAYNOR) -> float:
     """Dispatch to the requested variance estimator."""
-    kind = VarianceKind(kind)
-    if kind is VarianceKind.AALEN:
-        return aalen_variance(table, cause, t)
-    return gaynor_variance(table, cause, t)
+    estimator = _ESTIMATORS[VarianceKind(kind)]
+    terms = _terms(table, cause, t)
+    return 0.0 if terms is None else estimator(terms)
+
+
+def estimate_and_variances(table: EventTable, cause: int, t: float,
+                           kinds=tuple(VarianceKind)):
+    """The cause-`cause` incidence at `t` and its variances of the
+    given kinds, from one pass over the table.
+
+    Returns (estimate, {VarianceKind: variance}); a variance that
+    cannot be computed is given as the DegenerateRiskSet or
+    NumericalError it raised, so that it excludes only the tests that
+    use it.
+    """
+    terms = _terms(table, cause, t)
+    if terms is None:
+        return 0.0, dict.fromkeys(kinds, 0.0)
+    variances = {}
+    for kind in kinds:
+        try:
+            variances[kind] = _ESTIMATORS[kind](terms)
+        except (DegenerateRiskSet, NumericalError) as exc:
+            variances[kind] = exc
+    return float(np.cumsum(terms[4])[-1]), variances

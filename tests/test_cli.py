@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 
 import numpy as np
@@ -190,6 +191,29 @@ class TestTest:
         assert code == 1
         assert "exactly two groups" in err
         assert out == ""
+
+    def test_unbalanced_groups_answered(self, tmp_path, capsys):
+        # 230 against 5 uncensored subjects: the Newton fit behind
+        # pseudo-llog met a singular information matrix and the command
+        # died with a numpy traceback; the closed form answers
+        path = tmp_path / "unbalanced.csv"
+        rows = ["time,status,arm"]
+        for arm, n, ones in (("a", 230, 6), ("b", 5, 2)):
+            rows += [f"{0.001 * (len(rows) + i):.3f},{1 if i < ones else 2},{arm}"
+                     for i in range(n)]
+        path.write_text("\n".join(rows) + "\n")
+        common = ["test", "--input", str(path), "--group-col", "arm",
+                  "--cause", "1", "--time", "1", "--json", "--method"]
+        code, out, _ = run(common + ["pseudo-llog"], capsys)
+        assert code == 0
+        (res,) = json.loads(out)["results"]
+        expected = math.log(-math.log(1 - 6 / 230)) - math.log(-math.log(1 - 2 / 5))
+        assert abs(res["effect"] - expected) <= 1e-10
+        code, out, _ = run(common + ["all"], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert len(results) == 12
+        assert results[10] == res
 
     def test_single_group_rejected(self, tmp_path, capsys):
         path = tmp_path / "one.csv"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,15 @@ TOL = 1e-12
 
 
 class TestStepFunction:
+    def test_nan_rejected(self, table_a):
+        # NaN used to sort past every knot and read as the last value
+        curve = cif_estimate(table_a, 1)
+        with pytest.raises(ValueError):
+            curve.at(math.nan)
+        with pytest.raises(ValueError):
+            curve.steps.at(np.array([1.0, math.nan]))
+        assert curve.at(math.inf) == curve.at(10.0)
+
     def test_right_continuous(self):
         f = StepFunction(knots=np.array([1.0, 2.0]), values=np.array([0.5, 0.25]), before=1.0)
         assert f.at(0.999) == 1.0

@@ -187,6 +187,25 @@ class TestKSample:
             k_sample_test([table_a], 1, 3.0)
 
 
+class TestNonFiniteTime:
+    # NaN used to sort past every knot: two_sample_test answered with
+    # statistic 0 and p = 1 on fixture-like data
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_two_sample(self, table_a, table_b, t):
+        with pytest.raises(ValueError):
+            two_sample_test(table_a, table_b, 1, t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_k_sample(self, table_a, table_b, table_c, t):
+        with pytest.raises(ValueError):
+            k_sample_test([table_a, table_b, table_c], 1, t)
+
+    @pytest.mark.parametrize("t", [math.nan, -math.inf])
+    def test_pointwise_ci(self, table_a, t):
+        with pytest.raises(ValueError):
+            pointwise_ci(table_a, 1, t, TransformKind.LINEAR)
+
+
 class TestPointwiseCi:
     def test_llog_formula_frozen(self):
         # hand-built interval around I=0.3 with transformed-scale

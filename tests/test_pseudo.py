@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cifpoint.data import build_event_table
-from cifpoint.errors import SeparationDetected
+from cifpoint.errors import NonConvergence, SeparationDetected, ZeroVariance
 from cifpoint.estimation import cif_estimate
 from cifpoint.pseudo import LinkKind, gee_fit, pseudo_test, pseudo_values
 
@@ -39,6 +39,26 @@ def brute_pseudo(times, statuses, cause, taus):
                                  statuses[:i] + statuses[i + 1:], cause, tau)
             theta[i, h] = n * full - (n - 1) * loo
     return theta
+
+
+def indicator_dataset(n1, k1, n0, k0):
+    """Uncensored groups "a" (n1 subjects) and "b" (n0): the first k1 and
+    k0 fail from cause 1 before t=1 and the rest from cause 2, so the
+    pseudo-values at t=1 are the cause-1 indicators and the saturated
+    fit is known exactly."""
+    times, statuses, groups = [], [], []
+    for label, n, k in (("a", n1, k1), ("b", n0, k0)):
+        for i in range(n):
+            times.append(0.001 * (len(times) + 1))
+            statuses.append(1 if i < k else 2)
+            groups.append(label)
+    return make_dataset(times, statuses, groups)
+
+
+def saturated_effect(m1, m0, link):
+    g = {LinkKind.LOGIT: lambda q: math.log(q / (1 - q)),
+         LinkKind.CLOGLOG: lambda q: math.log(-math.log(1 - q))}[link]
+    return g(m1) - g(m0)
 
 
 def assert_matches_brute_force(times, statuses, cause, taus):
@@ -204,6 +224,90 @@ class TestGeeFit:
         data = make_dataset(times, statuses, groups)
         with pytest.raises(SeparationDetected):
             pseudo_test(data, 1, 1.0)
+
+    def test_singular_information_is_nonconvergence(self):
+        # 230 against 5 subjects: the Newton information goes singular
+        # on the way, which used to escape as a raw LinAlgError
+        data = indicator_dataset(230, 6, 5, 2)
+        pv = pseudo_values(data, 1, [1.0])
+        with pytest.raises(NonConvergence):
+            gee_fit(pv, data.group_indicator("a"), LinkKind.CLOGLOG)
+        res = pseudo_test(data, 1, 1.0, LinkKind.CLOGLOG)
+        expected = saturated_effect(6 / 230, 2 / 5, LinkKind.CLOGLOG)
+        assert abs(res.effect - expected) <= 1e-10
+
+    @pytest.mark.parametrize("n1, k1, n0, k0, link", [
+        (49, 1, 2, 1, LinkKind.LOGIT),
+        (60, 5, 6, 5, LinkKind.CLOGLOG),
+        (51, 2, 10, 5, LinkKind.CLOGLOG),
+    ])
+    def test_no_spurious_root(self, n1, k1, n0, k0, link):
+        # the small group's intercept used to run off to where its mean
+        # derivative underflows, which takes max|U| below tolerance; the
+        # fit then reported effects of 4e3 to 2e7 against a true -3 to -4
+        data = indicator_dataset(n1, k1, n0, k0)
+        pv = pseudo_values(data, 1, [1.0])
+        expected = saturated_effect(k1 / n1, k0 / n0, link)
+        try:
+            fit = gee_fit(pv, data.group_indicator("a"), link)
+        except NonConvergence:
+            return
+        assert abs(fit.group_effect - expected) <= 1e-8 * abs(expected)
+
+    @pytest.mark.parametrize("n1, k1, n0, k0, link", [
+        (300, 1, 40, 8, LinkKind.LOGIT),
+        (400, 1, 60, 8, LinkKind.CLOGLOG),
+    ])
+    def test_converges_to_the_root(self, n1, k1, n0, k0, link):
+        # with a group mean near 0 a small max|U| still leaves the fit
+        # ~7e-9 off; the Newton step taken at convergence removes that
+        data = indicator_dataset(n1, k1, n0, k0)
+        fit = gee_fit(pseudo_values(data, 1, [1.0]), data.group_indicator("a"), link)
+        expected = saturated_effect(k1 / n1, k0 / n0, link)
+        assert abs(fit.group_effect - expected) <= 1e-11 * abs(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n1=st.integers(2, 60),
+        n0=st.integers(2, 60),
+        tau=st.sampled_from([0.1, 0.4, 1.0, 2.5]),
+        link=st.sampled_from(list(LinkKind)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_matches_newton(self, n1, n0, tau, link, seed):
+        """The closed-form single-horizon test against Newton on random
+        censored two-group data."""
+        rng = np.random.default_rng(seed)
+        n = n1 + n0
+        rate = np.where(np.arange(n) < n1, 1.0, 1.6)
+        failure = rng.exponential(1.0 / rate)
+        censor = rng.uniform(0.0, 3.0, size=n)
+        statuses = np.where(failure <= censor, rng.integers(1, 3, size=n), 0)
+        data = make_dataset(np.minimum(failure, censor), statuses,
+                            ["a"] * n1 + ["b"] * n0)
+        pv = pseudo_values(data, 1, [tau])
+        x = data.group_indicator("a")
+
+        def attempt(fn):
+            try:
+                return fn()
+            except (SeparationDetected, NonConvergence, ZeroVariance) as exc:
+                return type(exc)
+
+        closed = attempt(lambda: pseudo_test(data, 1, tau, link))
+        newton = attempt(lambda: gee_fit(pv, x, link))
+        assert (closed is SeparationDetected) == (newton is SeparationDetected)
+        if isinstance(closed, type) or isinstance(newton, type):
+            return
+        if not all(1e-3 <= g.estimate <= 1 - 1e-3 for g in closed.groups):
+            return
+        scale = abs(newton.group_effect) + math.sqrt(newton.group_effect_variance)
+        assert abs(closed.effect - newton.group_effect) <= 1e-8 * scale
+        # Newton's sandwich adds both groups' meat before separating
+        # them again, which costs it up to ~1e-8 relative when one group's
+        # term is 1e7 times the other's
+        wald = newton.group_effect**2 / newton.group_effect_variance
+        assert abs(closed.statistic - wald) <= 1e-7 * wald + 1e-12
 
 
 class TestPseudoTest:

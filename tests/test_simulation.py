@@ -4,9 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from cifpoint.errors import CifPointError, UnreachableTarget
+import cifpoint.variance
+from cifpoint.data import Dataset, SubjectRecord, event_table_from_arrays
+from cifpoint.errors import CifPointError, DegenerateRiskSet, UnreachableTarget
+from cifpoint.fixed_time import TransformKind, k_sample_test, two_sample_test
+from cifpoint.pseudo import LinkKind, pseudo_test
 from cifpoint.simulation import (
     TEST_IDS,
+    TEST_METHODS,
     Scenario,
     analytic_cif,
     analytic_survival,
@@ -14,10 +19,12 @@ from cifpoint.simulation import (
     parse_scenarios,
     read_results_csv,
     results_to_json,
+    run_battery,
     run_scenario,
     sample_group,
     write_results_csv,
 )
+from cifpoint.variance import VarianceKind
 
 
 def tiny(reps=30, **kw):
@@ -175,9 +182,137 @@ class TestRunScenario:
         hi = run_scenario(tiny(beta=math.log(2.0), n1=50, n2=50, reps=400))
         assert hi.rate("gaynor_linear") > lo.rate("gaynor_linear")
 
+    def test_degenerate_variance_excluded_not_fatal(self, monkeypatch):
+        def degenerate(terms):
+            raise DegenerateRiskSet("aalen squared term: zero denominator")
+
+        monkeypatch.setitem(cifpoint.variance._ESTIMATORS, VarianceKind.AALEN, degenerate)
+        res = run_scenario(tiny(reps=20))
+        for test in TEST_IDS:
+            assert res.excluded[test] == (20 if test.startswith("aalen_") else 0)
+
     def test_per_group_censoring_runs(self):
         res = run_scenario(tiny(censor_fraction=0.3, reps=50), per_group_censoring=True)
         assert set(res.rejections) == set(TEST_IDS)
+
+
+def draw(seed, n1, n2, censor_bound):
+    """Two simulated groups: their event tables, the pooled arrays the
+    battery takes, and the same subjects as a Dataset."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    t1, s1 = sample_group(n1, 0.3, 0, 0.66, rng, censor_bound)
+    t2, s2 = sample_group(n2, 0.3, 1, 0.66, rng, censor_bound)
+    tables = (event_table_from_arrays(t1, s1, "1", (1, 2)),
+              event_table_from_arrays(t2, s2, "2", (1, 2)))
+    pooled = (np.concatenate((t1, t2)), np.concatenate((s1, s2)),
+              np.concatenate((np.ones(n1), np.zeros(n2))))
+    data = Dataset(tuple(SubjectRecord(float(t), int(st), g)
+                         for ts, ss, g in ((t1, s1, "1"), (t2, s2, "2"))
+                         for t, st in zip(ts, ss)))
+    return tables, pooled, data
+
+
+def public_call(test, tables, data, t):
+    """The one public call that runs `test` on its own."""
+    method, variance = TEST_METHODS[test]
+    if variance is None:
+        link = LinkKind.CLOGLOG if method == "pseudo-llog" else LinkKind.LOGIT
+        return pseudo_test(data, 1, t, link)
+    return two_sample_test(*tables, 1, t, TransformKind(method), VarianceKind(variance))
+
+
+def assert_battery_matches_public_calls(tables, pooled, data, t):
+    """Every outcome equals its public call bit for bit, or the public
+    call raises the same error; returns the error types seen."""
+    outcomes = run_battery(tables, 1, t, pooled)
+    assert [o.test for o in outcomes] == list(TEST_IDS)
+    seen = set()
+    for o in outcomes:
+        assert (o.method, o.variance) == TEST_METHODS[o.test]
+        if o.error is None:
+            assert public_call(o.test, tables, data, t) == o.result
+        else:
+            with pytest.raises(type(o.error)) as info:
+                public_call(o.test, tables, data, t)
+            assert str(info.value) == str(o.error)
+            seen.add(type(o.error).__name__)
+    return seen
+
+
+class TestBattery:
+    @pytest.mark.parametrize("seed, n1, n2, bound, t", [
+        (1, 40, 40, 2.0, 0.5),
+        (2, 25, 60, 1.0, 1.0),
+        (3, 6, 6, math.inf, 0.05),
+        (4, 5, 230, 3.0, 0.5),
+        (5, 3, 3, 1.5, 0.3),
+    ])
+    def test_matches_public_calls(self, seed, n1, n2, bound, t):
+        tables, pooled, data = draw(seed, n1, n2, bound)
+        assert_battery_matches_public_calls(tables, pooled, data, t)
+
+    def test_exclusions_match_public_calls(self):
+        # early horizons on small groups: a transform undefined at 0 and
+        # a group with no cause-1 event so far, seen across 60 draws
+        seen = set()
+        for seed in range(60):
+            tables, pooled, data = draw(seed, 6, 6, 1.0)
+            seen |= assert_battery_matches_public_calls(tables, pooled, data, 0.08)
+        assert {"NotEstimable", "SeparationDetected"} <= seen
+
+    def test_degenerate_variance_excludes_only_its_tests(self, monkeypatch):
+        # a valid event table cannot reach the zero denominators (the
+        # saturation that would divide by zero leaves every later jump
+        # 0), so the Aalen estimator is made to raise here
+        def degenerate(terms):
+            raise DegenerateRiskSet("aalen squared term: zero denominator")
+
+        monkeypatch.setitem(cifpoint.variance._ESTIMATORS, VarianceKind.AALEN, degenerate)
+        tables, pooled, data = draw(1, 40, 40, 2.0)
+        seen = assert_battery_matches_public_calls(tables, pooled, data, 0.5)
+        assert seen == {"DegenerateRiskSet"}
+        excluded = {o.test for o in run_battery(tables, 1, 0.5, pooled) if o.error}
+        assert excluded == {t for t in TEST_IDS if t.startswith("aalen_")}
+
+    def test_selected_tests_in_battery_order(self):
+        tables, pooled, _ = draw(1, 40, 40, 2.0)
+        full = run_battery(tables, 1, 0.5, pooled)
+        picked = run_battery(tables, 1, 0.5, pooled, ["pseudo_logit", "gaynor_log"])
+        assert [o.test for o in picked] == ["gaynor_log", "pseudo_logit"]
+        assert [o.result for o in picked] == [full[1].result, full[11].result]
+
+    def test_transform_tests_without_pooled_subjects(self):
+        tables, _, _ = draw(1, 40, 40, 2.0)
+        outcomes = run_battery(tables, 1, 0.5, tests=TEST_IDS[:10])
+        assert all(o.error is None for o in outcomes)
+        with pytest.raises(ValueError):
+            run_battery(tables, 1, 0.5)
+
+    def test_more_groups_use_the_quadratic_form(self):
+        tables, _, _ = draw(1, 40, 40, 2.0)
+        third = draw(2, 30, 30, 2.0)[0][1]
+        tables = (*tables, third)
+        for o in run_battery(tables, 1, 0.5, tests=TEST_IDS[:10]):
+            method, variance = TEST_METHODS[o.test]
+            assert o.result == k_sample_test(tables, 1, 0.5, TransformKind(method),
+                                             VarianceKind(variance))
+        with pytest.raises(ValueError):
+            run_battery(tables, 1, 0.5, (np.ones(3), np.ones(3), np.ones(3)))
+
+    def test_argument_validation(self):
+        tables, pooled, _ = draw(1, 40, 40, 2.0)
+        with pytest.raises(ValueError):
+            run_battery(tables, 1, 0.5, pooled, ["gaynor_probit"])
+        with pytest.raises(ValueError):
+            run_battery(tables[:1], 1, 0.5, tests=TEST_IDS[:10])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        tables, pooled, _ = draw(1, 40, 40, 2.0)
+        with pytest.raises(ValueError):
+            run_battery(tables, 1, t, pooled)
+        with pytest.raises(ValueError):
+            run_battery(tables, 1, t, pooled, ["pseudo_llog"])
 
 
 class TestScenarioFile:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,17 @@ class TestShape:
                 assert g >= 0.0
                 assert a >= 0.0
                 assert a >= g - 1e-12
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [
+        aalen_variance,
+        gaynor_variance,
+        lambda table, cause, t: cif_variance(table, cause, t, VarianceKind.AALEN),
+    ], ids=["aalen", "gaynor", "dispatch"])
+    def test_non_finite_time_rejected(self, table_a, fn, t):
+        # NaN used to sort past every knot and answer with the last value
+        with pytest.raises(ValueError):
+            fn(table_a, 1, t)
 
     def test_dispatcher(self, table_a):
         assert cif_variance(table_a, 1, 3.0, VarianceKind.AALEN) == aalen_variance(table_a, 1, 3.0)
