@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CifPointError, NumericalError, RankDeficientDesign
 from .simulation import TEST_IDS
@@ -70,6 +69,10 @@ def ols_no_intercept(design, y):
             f"more columns ({design.shape[1]}) than rows ({design.shape[0]})",
             aliased=range(design.shape[1]),
         )
+    # the pivoted QR is the package's only use of scipy, so the import is
+    # paid by the first fit rather than by every command
+    import scipy.linalg
+
     r, pivots = scipy.linalg.qr(design, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = max(design.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,10 @@ __all__ = [
     "build_event_table",
     "event_table_from_arrays",
 ]
+
+
+# statuses are held as 64-bit integers
+_MAX_STATUS = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -44,45 +48,71 @@ class SubjectRecord:
             raise InvalidRecord(f"status must be an integer, got {self.status!r}")
         if self.status < 0:
             raise InvalidRecord(f"status must be >= 0, got {self.status!r}")
+        if self.status > _MAX_STATUS:
+            raise InvalidRecord(f"status must be <= {_MAX_STATUS}, got {self.status!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Dataset:
-    """A collection of subject records spanning one or more groups."""
+    """Subjects of one or more groups, held as columns.
 
-    records: tuple[SubjectRecord, ...]
-    groups: tuple[str, ...] = field(init=False)
-    causes: tuple[int, ...] = field(init=False)
+    `times` and `statuses` hold one entry per subject, and `codes` the
+    index into `groups` of each subject's group.  `groups` lists the
+    labels in order of first appearance and `causes` the distinct
+    failure causes in ascending order.  The arrays are read-only.
 
-    def __post_init__(self):
-        if not self.records:
+    `Dataset(records)` takes a sequence of :class:`SubjectRecord`;
+    :func:`parse_dataset` reads a CSV straight into the columns.
+    """
+
+    times: np.ndarray
+    statuses: np.ndarray
+    codes: np.ndarray
+    groups: tuple[str, ...]
+    causes: tuple[int, ...]
+
+    def __init__(self, records):
+        records = tuple(records)
+        self._fill([rec.time for rec in records], [rec.status for rec in records],
+                   [rec.group for rec in records])
+
+    @classmethod
+    def _from_columns(cls, times, statuses, labels) -> Dataset:
+        """A dataset from columns whose values are already validated."""
+        data = cls.__new__(cls)
+        data._fill(times, statuses, labels)
+        return data
+
+    def _fill(self, times, statuses, labels) -> None:
+        if not len(labels):
             raise InvalidRecord("dataset has no records")
-        seen: list[str] = []
-        for rec in self.records:
-            if rec.group not in seen:
-                seen.append(rec.group)
-        causes = sorted({rec.status for rec in self.records if rec.status > 0})
-        object.__setattr__(self, "groups", tuple(seen))
-        object.__setattr__(self, "causes", tuple(causes))
+        index: dict[str, int] = {}
+        codes = np.fromiter((index.setdefault(g, len(index)) for g in labels),
+                            dtype=int, count=len(labels))
+        statuses = np.asarray(statuses, dtype=int)
+        for name, value in (("times", np.asarray(times, dtype=float)),
+                            ("statuses", statuses), ("codes", codes)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "groups", tuple(index))
+        object.__setattr__(self, "causes",
+                           tuple(int(k) for k in np.unique(statuses[statuses > 0])))
 
-    def group_records(self, group: str) -> tuple[SubjectRecord, ...]:
-        if group not in self.groups:
-            raise KeyError(f"unknown group {group!r}")
-        return tuple(rec for rec in self.records if rec.group == group)
+    def _code(self, group: str) -> int:
+        try:
+            return self.groups.index(group)
+        except ValueError:
+            raise KeyError(f"unknown group {group!r}") from None
 
     def group_indicator(self, group: str) -> np.ndarray:
-        """0/1 vector marking membership of `group`, aligned with records."""
-        if group not in self.groups:
-            raise KeyError(f"unknown group {group!r}")
-        return np.array([1 if rec.group == group else 0 for rec in self.records])
+        """0/1 vector marking membership of `group`, one entry per subject."""
+        return (self.codes == self._code(group)).astype(int)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([rec.time for rec in self.records], dtype=float)
-
-    @property
-    def statuses(self) -> np.ndarray:
-        return np.array([rec.status for rec in self.records], dtype=int)
+    def records(self) -> tuple[SubjectRecord, ...]:
+        """The subjects as records, rebuilt from the columns."""
+        return tuple(SubjectRecord(t, s, self.groups[c]) for t, s, c in
+                     zip(self.times.tolist(), self.statuses.tolist(), self.codes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -142,32 +172,67 @@ def parse_dataset(path, time_col: str, status_col: str, group_col: str | None = 
     """Read a CSV with one row per subject into a :class:`Dataset`.
 
     `group_col=None` puts every subject in a single group named "all".
-    Raises :class:`InvalidRecord` naming the offending row on bad input.
+    Blank lines are skipped.  Raises :class:`InvalidRecord` naming the
+    offending row (the header is row 1) on bad input: a row with more
+    or fewer fields than the header, a time or status that does not
+    parse or that a :class:`SubjectRecord` rejects, or an empty group.
     """
-    records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise InvalidRecord(f"{path}: empty file")
+        # a repeated name means its last column, as in csv.DictReader
+        position = {name: i for i, name in enumerate(header)}
         for col in filter(None, (time_col, status_col, group_col)):
-            if col not in reader.fieldnames:
+            if col not in position:
                 raise InvalidRecord(f"{path}: missing column {col!r}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                time = float(row[time_col])
-            except (TypeError, ValueError):
-                raise InvalidRecord(f"{path}:{lineno}: bad time {row[time_col]!r}") from None
-            raw = row[status_col]
-            try:
-                status = int(raw)
-            except (TypeError, ValueError):
-                raise InvalidRecord(f"{path}:{lineno}: bad status {raw!r}") from None
-            group = row[group_col] if group_col is not None else "all"
-            try:
-                records.append(SubjectRecord(time, status, group))
-            except InvalidRecord as exc:
-                raise InvalidRecord(f"{path}:{lineno}: {exc}") from None
-    return Dataset(tuple(records))
+        rows = [row for row in reader if row]
+    layout = (len(header), position[time_col], position[status_col], position.get(group_col))
+    columns = _columns(rows, *layout)
+    if columns is None:
+        raise _first_row_error(path, rows, *layout)
+    return Dataset._from_columns(*columns)
+
+
+def _columns(rows, width, ti, si, gi):
+    """(times, statuses, labels) converted column by column, or None
+    when any row is invalid."""
+    if any(len(row) != width for row in rows):
+        return None
+    try:
+        times = np.array([float(row[ti]) for row in rows])
+        statuses = np.fromiter((int(row[si]) for row in rows), dtype=int, count=len(rows))
+    except (ValueError, OverflowError):
+        return None
+    labels = ["all"] * len(rows) if gi is None else [row[gi] for row in rows]
+    if not (np.all(np.isfinite(times) & (times > 0.0) & (statuses >= 0)) and all(labels)):
+        return None
+    return times, statuses, labels
+
+
+def _first_row_error(path, rows, width, ti, si, gi) -> InvalidRecord:
+    """The error naming the first row `_columns` rejects, each row's
+    fields checked in order."""
+    for lineno, row in enumerate(rows, start=2):
+        where = f"{path}:{lineno}"
+        if len(row) != width:
+            return InvalidRecord(f"{where}: expected {width} fields, got {len(row)}")
+        try:
+            time = float(row[ti])
+        except ValueError:
+            return InvalidRecord(f"{where}: bad time {row[ti]!r}")
+        try:
+            status = int(row[si])
+        except ValueError:
+            return InvalidRecord(f"{where}: bad status {row[si]!r}")
+        try:
+            SubjectRecord(time, status, "")
+        except InvalidRecord as exc:
+            return InvalidRecord(f"{where}: {exc}")
+        if gi is not None and not row[gi]:
+            return InvalidRecord(f"{where}: empty group label")
+    raise AssertionError("no invalid row found")
 
 
 def event_table_from_arrays(times, statuses, group: str = "all",
@@ -216,7 +281,6 @@ def event_table_from_arrays(times, statuses, group: str = "all",
 
 def build_event_table(data: Dataset, group: str) -> EventTable:
     """Summarize one group of a dataset, carrying all causes seen anywhere."""
-    recs = data.group_records(group)
-    times = np.array([rec.time for rec in recs], dtype=float)
-    statuses = np.array([rec.status for rec in recs], dtype=int)
-    return event_table_from_arrays(times, statuses, group=group, causes=data.causes)
+    member = data.codes == data._code(group)
+    return event_table_from_arrays(data.times[member], data.statuses[member], group=group,
+                                   causes=data.causes)

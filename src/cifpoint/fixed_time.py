@@ -17,9 +17,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import gammaincc, ndtri
 
 from .data import EventTable
 from .errors import NotEstimable, ZeroVariance
@@ -135,13 +135,31 @@ def inverse_transform(y: float, kind: TransformKind) -> float:
 
 
 def chi2_pvalue(x: float, df: int) -> float:
-    """Upper tail P(X >= x) of the chi-squared law with `df` degrees of
-    freedom, via the regularized upper incomplete gamma function."""
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df!r}")
+    """Upper tail P(X >= x) of the chi-squared law with integer `df`
+    degrees of freedom.
+
+    This is the regularized upper incomplete gamma function Q(df/2, y)
+    at y = x/2, in closed form: Q(1/2, y) = erfc(sqrt(y)) and
+    Q(1, y) = exp(-y), and Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1)
+    steps a up to df/2.  Every term is positive, so the sum loses no
+    digits to cancellation.
+    """
+    if df != int(df) or df < 1:
+        raise ValueError(f"df must be an integer >= 1, got {df!r}")
     if x < 0.0:
         raise ValueError(f"statistic must be >= 0, got {x!r}")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    y = x / 2.0
+    if y == 0.0:
+        return 1.0
+    if math.isinf(y):
+        return 0.0
+    a = 0.5 if df % 2 else 1.0
+    tail = math.erfc(math.sqrt(y)) if df % 2 else math.exp(-y)
+    log_y = math.log(y)
+    while a < df / 2.0:
+        tail += math.exp(a * log_y - y - math.lgamma(a + 1.0))
+        a += 1.0
+    return tail
 
 
 def _transformed(estimate: float, variance, kind: TransformKind):
@@ -256,7 +274,7 @@ def pointwise_ci(table: EventTable, cause: int, t: float,
         raise ValueError(f"level must be in (0, 1), got {level!r}")
     kind = TransformKind(kind)
     phi, w = _transformed(*_point(table, cause, t, VarianceKind(variance)), kind)
-    z = float(ndtri(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * math.sqrt(w)
     ends = sorted(
         (inverse_transform(phi - half, kind), inverse_transform(phi + half, kind))

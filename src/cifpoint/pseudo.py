@@ -92,7 +92,8 @@ def _link_slope(x: float, kind: LinkKind) -> float:
 def _inverse_link(eta: np.ndarray, kind: LinkKind) -> np.ndarray:
     if kind is LinkKind.LOGIT:
         return 1.0 / (1.0 + np.exp(-eta))
-    return 1.0 - np.exp(-np.exp(eta))
+    # expm1 keeps small means that 1 - exp(-exp(eta)) would round to 0
+    return -np.expm1(-np.exp(eta))
 
 
 def _mean_derivative(eta: np.ndarray, kind: LinkKind) -> np.ndarray:
@@ -190,7 +191,7 @@ def pseudo_values(data: Dataset, cause: int, times) -> PseudoValueMatrix:
     """Jackknife pseudo-values of the pooled-sample incidence of `cause`.
 
     `times` must be strictly increasing finite positive horizons.  All groups
-    are pooled for the estimate; rows align with `data.records`.
+    are pooled for the estimate; rows align with the subjects of `data`.
     """
     taus = np.asarray(times, dtype=float)
     if taus.ndim != 1 or taus.size == 0:

@@ -26,11 +26,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .data import event_table_from_arrays
 from .errors import (
@@ -242,15 +240,15 @@ def sample_group(n: int, beta: float, z: int, p: float, rng: np.random.Generator
     return observed, np.where(t <= c, status, 0)
 
 
-def _expected_censored(bound: float, beta: float, p: float, w2: float) -> float:
-    def mixture_survival(t):
-        s = (1.0 - w2) * analytic_survival(t, beta, 0, p)
-        if w2 > 0.0:
-            s += w2 * analytic_survival(t, beta, 1, p)
-        return s
+def _expected_censored(bound: float, beta: float, w2: float) -> float:
+    """P(C < T) for C uniform on (0, bound): the mean over (0, bound) of
+    the mixture survival, whose components e^{-t eta} integrate to
+    (1 - e^{-bound eta}) / eta."""
+    def integral(z):
+        eta = math.exp(beta * z)
+        return -math.expm1(-bound * eta) / eta
 
-    total, _ = quad(mixture_survival, 0.0, bound, limit=200)
-    return total / bound
+    return ((1.0 - w2) * integral(0) + w2 * integral(1)) / bound
 
 
 def calibrate_censoring(beta: float, p: float, weights: tuple[float, float],
@@ -259,8 +257,9 @@ def calibrate_censoring(beta: float, p: float, weights: tuple[float, float],
 
     `weights` are the relative sizes of the z=0 and z=1 groups; the
     censored fraction P(C < T) is computed against the corresponding
-    mixture of failure-time laws and is decreasing in b, so bisection
-    applies.  `target` 0 returns infinity (no censoring).
+    mixture of failure-time laws (which do not depend on `p`) and is
+    decreasing in b, so bisection applies.  `target` 0 returns infinity
+    (no censoring).
     """
     if not (0.0 <= target < 1.0):
         raise ValueError(f"target must be in [0, 1), got {target!r}")
@@ -270,17 +269,17 @@ def calibrate_censoring(beta: float, p: float, weights: tuple[float, float],
 
     lo, hi = 0.0, 1.0
     for _ in range(80):
-        if _expected_censored(hi, beta, p, w2) < target:
+        if _expected_censored(hi, beta, w2) < target:
             break
         lo, hi = hi, hi * 2.0
     else:
         raise UnreachableTarget(
             f"censored fraction {target!r} not reachable",
-            supremum=_expected_censored(hi, beta, p, w2),
+            supremum=_expected_censored(hi, beta, w2),
         )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        frac = _expected_censored(mid, beta, p, w2)
+        frac = _expected_censored(mid, beta, w2)
         if abs(frac - target) <= tol:
             return mid
         if frac > target:
@@ -351,6 +350,9 @@ def run_scenario(s: Scenario, workers: int = 1,
     if workers <= 1 or s.reps < 2 * workers:
         rejections, excluded = _run_block((s, 0, s.reps, bounds))
         return ScenarioResult(s, rejections, excluded)
+
+    # imported here so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     edges = np.linspace(0, s.reps, workers + 1).astype(int)
     blocks = [(s, int(a), int(b), bounds) for a, b in zip(edges[:-1], edges[1:])]

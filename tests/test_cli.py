@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import pathlib
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cifpoint
 from cifpoint.cli import run_cli
 from cifpoint.data import build_event_table, parse_dataset
 from cifpoint.estimation import StepFunction, cif_estimate
@@ -105,6 +109,18 @@ class TestEstimate:
              "--cause", "1", "--times", times], capsys)
         assert code == 1
         assert "finite and positive" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("row", ["2.0,1", "2.0,1,", "2.0,1,y,9"])
+    def test_malformed_row_is_data_error(self, tmp_path, row, capsys):
+        # a short row, an empty group and an extra field
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,status,arm\n1.0,1,x\n{row}\n3.0,2,y\n")
+        code, out, err = run(
+            ["estimate", "--input", str(path), "--group-col", "arm",
+             "--cause", "1", "--times", "1"], capsys)
+        assert code == 2
+        assert "bad.csv:3:" in err
         assert out == ""
 
     @pytest.mark.parametrize("level", ["1.5", "0", "1", "nan"])
@@ -318,6 +334,25 @@ class TestTopLevel:
     def test_unknown_command(self, capsys):
         assert run_cli(["frobnicate"]) == 1
         capsys.readouterr()
+
+    def test_estimate_and_test_import_no_scipy(self, data_csv):
+        # scipy serves only summarize-anova; importing it costs ~0.6 s
+        # per command
+        common = ["--input", str(data_csv), "--group-col", "arm", "--cause", "1"]
+        code = (
+            "import sys\n"
+            "from cifpoint.cli import run_cli\n"
+            f"assert run_cli({['estimate', *common, '--times', '1,3']!r}) == 0\n"
+            f"assert run_cli({['test', *common, '--time', '3', '--method', 'all']!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        src = pathlib.Path(cifpoint.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_console_script_installed(self):
         proc = subprocess.run(

@@ -1,5 +1,10 @@
+import csv
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cifpoint.data import (
     Dataset,
@@ -10,8 +15,13 @@ from cifpoint.data import (
     parse_dataset,
 )
 from cifpoint.errors import InvalidRecord
+from cifpoint.simulation import run_battery
 
 from conftest import make_dataset
+
+# field values for fuzzing the CSV reader: valid, unparsable and out of range
+FIELDS = ("1.5", "2", "0", "-1", "nan", "inf", "1e400", "x", "", " 3", "1_0",
+          "99999999999999999999", "a", "b")
 
 
 class TestSubjectRecord:
@@ -151,3 +161,133 @@ class TestParseDataset:
         path.write_text("time,status\nabc,1\n")
         with pytest.raises(InvalidRecord):
             parse_dataset(path, "time", "status")
+
+    @pytest.mark.parametrize("row, problem", [
+        ("2.0,1", "expected 3 fields, got 2"),
+        ("2.0,1,", "empty group label"),
+        ("2.0,1,x,9", "expected 3 fields, got 4"),
+        ("2.0,-1,x", "status must be >= 0, got -1"),
+        ("nan,1,x", "time must be finite, got nan"),
+        ("0,1,x", "time must be positive, got 0.0"),
+        ("2.0,99999999999999999999,x", "status must be <= 9223372036854775807, "
+                                       "got 99999999999999999999"),
+    ])
+    def test_malformed_row_rejected(self, tmp_path, row, problem):
+        # a short row used to make a group None, an empty field a group
+        # '', an extra field was dropped and a status beyond 64 bits
+        # escaped later as an OverflowError; the value errors keep the
+        # messages a SubjectRecord gives
+        path = tmp_path / "d.csv"
+        path.write_text(f"time,status,group\n1.0,1,x\n{row}\n3.0,0,y\n")
+        with pytest.raises(InvalidRecord, match=rf"d\.csv:3: {problem}$"):
+            parse_dataset(path, "time", "status", "group")
+
+    def test_first_bad_row_is_reported(self, tmp_path):
+        # the status of row 3 fails before the negative time of row 4
+        path = tmp_path / "d.csv"
+        path.write_text("time,status\n1.0,1\n2.0,x\n-4.0,1\n")
+        with pytest.raises(InvalidRecord, match=r"d\.csv:3: bad status 'x'"):
+            parse_dataset(path, "time", "status")
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("time,status\n1.0,1\n\n2.0,0\n")
+        assert parse_dataset(path, "time", "status").times.tolist() == [1.0, 2.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(FIELDS), min_size=1, max_size=4),
+                    min_size=1, max_size=6))
+    def test_any_rows_parse_or_name_a_row(self, tmp_path_factory, rows):
+        # whatever the rows hold, the result is a dataset or an
+        # InvalidRecord naming a data row; a lone empty field is a blank
+        # line, which is skipped
+        path = tmp_path_factory.mktemp("fuzz") / "d.csv"
+        path.write_text("time,status,group\n" + "".join(",".join(r) + "\n" for r in rows))
+        try:
+            data = parse_dataset(path, "time", "status", "group")
+        except InvalidRecord as exc:
+            assert (re.search(r"d\.csv:[2-7]: ", str(exc))
+                    or str(exc) == "dataset has no records"), str(exc)
+        else:
+            # rebuilding the records validates every value again
+            assert len(data.records) == sum(row != [""] for row in rows)
+            assert "" not in data.groups
+
+
+def write_rows(path, times, statuses, labels):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "status", "arm"])
+        writer.writerows(zip((repr(float(t)) for t in times), statuses, labels))
+
+
+def subjects(min_size=1, max_size=40):
+    """Random subjects with tied times, censoring and up to three
+    groups: lists (times, statuses, labels)."""
+    return st.lists(
+        st.tuples(st.integers(1, 8).map(lambda k: k / 4.0), st.integers(0, 3),
+                  st.sampled_from(("b", "a", "c"))),
+        min_size=min_size, max_size=max_size,
+    ).map(lambda rows: [list(col) for col in zip(*rows)])
+
+
+def assert_tables_equal(t1, t2):
+    assert t1.group == t2.group and t1.size == t2.size
+    for name in ("times", "at_risk", "events", "censor_times"):
+        assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
+    assert t1.cause_events.keys() == t2.cause_events.keys()
+    for k in t1.cause_events:
+        assert np.array_equal(t1.cause_events[k], t2.cause_events[k])
+
+
+class TestColumnarDataset:
+    @settings(max_examples=100, deadline=None)
+    @given(subjects())
+    def test_parsed_csv_equals_records(self, tmp_path_factory, columns):
+        times, statuses, labels = columns
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        write_rows(path, times, statuses, labels)
+        parsed = parse_dataset(path, "time", "status", "arm")
+        built = make_dataset(times, statuses, labels)
+        assert parsed.groups == built.groups == tuple(dict.fromkeys(labels))
+        assert parsed.causes == built.causes == tuple(sorted({s for s in statuses if s}))
+        assert parsed.times.tolist() == built.times.tolist() == times
+        assert parsed.statuses.tolist() == built.statuses.tolist() == statuses
+        for g in built.groups:
+            assert parsed.group_indicator(g).tolist() == [int(x == g) for x in labels]
+            assert_tables_equal(build_event_table(parsed, g), build_event_table(built, g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(subjects(min_size=2), st.randoms(use_true_random=False))
+    def test_permuting_rows_changes_no_table_or_test(self, columns, rnd):
+        times, statuses, labels = columns
+        labels = ["a", "b"] + labels[2:]
+        order = list(range(len(times)))
+        rnd.shuffle(order)
+        data = make_dataset(times, statuses, labels)
+        shuffled = make_dataset(*([col[i] for i in order] for col in (times, statuses, labels)))
+        for g in data.groups:
+            assert_tables_equal(build_event_table(data, g), build_event_table(shuffled, g))
+        for t in (0.5, 1.0, 1.75):
+            for x, y in zip(*(two_group_battery(d, t) for d in (data, shuffled))):
+                assert (x.test, type(x.error)) == (y.test, type(y.error))
+                if x.variance is not None:
+                    assert x.result == y.result
+                elif x.result is not None:
+                    # the pseudo-value group means sum in another order
+                    assert numbers(x.result) == pytest.approx(numbers(y.result),
+                                                             rel=1e-12, abs=1e-15)
+
+
+def two_group_battery(data, t):
+    """The twelve tests of groups a and b, with c left out."""
+    groups = ("a", "b")
+    member = np.isin(data.codes, [data.groups.index(g) for g in groups])
+    tables = [build_event_table(data, g) for g in groups]
+    pooled = (data.times[member], data.statuses[member], data.group_indicator("a")[member])
+    return run_battery(tables, 1, t, pooled)
+
+
+def numbers(result):
+    return [result.statistic, result.p_value, result.effect,
+            *(g.estimate for g in result.groups)]

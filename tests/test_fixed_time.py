@@ -1,7 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaincc, ndtri
 
 from cifpoint.data import build_event_table, event_table_from_arrays
 from cifpoint.errors import NotEstimable, ZeroVariance
@@ -96,6 +100,30 @@ class TestChiSquare:
     def test_zero_statistic(self):
         assert chi2_pvalue(0.0, 1) == 1.0
         assert chi2_pvalue(0.0, 3) == 1.0
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.integers(1, 12),
+           st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 50.0),
+                     st.floats(0.0, 1400.0), st.floats(1400.0, 1600.0)))
+    def test_matches_incomplete_gamma(self, df, x):
+        # scipy is the oracle here only; the package computes the tail
+        # in closed form
+        expected = float(gammaincc(df / 2.0, x / 2.0))
+        got = chi2_pvalue(x, df)
+        if expected >= sys.float_info.min:
+            assert abs(got - expected) <= 1e-12 * expected
+        else:
+            # the tail underflows below the normal doubles on both sides
+            assert 0.0 <= got < sys.float_info.min
+
+    def test_infinite_statistic(self):
+        assert chi2_pvalue(math.inf, 1) == 0.0
+        assert chi2_pvalue(math.inf, 4) == 0.0
+
+    @pytest.mark.parametrize("df", [0, -1, 1.5])
+    def test_bad_df(self, df):
+        with pytest.raises(ValueError):
+            chi2_pvalue(1.0, df)
 
 
 class TestTwoSample:
@@ -242,6 +270,18 @@ class TestPointwiseCi:
         lo, hi = pointwise_ci(table, 1, 1.5, TransformKind.LINEAR)
         assert lo == 0.0
         assert hi <= 1.0
+
+    @pytest.mark.parametrize("level", [1e-6, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-9])
+    def test_quantile_matches_ndtri(self, table_a, level):
+        est, v = 7 / 15, 208 / 3375
+        phi = transform(est, TransformKind.LOGLOG)
+        half = float(ndtri(0.5 + level / 2.0)) * math.sqrt(
+            transform_variance(est, v, TransformKind.LOGLOG))
+        expected = sorted(inverse_transform(phi + s * half, TransformKind.LOGLOG)
+                          for s in (-1.0, 1.0))
+        lo, hi = pointwise_ci(table_a, 1, 3.0, TransformKind.LOGLOG, level=level)
+        assert abs(lo - expected[0]) <= 1e-14
+        assert abs(hi - expected[1]) <= 1e-14
 
     def test_level_validation(self, table_a):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cifpoint.data import build_event_table
 from cifpoint.errors import NonConvergence, SeparationDetected, ZeroVariance
 from cifpoint.estimation import cif_estimate
-from cifpoint.pseudo import LinkKind, gee_fit, pseudo_test, pseudo_values
+from cifpoint.pseudo import LinkKind, _inverse_link, gee_fit, pseudo_test, pseudo_values
 
 from conftest import FIXTURE_A, make_dataset, random_dataset
 
@@ -181,6 +181,12 @@ class TestLeaveOneOutKernel:
 
 
 class TestGeeFit:
+    def test_cloglog_mean_keeps_small_values(self):
+        # 1 - exp(-exp(eta)) rounds to 0 here; the mean is ~1e-29
+        mean = _inverse_link(np.array([-66.8]), LinkKind.CLOGLOG)[0]
+        assert mean == pytest.approx(math.exp(-66.8), rel=1e-12)
+        assert 9e-30 < mean < 1.1e-29
+
     def test_logit_closed_form(self, gee_dataset):
         # group means 0.6 and 0.3 with n=10 each: the saturated fit is
         # beta2 = logit(0.6) - logit(0.3) with a moment sandwich

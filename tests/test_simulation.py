@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import cifpoint.variance
 from cifpoint.data import Dataset, SubjectRecord, event_table_from_arrays
@@ -23,8 +24,19 @@ from cifpoint.simulation import (
     run_scenario,
     sample_group,
     write_results_csv,
+    _expected_censored,
 )
 from cifpoint.variance import VarianceKind
+
+
+def quad_censored(bound, beta, w2, p=0.66):
+    """P(C < T) for C uniform on (0, bound), by numerical integration
+    of the mixture survival."""
+    def survival(t):
+        return ((1.0 - w2) * analytic_survival(t, beta, 0, p)
+                + w2 * analytic_survival(t, beta, 1, p))
+
+    return quad(survival, 0.0, bound, limit=200)[0] / bound
 
 
 def tiny(reps=30, **kw):
@@ -111,6 +123,22 @@ class TestCensoringCalibration:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             calibrate_censoring(0.0, 0.66, (1.0, 1.0), 1.0)
+
+    @pytest.mark.parametrize("beta", [0.0, math.log(1.5), math.log(2.0), -0.7])
+    @pytest.mark.parametrize("w2", [0.0, 1.0, 1.0 / 3.0, 0.5])
+    def test_expected_censored_matches_quadrature(self, beta, w2):
+        for bound in (1e-3, 0.3, 1.0, 4.2, 60.0):
+            assert _expected_censored(bound, beta, w2) == pytest.approx(
+                quad_censored(bound, beta, w2), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, math.log(1.5), math.log(2.0)])
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (50, 100), (1.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("target", [0.15, 0.30, 0.45, 0.8])
+    def test_calibration_hits_target_by_quadrature(self, beta, weights, target):
+        # pooled and per-group weights; the quadrature is the oracle
+        b = calibrate_censoring(beta, 0.66, weights, target)
+        w2 = weights[1] / (weights[0] + weights[1])
+        assert abs(quad_censored(b, beta, w2) - target) <= 1e-4
 
 
 class TestScenario:
