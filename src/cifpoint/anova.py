@@ -53,6 +53,32 @@ class AnovaTable:
         return found
 
 
+def _aliased_columns(design: np.ndarray) -> list[int]:
+    """Indices, in column order, of the columns in the span of the
+    columns before them.
+
+    One Gram-Schmidt pass projects each column twice against the basis
+    kept so far; a column whose residual norm is at most
+    max(design.shape) * eps times its own norm (a zero column, too) is
+    aliased and does not join the basis.
+    """
+    tol = max(design.shape) * np.finfo(float).eps
+    basis = np.empty_like(design)
+    rank = 0
+    aliased = []
+    for j, col in enumerate(design.T):
+        resid = col.copy()
+        for _ in range(2):
+            resid -= basis[:, :rank] @ (basis[:, :rank].T @ resid)
+        norm = np.linalg.norm(resid)
+        if norm <= tol * np.linalg.norm(col):
+            aliased.append(j)
+        else:
+            basis[:, rank] = resid / norm
+            rank += 1
+    return aliased
+
+
 def ols_no_intercept(design, y):
     """Least squares through the origin with a rank guard.
 
@@ -64,23 +90,11 @@ def ols_no_intercept(design, y):
     y = np.asarray(y, dtype=float)
     if design.ndim != 2 or y.shape != (design.shape[0],):
         raise ValueError("design must be 2-d with one response per row")
-    if design.shape[0] < design.shape[1]:
+    aliased = _aliased_columns(design)
+    if aliased:
         raise RankDeficientDesign(
-            f"more columns ({design.shape[1]}) than rows ({design.shape[0]})",
-            aliased=range(design.shape[1]),
-        )
-    # the pivoted QR is the package's only use of scipy, so the import is
-    # paid by the first fit rather than by every command
-    import scipy.linalg
-
-    r, pivots = scipy.linalg.qr(design, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = max(design.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank < design.shape[1]:
-        raise RankDeficientDesign(
-            f"design has rank {rank} < {design.shape[1]} columns",
-            aliased=sorted(int(c) for c in pivots[rank:]),
+            f"design has rank {design.shape[1] - len(aliased)} < {design.shape[1]} columns",
+            aliased=aliased,
         )
     coef = np.linalg.lstsq(design, y, rcond=None)[0]
     gap = np.abs(design.T @ (y - design @ coef)).max()

@@ -167,6 +167,14 @@ class EventTable:
         if int(d.sum()) + self.censor_times.size != self.size:
             raise InvalidRecord("failures plus censorings must equal the group size")
 
+    @classmethod
+    def _from_counts(cls, **fields) -> EventTable:
+        """A table from counts that already satisfy the invariants."""
+        table = cls.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(table, name, value)
+        return table
+
 
 def parse_dataset(path, time_col: str, status_col: str, group_col: str | None = None) -> Dataset:
     """Read a CSV with one row per subject into a :class:`Dataset`.
@@ -188,6 +196,8 @@ def parse_dataset(path, time_col: str, status_col: str, group_col: str | None = 
             if col not in position:
                 raise InvalidRecord(f"{path}: missing column {col!r}")
         rows = [row for row in reader if row]
+    if not rows:
+        raise InvalidRecord(f"{path}: dataset has no records")
     layout = (len(header), position[time_col], position[status_col], position.get(group_col))
     columns = _columns(rows, *layout)
     if columns is None:
@@ -268,7 +278,7 @@ def event_table_from_arrays(times, statuses, group: str = "all",
         sel = statuses[failed] == k
         cause_events[k] = np.bincount(pos[sel], minlength=knots.size).astype(int)
 
-    return EventTable(
+    return EventTable._from_counts(
         group=group,
         times=knots,
         at_risk=at_risk.astype(int),

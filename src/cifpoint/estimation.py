@@ -64,11 +64,17 @@ class CifCurve:
         return self.steps.at(t)
 
 
-def _km_factors(table: EventTable) -> np.ndarray:
-    """Per-knot survival factors (a_j - d_j) / a_j."""
-    a = table.at_risk.astype(float)
-    d = table.events.astype(float)
-    return (a - d) / a
+def _aalen_johansen(a: np.ndarray, d: np.ndarray, dk: np.ndarray):
+    """The Aalen-Johansen recursion over knots with at-risk counts `a`,
+    failures `d` and cause-k failures `dk` (float arrays).
+
+    Returns (S(t_{j-1}), S(t_j), S(t_{j-1}) * dk_j / a_j): the
+    Kaplan-Meier survival just before and just after each knot, built
+    from the factors (a_j - d_j) / a_j, and the cause-k incidence jumps.
+    """
+    surv = np.cumprod((a - d) / a)
+    s_prev = np.concatenate(([1.0], surv[:-1]))
+    return s_prev, surv, s_prev * dk / a
 
 
 def km_survival(table: EventTable) -> StepFunction:
@@ -77,7 +83,8 @@ def km_survival(table: EventTable) -> StepFunction:
     The curve starts at 1, drops only at failure times, and stays
     positive while anyone remains at risk past the last failure time.
     """
-    values = np.cumprod(_km_factors(table))
+    d = table.events.astype(float)
+    values = _aalen_johansen(table.at_risk.astype(float), d, d)[1]
     return StepFunction(knots=table.times.copy(), values=values, before=1.0)
 
 
@@ -99,8 +106,8 @@ def _knot_terms(table: EventTable, cause: int, j: int):
     a = table.at_risk[:j].astype(float)
     d = table.events[:j].astype(float)
     dk = table.cause_events[cause][:j].astype(float)
-    s_prev = np.concatenate(([1.0], np.cumprod((a - d) / a)[:-1]))
-    return a, d, dk, s_prev, s_prev * dk / a
+    s_prev, _, jumps = _aalen_johansen(a, d, dk)
+    return a, d, dk, s_prev, jumps
 
 
 def cif_estimate(table: EventTable, cause: int) -> CifCurve:

@@ -171,7 +171,7 @@ def _transformed(estimate: float, variance, kind: TransformKind):
 
 
 def _point(table: EventTable, cause: int, t: float, variance: VarianceKind):
-    estimate, variances = estimate_and_variances(table, cause, t, (variance,))
+    estimate, variances = estimate_and_variances(table, cause, t)
     return estimate, variances[variance]
 
 

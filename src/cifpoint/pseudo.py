@@ -50,6 +50,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NonConvergence, SeparationDetected, ZeroVariance
+from .estimation import _aalen_johansen
 from .fixed_time import FixedTimeTestResult, GroupSummary, chi2_pvalue
 
 __all__ = [
@@ -154,8 +155,8 @@ def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
     ).astype(float)
 
     # full sample: survival just after, and incidence up to, each knot
-    surv = np.cumprod(1.0 - events / at_risk)
-    inc = np.cumsum(np.concatenate(([1.0], surv[:-1])) * cause_events / at_risk)
+    _, surv, jumps = _aalen_johansen(at_risk, events, cause_events)
+    inc = np.cumsum(jumps)
 
     # the same with one subject fewer at risk, as seen by a subject still
     # at risk at every knot so far; entry j covers the knots before j.  A
@@ -163,8 +164,8 @@ def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
     # taking out its own event leaves nothing there to divide.
     fewer = at_risk - 1.0
     fewer[fewer == 0.0] = 1.0
-    surv_fewer = np.concatenate(([1.0], np.cumprod(1.0 - events / fewer)[:-1]))
-    inc_fewer = np.concatenate(([0.0], np.cumsum(surv_fewer * cause_events / fewer)[:-1]))
+    surv_fewer, _, jumps_fewer = _aalen_johansen(fewer, events, cause_events)
+    inc_fewer = np.concatenate(([0.0], np.cumsum(jumps_fewer)[:-1]))
 
     # (subject, horizon) grid: j is the last knot at or before both the
     # subject's time and the horizon.  Leaving subject i out lowers the
@@ -177,7 +178,7 @@ def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
     d = events[j] - own
     dk = cause_events[j] - (own & (statuses == cause)[:, None])
     inc_i = inc_fewer[j] + surv_fewer[j] * dk / fewer[j]
-    surv_i = surv_fewer[j] * (1.0 - d / fewer[j])
+    surv_i = surv_fewer[j] * ((fewer[j] - d) / fewer[j])
 
     # past knot j the leave-one-out curve is the full-sample tail rescaled
     # by the ratio of the two survivals at j, which is positive there
@@ -309,8 +310,13 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
     per_subject[:, :m] = contrib
     per_subject[:, m] = x * contrib.sum(axis=1)
     info = information(dmu)
-    bread = solve(info, per_subject.T @ per_subject)
-    sandwich = solve(info, bread.T).T
+    # each group's meat goes through the bread on its own: summed first,
+    # a group whose term is 1e7 times the other's would swamp its digits
+    sandwich = np.zeros((m + 1, m + 1))
+    for g in (0.0, 1.0):
+        rows = per_subject[x == g]
+        bread = solve(info, rows.T @ rows)
+        sandwich += solve(info, bread.T).T
     return GeeFit(beta=beta, sandwich=sandwich, iterations=iterations, link=link)
 
 

@@ -119,10 +119,9 @@ def cif_variance(table: EventTable, cause: int, t: float,
     return 0.0 if terms is None else estimator(terms)
 
 
-def estimate_and_variances(table: EventTable, cause: int, t: float,
-                           kinds=tuple(VarianceKind)):
-    """The cause-`cause` incidence at `t` and its variances of the
-    given kinds, from one pass over the table.
+def estimate_and_variances(table: EventTable, cause: int, t: float):
+    """The cause-`cause` incidence at `t` and both its variances, from
+    one pass over the table.
 
     Returns (estimate, {VarianceKind: variance}); a variance that
     cannot be computed is given as the DegenerateRiskSet or
@@ -131,9 +130,9 @@ def estimate_and_variances(table: EventTable, cause: int, t: float,
     """
     terms = _terms(table, cause, t)
     if terms is None:
-        return 0.0, dict.fromkeys(kinds, 0.0)
+        return 0.0, dict.fromkeys(VarianceKind, 0.0)
     variances = {}
-    for kind in kinds:
+    for kind in VarianceKind:
         try:
             variances[kind] = _ESTIMATORS[kind](terms)
         except (DegenerateRiskSet, NumericalError) as exc:

@@ -15,6 +15,7 @@ All of these values were worked out by hand from the defining sums.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cifpoint.data import Dataset, SubjectRecord, build_event_table
 
@@ -85,3 +86,20 @@ def random_dataset(rng, n, groups=("x", "y"), censor_scale=2.0):
     status = np.where(t <= c, cause, 0)
     labels = [groups[i % len(groups)] for i in range(n)]
     return make_dataset(observed, status, labels)
+
+
+def subject_columns(groups=("a", "b")):
+    """Hypothesis strategy: lists (times, statuses, labels) of random
+    subjects with every label of `groups` present.  Times lie on a grid
+    of eighths, so ties are common and a rescaling by any factor keeps
+    their order and ties; statuses are censored or one of three causes.
+    """
+    row = st.tuples(st.integers(1, 24).map(lambda k: k / 8.0), st.integers(0, 3),
+                    st.sampled_from(groups))
+    return (st.lists(row, min_size=len(groups), max_size=40)
+            .filter(lambda rows: {r[2] for r in rows} == set(groups))
+            .map(lambda rows: [list(col) for col in zip(*rows)]))
+
+
+# horizons on a grid of sixteenths: on, between, before and past the knots
+horizons = st.integers(0, 52).map(lambda m: m / 16.0)

@@ -9,6 +9,7 @@ real-data significance pattern.  The Monte Carlo criteria run at
 full 40-scenario null grid at 1000 replications.
 """
 
+import dataclasses
 import math
 import os
 import pathlib
@@ -16,6 +17,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cifpoint.data import build_event_table, event_table_from_arrays, parse_dataset
 from cifpoint.estimation import cif_estimate, km_survival
@@ -33,12 +36,13 @@ from cifpoint.simulation import (
     TEST_IDS,
     Scenario,
     analytic_cif,
+    run_battery,
     run_scenario,
     sample_group,
 )
 from cifpoint.variance import VarianceKind, aalen_variance, gaynor_variance
 
-from conftest import make_dataset, random_dataset
+from conftest import horizons, make_dataset, random_dataset, subject_columns
 
 SEED = 20180612
 
@@ -173,6 +177,34 @@ class TestCriterion5ExactIdentities:
         for knot in table.times:
             total = sum(curve.at(knot) for curve in curves)
             assert abs(total - (1.0 - survival.at(knot))) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(subject_columns(groups=("g",)))
+    def test_cause_curves_partition_one_minus_km_on_random_tables(self, columns):
+        table = event_table_from_arrays(columns[0], columns[1], "g")
+        survival = km_survival(table)
+        grid = np.arange(53) / 16.0
+        total = sum(cif_estimate(table, k).at(grid) for k in (1, 2, 3))
+        assert np.max(np.abs(total - (1.0 - survival.at(grid)))) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(subject_columns(), horizons.filter(lambda t: t > 0.0),
+           st.sampled_from([2.0**-6, 1e-3, 0.37, 3.0, 1e3]))
+    def test_rescaling_time_changes_no_result(self, columns, t, scale):
+        # the estimates and both variances depend on the times only
+        # through their order and ties, which a common factor keeps
+        times, statuses, labels = columns
+
+        def battery(factor):
+            data = make_dataset([factor * x for x in times], statuses, labels)
+            tables = [build_event_table(data, g) for g in data.groups]
+            pooled = (data.times, data.statuses, data.group_indicator(data.groups[0]))
+            return run_battery(tables, 1, factor * t, pooled)
+
+        for base, scaled in zip(battery(1.0), battery(scale)):
+            assert type(scaled.error) is type(base.error)
+            if base.result is not None:
+                assert dataclasses.replace(scaled.result, time=t) == base.result
 
     def test_uncensored_pseudo_values_are_indicators(self):
         rng = np.random.default_rng(SEED + 1)

@@ -64,9 +64,59 @@ class TestOls:
             ols_no_intercept(design, rng.normal(size=20))
         assert len(err.value.aliased) == 1
 
+    def test_sum_column_flagged_in_column_order(self):
+        rng = np.random.default_rng(5)
+        a, b, c = rng.normal(size=(3, 25))
+        design = np.column_stack([a, b, a + b, c])
+        assert np.linalg.matrix_rank(design) == 3
+        with pytest.raises(RankDeficientDesign) as err:
+            ols_no_intercept(design, rng.normal(size=25))
+        assert err.value.aliased == [2]
+
+    def test_zero_column_flagged(self):
+        # the zero column must not join the basis, or the duplicate of
+        # column 0 after it would go unseen
+        rng = np.random.default_rng(6)
+        design = rng.normal(size=(10, 4))
+        design[:, 1] = 0.0
+        design[:, 3] = design[:, 0]
+        with pytest.raises(RankDeficientDesign) as err:
+            ols_no_intercept(design, rng.normal(size=10))
+        assert err.value.aliased == [1, 3]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_indicator_designs_against_matrix_rank(self, seed):
+        # full dummy sets of two or three factors each sum to the ones
+        # column, so the design loses rank; random 0/1 columns and a
+        # repeated column join them in shuffled order
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(20, 60))
+        blocks = [np.eye(int(k))[rng.integers(k, size=rows)]
+                  for k in rng.integers(2, 5, size=int(rng.integers(2, 4)))]
+        blocks.append(rng.random((rows, int(rng.integers(0, 4)))) < 0.5)
+        design = np.hstack(blocks).astype(float)
+        design = design[:, rng.permutation(design.shape[1])]
+        if rng.random() < 0.5:
+            design = np.hstack([design, design[:, [rng.integers(design.shape[1])]]])
+        cols = design.shape[1]
+        rank = np.linalg.matrix_rank(design)
+        assert rank < cols <= rows
+        with pytest.raises(RankDeficientDesign) as err:
+            ols_no_intercept(design, rng.normal(size=rows))
+        aliased = err.value.aliased
+        assert aliased == sorted(set(aliased))
+        assert rank + len(aliased) == cols
+        kept = np.delete(design, aliased, axis=1)
+        assert np.linalg.matrix_rank(kept) == rank == kept.shape[1]
+
     def test_more_columns_than_rows(self):
-        with pytest.raises(RankDeficientDesign):
+        # only the columns past the rank are aliased
+        with pytest.raises(RankDeficientDesign) as err:
             ols_no_intercept(np.ones((2, 3)), np.ones(2))
+        assert err.value.aliased == [1, 2]
+        with pytest.raises(RankDeficientDesign) as err:
+            ols_no_intercept(np.random.default_rng(1).normal(size=(2, 3)), np.ones(2))
+        assert err.value.aliased == [2]
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -123,6 +123,17 @@ class TestEstimate:
         assert "bad.csv:3:" in err
         assert out == ""
 
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_header_only_file_is_data_error(self, tmp_path, body, capsys):
+        path = tmp_path / "no-rows.csv"
+        path.write_text("time,status,arm\n" + body)
+        code, out, err = run(
+            ["estimate", "--input", str(path), "--group-col", "arm",
+             "--cause", "1", "--times", "1"], capsys)
+        assert code == 2
+        assert "no-rows.csv" in err and "no records" in err
+        assert out == ""
+
     @pytest.mark.parametrize("level", ["1.5", "0", "1", "nan"])
     def test_bad_level_is_usage_error(self, data_csv, level, capsys):
         code, out, err = run(
@@ -335,15 +346,18 @@ class TestTopLevel:
         assert run_cli(["frobnicate"]) == 1
         capsys.readouterr()
 
-    def test_estimate_and_test_import_no_scipy(self, data_csv):
-        # scipy serves only summarize-anova; importing it costs ~0.6 s
-        # per command
+    def test_estimate_and_test_import_no_scipy(self, data_csv, grid_cfg, tmp_path):
+        # numpy is the only runtime dependency; scipy serves the test
+        # oracles, and importing it would cost every command ~0.6 s
         common = ["--input", str(data_csv), "--group-col", "arm", "--cause", "1"]
+        results = str(tmp_path / "results.csv")
         code = (
             "import sys\n"
             "from cifpoint.cli import run_cli\n"
             f"assert run_cli({['estimate', *common, '--times', '1,3']!r}) == 0\n"
             f"assert run_cli({['test', *common, '--time', '3', '--method', 'all']!r}) == 0\n"
+            f"assert run_cli({['simulate', '--scenario', str(grid_cfg), '--out', results]!r}) == 0\n"
+            f"assert run_cli({['summarize-anova', '--input', results, '--model', '4']!r}) == 0\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
         )
         src = pathlib.Path(cifpoint.__file__).resolve().parent.parent

@@ -199,15 +199,15 @@ class TestParseDataset:
                     min_size=1, max_size=6))
     def test_any_rows_parse_or_name_a_row(self, tmp_path_factory, rows):
         # whatever the rows hold, the result is a dataset or an
-        # InvalidRecord naming a data row; a lone empty field is a blank
-        # line, which is skipped
+        # InvalidRecord naming a data row, or the file when no row is
+        # left; a lone empty field is a blank line, which is skipped
         path = tmp_path_factory.mktemp("fuzz") / "d.csv"
         path.write_text("time,status,group\n" + "".join(",".join(r) + "\n" for r in rows))
         try:
             data = parse_dataset(path, "time", "status", "group")
         except InvalidRecord as exc:
             assert (re.search(r"d\.csv:[2-7]: ", str(exc))
-                    or str(exc) == "dataset has no records"), str(exc)
+                    or str(exc) == f"{path}: dataset has no records"), str(exc)
         else:
             # rebuilding the records validates every value again
             assert len(data.records) == sum(row != [""] for row in rows)
@@ -256,6 +256,15 @@ class TestColumnarDataset:
         for g in built.groups:
             assert parsed.group_indicator(g).tolist() == [int(x == g) for x in labels]
             assert_tables_equal(build_event_table(parsed, g), build_event_table(built, g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(subjects())
+    def test_built_tables_pass_the_checks(self, columns):
+        # event_table_from_arrays skips __post_init__; every table it
+        # builds must still satisfy the checks a direct EventTable runs
+        times, statuses, _ = columns
+        table = event_table_from_arrays(times, statuses, "g", causes=(1, 5))
+        assert_tables_equal(EventTable(**vars(table)), table)
 
     @settings(max_examples=60, deadline=None)
     @given(subjects(min_size=2), st.randoms(use_true_random=False))

@@ -21,7 +21,7 @@ from cifpoint.fixed_time import (
 )
 from cifpoint.variance import VarianceKind, gaynor_variance
 
-from conftest import make_dataset
+from conftest import horizons, make_dataset, subject_columns
 
 TOL = 1e-12
 KINDS = list(TransformKind)
@@ -189,6 +189,28 @@ class TestKSample:
                 k = k_sample_test([table_a, table_b], 1, 3.0, kind, variance)
                 assert abs(k.statistic - two.statistic) <= 1e-12
                 assert k.df == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(subject_columns(), horizons, st.sampled_from(KINDS),
+           st.sampled_from(list(VarianceKind)))
+    def test_reduces_to_two_sample_on_random_data(self, columns, t, kind, variance):
+        data = make_dataset(*columns)
+        tables = [build_event_table(data, g) for g in data.groups]
+
+        def attempt(fn):
+            try:
+                return fn()
+            except (NotEstimable, ZeroVariance) as exc:
+                return type(exc)
+
+        two = attempt(lambda: two_sample_test(*tables, 1, t, kind, variance))
+        k = attempt(lambda: k_sample_test(tables, 1, t, kind, variance))
+        if isinstance(two, type):
+            assert k is two
+            return
+        assert k.df == 1 and k.groups == two.groups
+        assert abs(k.statistic - two.statistic) <= 1e-12 * max(1.0, two.statistic)
+        assert abs(k.p_value - two.p_value) <= 1e-12
 
     def test_three_group_frozen(self, table_a, table_b, table_c):
         res = k_sample_test([table_a, table_b, table_c], 1, 3.0,

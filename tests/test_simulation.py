@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import quad
 
 import cifpoint.variance
-from cifpoint.data import Dataset, SubjectRecord, event_table_from_arrays
+from cifpoint.data import Dataset, SubjectRecord, build_event_table, event_table_from_arrays
 from cifpoint.errors import CifPointError, DegenerateRiskSet, UnreachableTarget
 from cifpoint.fixed_time import TransformKind, k_sample_test, two_sample_test
 from cifpoint.pseudo import LinkKind, pseudo_test
@@ -27,6 +28,8 @@ from cifpoint.simulation import (
     _expected_censored,
 )
 from cifpoint.variance import VarianceKind
+
+from conftest import horizons, make_dataset, subject_columns
 
 
 def quad_censored(bound, beta, w2, p=0.66):
@@ -204,6 +207,24 @@ class TestRunScenario:
         b = run_scenario(tiny(n1=30, n2=60, reps=600))
         for test in ("gaynor_linear", "gaynor_llog", "aalen_arcs"):
             assert abs(a.rate(test) - b.rate(test)) < 0.05
+
+    @settings(max_examples=100, deadline=None)
+    @given(subject_columns(), horizons.filter(lambda t: t > 0.0))
+    def test_label_swap_flips_each_effect(self, columns, t):
+        # swapping the two groups keeps every statistic and exclusion and
+        # flips the sign of each effect
+        data = make_dataset(*columns)
+        tables = [build_event_table(data, g) for g in data.groups]
+        x = data.group_indicator(data.groups[0])
+        ahead = run_battery(tables, 1, t, (data.times, data.statuses, x))
+        swapped = run_battery(tables[::-1], 1, t, (data.times, data.statuses, 1 - x))
+        for a, b in zip(ahead, swapped):
+            assert type(b.error) is type(a.error)
+            if a.result is None:
+                continue
+            assert (b.result.statistic, b.result.p_value) == (a.result.statistic, a.result.p_value)
+            assert b.result.effect == -a.result.effect
+            assert b.result.groups == a.result.groups[::-1]
 
     def test_power_monotone_in_shr(self):
         lo = run_scenario(tiny(beta=math.log(1.5), n1=50, n2=50, reps=400))

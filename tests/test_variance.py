@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cifpoint.data import build_event_table, event_table_from_arrays
 from cifpoint.errors import NumericalError
@@ -13,7 +15,7 @@ from cifpoint.variance import (
     _clamped,
 )
 
-from conftest import random_dataset
+from conftest import horizons, random_dataset, subject_columns
 
 TOL = 1e-12
 
@@ -68,6 +70,13 @@ class TestShape:
                 assert g >= 0.0
                 assert a >= 0.0
                 assert a >= g - 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(subject_columns(groups=("g",)), st.integers(1, 3), horizons)
+    def test_nonnegative_on_random_tables(self, columns, cause, t):
+        table = event_table_from_arrays(columns[0], columns[1], "g", causes=(1, 2, 3))
+        assert gaynor_variance(table, cause, t) >= 0.0
+        assert aalen_variance(table, cause, t) >= 0.0
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("fn", [
