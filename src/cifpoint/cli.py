@@ -235,20 +235,17 @@ def _cmd_test(args) -> int:
     else:
         tests = [test for test, (method, variance) in TEST_METHODS.items()
                  if method == args.method and variance in (None, args.variance)]
-    pseudo = any(TEST_METHODS[test][1] is None for test in tests)
-    if pseudo and len(data.groups) != 2:
+    if len(data.groups) != 2 and any(TEST_METHODS[test][1] is None for test in tests):
         raise _UsageError(
             f"the pseudo-value tests need exactly two groups, got {len(data.groups)}; "
             "pick a transform method"
         )
 
-    tables = [build_event_table(data, g) for g in data.groups]
-    pooled = None
-    if pseudo:
-        pooled = (data.times, data.statuses, data.group_indicator(data.groups[0]))
+    groups = [(g, data.times[data.codes == i], data.statuses[data.codes == i])
+              for i, g in enumerate(data.groups)]
     results, failures, lines = [], [], []
     for t in times:
-        for o in run_battery(tables, args.cause, t, pooled, tests):
+        for o in run_battery(groups, args.cause, t, tests):
             label = o.method if o.variance is None else f"{o.method} ({o.variance})"
             if o.error is None:
                 results.append(_result_payload(o.result))
@@ -364,6 +361,8 @@ def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "cause", None) is not None and args.cause < 1:
+            parser.error(f"--cause must be at least 1 (0 marks censoring), got {args.cause}")
     except _UsageError as exc:
         print(f"cifpoint: {exc}", file=sys.stderr)
         return 1

@@ -10,6 +10,9 @@ with V[phi(I)] = phi'(I)^2 V[I] by the delta method.  Five transforms
 are supported; the identity keeps the raw scale, the others pull the
 estimate away from the [0, 1] boundary where the normal approximation
 is poor.  A quadratic-form version handles more than two groups.
+
+Each transform is one entry of the table `_SCALES`, which also gives
+`pseudo.py` its links.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,62 +80,69 @@ class FixedTimeTestResult:
     effect: float | None = None
 
 
-def _require_open_interval(p: float, kind: TransformKind) -> None:
-    if p <= 0.0 or p >= 1.0:
-        raise NotEstimable(
-            f"transform {kind.value!r} is undefined at estimate {p!r}"
-        )
+def _exp(y: float) -> float:
+    """math.exp, overflowing to inf as the inverses' limits need."""
+    try:
+        return math.exp(y)
+    except OverflowError:
+        return math.inf
+
+
+class _Scale(NamedTuple):
+    """One transform: phi on the open domain (low, high), the divisor d
+    with Var[phi(p)] = Var[p] / d(p) by the delta method, and phi^{-1}
+    into [0, 1], which takes its limit 0 or 1 where exp overflows."""
+
+    low: float
+    high: float
+    phi: Callable[[float], float]
+    divisor: Callable[[float], float]
+    inverse: Callable[[float], float]
+
+
+_SCALES = {
+    TransformKind.LINEAR: _Scale(
+        -math.inf, math.inf, float, lambda p: 1.0,
+        lambda y: min(1.0, max(0.0, float(y)))),
+    TransformKind.LOG: _Scale(
+        0.0, math.inf, math.log, lambda p: p**2,
+        lambda y: min(1.0, _exp(y))),
+    TransformKind.LOGLOG: _Scale(
+        0.0, 1.0, lambda p: math.log(-math.log(p)), lambda p: (p * math.log(p)) ** 2,
+        lambda y: math.exp(-_exp(y))),
+    TransformKind.ARCSINE_SQRT: _Scale(
+        0.0, 1.0, lambda p: math.asin(math.sqrt(p)), lambda p: 4.0 * p * (1.0 - p),
+        lambda y: math.sin(min(math.pi / 2.0, max(0.0, y))) ** 2),
+    TransformKind.LOGIT: _Scale(
+        0.0, 1.0, lambda p: math.log(p / (1.0 - p)), lambda p: (p * (1.0 - p)) ** 2,
+        lambda y: 1.0 / (1.0 + _exp(-y))),
+}
+
+
+def _scale(p: float, kind: TransformKind) -> _Scale:
+    """The entry of `kind`, refusing an estimate outside its domain."""
+    scale = _SCALES[kind]
+    if p <= scale.low or p >= scale.high:
+        raise NotEstimable(f"transform {kind.value!r} is undefined at estimate {p!r}")
+    return scale
 
 
 def transform(p: float, kind: TransformKind) -> float:
     """phi(p).  All transforms except the identity and the log are
     undefined on the boundary of [0, 1]; the log is defined at 1."""
-    kind = TransformKind(kind)
-    if kind is TransformKind.LINEAR:
-        return float(p)
-    if kind is TransformKind.LOG:
-        if p <= 0.0:
-            raise NotEstimable(f"transform 'log' is undefined at estimate {p!r}")
-        return math.log(p)
-    _require_open_interval(p, kind)
-    if kind is TransformKind.LOGLOG:
-        return math.log(-math.log(p))
-    if kind is TransformKind.ARCSINE_SQRT:
-        return math.asin(math.sqrt(p))
-    return math.log(p / (1.0 - p))
+    return _scale(p, TransformKind(kind)).phi(p)
 
 
 def transform_variance(p: float, v: float, kind: TransformKind) -> float:
     """Delta-method variance of phi(p) given Var[p] = v."""
-    kind = TransformKind(kind)
     if v < 0.0:
         raise ValueError(f"variance must be >= 0, got {v!r}")
-    if kind is TransformKind.LINEAR:
-        return float(v)
-    if kind is TransformKind.LOG:
-        if p <= 0.0:
-            raise NotEstimable(f"transform 'log' is undefined at estimate {p!r}")
-        return v / p**2
-    _require_open_interval(p, kind)
-    if kind is TransformKind.LOGLOG:
-        return v / (p * math.log(p)) ** 2
-    if kind is TransformKind.ARCSINE_SQRT:
-        return v / (4.0 * p * (1.0 - p))
-    return v / (p * (1.0 - p)) ** 2
+    return v / _scale(p, TransformKind(kind)).divisor(p)
 
 
 def inverse_transform(y: float, kind: TransformKind) -> float:
     """phi^{-1}(y), mapped back into [0, 1]."""
-    kind = TransformKind(kind)
-    if kind is TransformKind.LINEAR:
-        return min(1.0, max(0.0, float(y)))
-    if kind is TransformKind.LOG:
-        return min(1.0, math.exp(y))
-    if kind is TransformKind.LOGLOG:
-        return math.exp(-math.exp(y))
-    if kind is TransformKind.ARCSINE_SQRT:
-        return math.sin(min(math.pi / 2.0, max(0.0, y))) ** 2
-    return 1.0 / (1.0 + math.exp(-y))
+    return _SCALES[TransformKind(kind)].inverse(y)
 
 
 def chi2_pvalue(x: float, df: int) -> float:
@@ -167,7 +178,8 @@ def _transformed(estimate: float, variance, kind: TransformKind):
     it is raised here, ahead of the transform's own checks."""
     if isinstance(variance, Exception):
         raise variance
-    return transform(estimate, kind), transform_variance(estimate, variance, kind)
+    scale = _scale(estimate, kind)
+    return scale.phi(estimate), variance / scale.divisor(estimate)
 
 
 def _point(table: EventTable, cause: int, t: float, variance: VarianceKind):

@@ -21,7 +21,8 @@ g(m_1) - g(m_0) and its sandwich variance is
     sum over groups of g'(m_g)^2 * sum_i (theta_i - m_g)^2 / n_g^2
 
 for the link g.  `pseudo_test` uses this closed form; `gee_fit` solves
-the general several-horizon model by Newton iteration.
+the general several-horizon model by Newton iteration.  Both links are
+transforms of `fixed_time`: logit, and cloglog(m) = llog(1 - m).
 
 The leave-one-out estimates need no refit.  Write Y_j, d_j and dk_j
 for the at-risk count, the failures and the cause-k failures at the
@@ -43,7 +44,6 @@ failure times, against O(N K) for N separate refits.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +51,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NonConvergence, SeparationDetected, ZeroVariance
 from .estimation import _aalen_johansen
-from .fixed_time import FixedTimeTestResult, GroupSummary, chi2_pvalue
+from .fixed_time import _SCALES, FixedTimeTestResult, GroupSummary, TransformKind, chi2_pvalue
 
 __all__ = [
     "LinkKind",
@@ -77,17 +77,13 @@ class LinkKind(enum.Enum):
 PSEUDO_METHODS = {LinkKind.CLOGLOG: "pseudo-llog", LinkKind.LOGIT: "pseudo-logit"}
 
 
-def _link(x: float, kind: LinkKind) -> float:
-    if kind is LinkKind.LOGIT:
-        return math.log(x / (1.0 - x))
-    return math.log(-math.log(1.0 - x))
-
-
-def _link_slope(x: float, kind: LinkKind) -> float:
-    """g'(x), the derivative of the link."""
-    if kind is LinkKind.LOGIT:
-        return 1.0 / (x * (1.0 - x))
-    return -1.0 / ((1.0 - x) * math.log(1.0 - x))
+def _link_scale(m: float, link: LinkKind):
+    """(scale, p) with g(m) = scale.phi(p) and g'(m)^2 = 1 / scale.divisor(p):
+    logit is the LOGIT scale at m, and cloglog(m) = log(-log(1 - m)) is
+    the LOGLOG scale at 1 - m."""
+    if link is LinkKind.LOGIT:
+        return _SCALES[TransformKind.LOGIT], m
+    return _SCALES[TransformKind.LOGLOG], 1.0 - m
 
 
 def _inverse_link(eta: np.ndarray, kind: LinkKind) -> np.ndarray:
@@ -241,7 +237,8 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
             )
 
     pooled = np.clip(theta.mean(axis=0), 1e-6, 1.0 - 1e-6)
-    beta = np.concatenate(([_link(p, link) for p in pooled], [0.0]))
+    starts = [scale.phi(p) for scale, p in (_link_scale(mean, link) for mean in pooled)]
+    beta = np.concatenate((starts, [0.0]))
 
     def score(b):
         eta = b[None, :m] + b[m] * x[:, None]
@@ -320,21 +317,24 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
     return GeeFit(beta=beta, sandwich=sandwich, iterations=iterations, link=link)
 
 
-def _group_moments(theta: np.ndarray, x: np.ndarray):
+def _group_moments(theta: np.ndarray, x: np.ndarray, groups):
     """[(m_1, se_1^2), (m_0, se_0^2)]: the mean pseudo-value of the
-    x == 1 group, then of the x == 0 group, each with the squared
-    standard error sum_i (theta_i - m)^2 / n^2 of that mean.
+    x == 1 group, `groups[0]`, then of the x == 0 group, `groups[1]`,
+    each with the squared standard error sum_i (theta_i - m)^2 / n^2 of
+    that mean.
 
-    Raises SeparationDetected when a mean lies within n * eps of 0 or
-    1, the margin `gee_fit` uses.
+    Raises SeparationDetected, naming the group, when a mean lies
+    within n * eps of 0 or 1, the margin `gee_fit` uses.
     """
     edge = theta.size * np.finfo(float).eps
     moments = []
-    for flag in (1, 0):
+    for flag, label in zip((1, 0), groups):
         group = theta[x == flag]
         mean = float(group.mean())
         if not edge < mean < 1.0 - edge:
-            raise SeparationDetected(f"group {flag} mean pseudo-value outside (0, 1): {mean!r}")
+            raise SeparationDetected(
+                f"group {label} mean pseudo-value outside (0, 1): {mean!r}"
+            )
         moments.append((mean, float(np.square(group - mean).sum()) / group.size**2))
     return moments
 
@@ -343,8 +343,9 @@ def _saturated_test(moments, groups, cause: int, t: float,
                     link: LinkKind) -> FixedTimeTestResult:
     """Wald test from the closed-form saturated fit at one horizon."""
     (m1, s1), (m0, s0) = moments
-    effect = _link(m1, link) - _link(m0, link)
-    var = _link_slope(m1, link) ** 2 * s1 + _link_slope(m0, link) ** 2 * s0
+    (scale, p1), (_, p0) = _link_scale(m1, link), _link_scale(m0, link)
+    effect = scale.phi(p1) - scale.phi(p0)
+    var = s1 / scale.divisor(p1) + s0 / scale.divisor(p0)
     if var == 0.0:
         if effect != 0.0:
             raise ZeroVariance(f"group effect {effect!r} has zero sandwich variance")
@@ -377,5 +378,6 @@ def pseudo_test(data: Dataset, cause: int, t: float,
     if len(data.groups) != 2:
         raise ValueError(f"pseudo_test needs exactly two groups, got {len(data.groups)}")
     pseudo = pseudo_values(data, cause, [t])
-    moments = _group_moments(pseudo.values[:, 0], data.group_indicator(data.groups[0]))
+    moments = _group_moments(pseudo.values[:, 0], data.group_indicator(data.groups[0]),
+                             data.groups)
     return _saturated_test(moments, data.groups, cause, float(t), link)

@@ -14,7 +14,8 @@ bisection so the expected censored fraction hits a target.  Each
 replication runs the whole battery of twelve tests (five transforms
 times two variance estimators, plus the two pseudo-value links) at one
 fixed time and records rejections at level alpha.  The battery,
-`run_battery`, is also what `cifpoint test` runs on observed data.
+`run_battery`, is also what `cifpoint test` runs on observed data; it
+takes each group's (label, times, statuses) and nothing else.
 
 Replications use independent counter-based streams keyed by the master
 seed and the replication index, so results are reproducible bit for
@@ -63,16 +64,19 @@ __all__ = [
     "results_to_json",
 ]
 
-# test id -> (method, variance) as FixedTimeTestResult and the CLI name
-# them: the five transforms under each variance estimator, then the two
-# pseudo-value links
+# the battery in order: each test id with its transform and variance
+# estimator, or with its link and no variance for a pseudo-value test
+_BATTERY = (
+    *((f"{v.value}_{k.value}", k, v)
+      for v in (VarianceKind.GAYNOR, VarianceKind.AALEN) for k in TransformKind),
+    *((label.replace("-", "_"), link, None) for link, label in PSEUDO_METHODS.items()),
+)
+# test id -> (method, variance) as FixedTimeTestResult and the CLI name them
 TEST_METHODS = {
-    **{f"{v.value}_{k.value}": (k.value, v.value)
-       for v in (VarianceKind.GAYNOR, VarianceKind.AALEN) for k in TransformKind},
-    **{label.replace("-", "_"): (label, None) for label in PSEUDO_METHODS.values()},
+    test: (PSEUDO_METHODS[kind], None) if variance is None else (kind.value, variance.value)
+    for test, kind, variance in _BATTERY
 }
 TEST_IDS = tuple(TEST_METHODS)
-_LINKS = {label: link for link, label in PSEUDO_METHODS.items()}
 
 # errors that exclude one test of one replication; any other error is a
 # fault and stops the run
@@ -91,59 +95,62 @@ class BatteryOutcome:
     error: CifPointError | None
 
 
-def run_battery(tables, cause: int, t: float, pooled=None,
-                tests=TEST_IDS) -> list[BatteryOutcome]:
+def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOutcome]:
     """Run the requested tests of the battery at `t`, in TEST_IDS order.
 
-    `tables` are the groups' event tables; the transform tests compare
-    two groups as `two_sample_test` and more as `k_sample_test` do, from
-    one pass over each table for its estimate and both variances.  The
-    pseudo-value tests need exactly two groups and `pooled`, the arrays
-    (times, statuses, x) of all subjects with x = 1 marking the first
-    table's group; the pooled pseudo-values are computed once for both
-    links.  The numbers equal those of `two_sample_test`, `k_sample_test`
-    and `pseudo_test` bit for bit.
+    `groups` holds one (label, times, statuses) per group.  The
+    transform tests compare two groups as `two_sample_test` and more as
+    `k_sample_test` do, from one pass over each group's event table for
+    its estimate and both variances.  The pseudo-value tests need
+    exactly two groups; their subjects are pooled in group order with
+    the first group as x = 1, and the pooled pseudo-values are computed
+    once for both links.  The numbers equal those of `two_sample_test`,
+    `k_sample_test` and `pseudo_test` bit for bit.
     """
     unknown = set(tests) - set(TEST_IDS)
     if unknown:
         raise ValueError(f"unknown tests {sorted(unknown)}")
-    if len(tables) < 2:
+    if len(groups) < 2:
         raise ValueError("the battery needs at least two groups")
+    if len(groups) != 2 and any(TEST_METHODS[test][1] is None for test in tests):
+        raise ValueError("the pseudo-value tests need exactly two groups")
+    if cause < 1:
+        raise ValueError(f"cause must be >= 1 (0 marks censoring), got {cause!r}")
     t = _finite_horizon(t)
-    groups = [tb.group for tb in tables]
-    compare = _two_sample if len(tables) == 2 else _k_sample
+    labels = [label for label, _, _ in groups]
+    tables = [event_table_from_arrays(times, statuses, label, (cause,))
+              for label, times, statuses in groups]
+    compare = _two_sample if len(groups) == 2 else _k_sample
     summaries = moments = None
     outcomes = []
-    for test in TEST_IDS:
+    for test, kind, variance in _BATTERY:
         if test not in tests:
             continue
-        method, variance = TEST_METHODS[test]
         try:
             if variance is not None:
                 if summaries is None:
                     summaries = [estimate_and_variances(tb, cause, t) for tb in tables]
-                kind = VarianceKind(variance)
-                points = [(estimate, variances[kind]) for estimate, variances in summaries]
-                result = compare(groups, points, cause, t, TransformKind(method), kind)
+                points = [(estimate, variances[variance]) for estimate, variances in summaries]
+                result = compare(labels, points, cause, t, kind, variance)
             else:
                 if moments is None:
-                    if len(tables) != 2 or pooled is None:
-                        raise ValueError("the pseudo-value tests need two groups "
-                                         "and the pooled subjects")
-                    times, statuses, x = pooled
-                    theta = _pooled_pseudo(times, statuses, int(cause), np.array([t]))
+                    (_, times1, statuses1), (_, times0, statuses0) = groups
+                    theta = _pooled_pseudo(np.concatenate((times1, times0), dtype=float),
+                                           np.concatenate((statuses1, statuses0)),
+                                           int(cause), np.array([t]))
+                    x = np.repeat((1, 0), (len(times1), len(times0)))
                     # a separation stops both links
                     try:
-                        moments = _group_moments(theta[:, 0], x)
+                        moments = _group_moments(theta[:, 0], x, labels)
                     except SeparationDetected as exc:
                         moments = exc
                 if isinstance(moments, Exception):
                     raise moments
-                result = _saturated_test(moments, groups, cause, t, _LINKS[method])
+                result = _saturated_test(moments, labels, cause, t, kind)
         except (*_EXCLUDING, NumericalError) as exc:
-            outcomes.append(BatteryOutcome(test, method, variance, None, exc))
+            outcomes.append(BatteryOutcome(test, *TEST_METHODS[test], None, exc))
         else:
-            outcomes.append(BatteryOutcome(test, method, variance, result, None))
+            outcomes.append(BatteryOutcome(test, *TEST_METHODS[test], result, None))
     return outcomes
 
 
@@ -289,43 +296,21 @@ def calibrate_censoring(beta: float, p: float, weights: tuple[float, float],
     return 0.5 * (lo + hi)
 
 
-def _replicate(s: Scenario, rep: int, bounds: tuple[float, float]) -> dict:
-    """Run the twelve-test battery once; values True/False/None
-    (None marks a replication excluded for that test)."""
-    rng = np.random.Generator(np.random.Philox(key=[s.master_seed, rep]))
-    t1, s1 = sample_group(s.n1, s.beta, 0, s.p, rng, bounds[0])
-    t2, s2 = sample_group(s.n2, s.beta, 1, s.p, rng, bounds[1])
-    tables = (
-        event_table_from_arrays(t1, s1, group="1", causes=(1, 2)),
-        event_table_from_arrays(t2, s2, group="2", causes=(1, 2)),
-    )
-    pooled = (
-        np.concatenate((t1, t2)),
-        np.concatenate((s1, s2)),
-        np.concatenate((np.ones(s.n1), np.zeros(s.n2))),
-    )
-    outcome = {}
-    for o in run_battery(tables, 1, s.t_fixed, pooled):
-        if o.error is None:
-            outcome[o.test] = o.result.p_value < s.alpha
-        elif isinstance(o.error, _EXCLUDING):
-            outcome[o.test] = None
-        else:
-            raise o.error
-    return outcome
-
-
 def _run_block(args) -> tuple[dict, dict]:
     s, start, stop, bounds = args
     rejections = dict.fromkeys(TEST_IDS, 0)
     excluded = dict.fromkeys(TEST_IDS, 0)
     for rep in range(start, stop):
-        outcome = _replicate(s, rep, bounds)
-        for test in TEST_IDS:
-            if outcome[test] is None:
-                excluded[test] += 1
-            elif outcome[test]:
-                rejections[test] += 1
+        rng = np.random.Generator(np.random.Philox(key=[s.master_seed, rep]))
+        groups = [("1", *sample_group(s.n1, s.beta, 0, s.p, rng, bounds[0])),
+                  ("2", *sample_group(s.n2, s.beta, 1, s.p, rng, bounds[1]))]
+        for o in run_battery(groups, 1, s.t_fixed):
+            if o.error is None:
+                rejections[o.test] += o.result.p_value < s.alpha
+            elif isinstance(o.error, _EXCLUDING):
+                excluded[o.test] += 1
+            else:
+                raise o.error
     return rejections, excluded
 
 

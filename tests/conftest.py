@@ -30,6 +30,22 @@ def make_dataset(times, statuses, groups=None):
     return Dataset(records=records)
 
 
+def group_columns(data, groups=None):
+    """(label, times, statuses) of each of `groups` (default: all of
+    them), the input `run_battery` takes."""
+    columns = []
+    for g in data.groups if groups is None else groups:
+        member = data.codes == data.groups.index(g)
+        columns.append((g, data.times[member], data.statuses[member]))
+    return columns
+
+
+# (time, status) rows of one group whose cause-1 incidence at t=5 is
+# 0.9999999999999999, with a Gaynor variance of 1.4e-17
+NEAR_ONE_ROWS = ("1.5,1", "1.75,1", "0.5,0", "1.75,1", "1.25,0",
+                 "0.25,1", "2.5,1", "1.25,1", "2.25,1", "2.5,1")
+
+
 FIXTURE_A = ([1.0, 2.0, 3.0, 4.0, 5.0], [1, 0, 1, 2, 0])
 FIXTURE_B = ([1.0, 2.0, 3.0, 4.0, 6.0], [2, 1, 0, 1, 0])
 

@@ -42,7 +42,7 @@ from cifpoint.simulation import (
 )
 from cifpoint.variance import VarianceKind, aalen_variance, gaynor_variance
 
-from conftest import horizons, make_dataset, random_dataset, subject_columns
+from conftest import group_columns, horizons, make_dataset, random_dataset, subject_columns
 
 SEED = 20180612
 
@@ -197,9 +197,7 @@ class TestCriterion5ExactIdentities:
 
         def battery(factor):
             data = make_dataset([factor * x for x in times], statuses, labels)
-            tables = [build_event_table(data, g) for g in data.groups]
-            pooled = (data.times, data.statuses, data.group_indicator(data.groups[0]))
-            return run_battery(tables, 1, factor * t, pooled)
+            return run_battery(group_columns(data), 1, factor * t)
 
         for base, scaled in zip(battery(1.0), battery(scale)):
             assert type(scaled.error) is type(base.error)

@@ -14,7 +14,7 @@ from cifpoint.cli import run_cli
 from cifpoint.data import build_event_table, parse_dataset
 from cifpoint.estimation import StepFunction, cif_estimate
 
-from conftest import FIXTURE_A, FIXTURE_B
+from conftest import FIXTURE_A, FIXTURE_B, NEAR_ONE_ROWS
 
 
 @pytest.fixture
@@ -144,6 +144,29 @@ class TestEstimate:
         assert out == ""
 
 
+    @pytest.mark.parametrize("method", ["llog", "logit"])
+    def test_estimate_a_rounding_below_one_gets_the_whole_interval(self, tmp_path, method,
+                                                                   capsys):
+        # the estimate at t=5 is 0.9999999999999999 with variance 1.4e-17;
+        # the interval's upper end on the working scale used to overflow
+        # math.exp and end the command in a traceback
+        path = tmp_path / "near_one.csv"
+        path.write_text("time,status\n" + "\n".join(NEAR_ONE_ROWS) + "\n")
+        code, out, _ = run(["estimate", "--input", str(path), "--cause", "1",
+                            "--times", "5", "--method", method, "--json"], capsys)
+        assert code == 0
+        (row,) = json.loads(out)["groups"][0]["estimates"]
+        assert row["ci"] == [0.0, 1.0]
+
+    def test_censoring_code_as_cause_is_usage_error(self, capsys):
+        # checked before the input is read: the missing file is not reached
+        code, out, err = run(["estimate", "--input", "missing.csv", "--cause", "0",
+                              "--times", "1"], capsys)
+        assert code == 1
+        assert "--cause" in err
+        assert out == ""
+
+
 class TestTest:
     def test_single_method(self, data_csv, capsys):
         code, out, _ = run(
@@ -242,6 +265,27 @@ class TestTest:
         assert len(results) == 12
         assert results[10] == res
 
+    def test_censoring_code_as_cause_is_usage_error(self, capsys):
+        code, out, err = run(["test", "--input", "missing.csv", "--group-col", "arm",
+                              "--cause", "0", "--time", "1", "--method", "all"], capsys)
+        assert code == 1
+        assert "--cause" in err
+        assert out == ""
+
+    def test_separation_names_the_group(self, tmp_path, capsys):
+        # group b has no cause-1 event, so its mean pseudo-value is 0
+        path = tmp_path / "separated.csv"
+        path.write_text("time,status,arm\n0.1,1,a\n0.2,2,a\n0.3,1,a\n"
+                        "0.4,2,b\n0.5,2,b\n0.6,2,b\n")
+        code, out, _ = run(["test", "--input", str(path), "--group-col", "arm",
+                            "--cause", "1", "--time", "1", "--method", "all", "--json"],
+                           capsys)
+        assert code == 3
+        messages = [f["message"] for f in json.loads(out)["failures"]
+                    if f["error_type"] == "SeparationDetected"]
+        assert len(messages) == 2
+        assert all(m.startswith("group b mean pseudo-value") for m in messages)
+
     def test_single_group_rejected(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("time,status\n1,1\n2,2\n")
@@ -335,6 +379,16 @@ class TestPlotData:
         with open(dest) as fh:
             rows = list(csv.DictReader(fh))
         assert {r["cause"] for r in rows} == {"2"}
+
+
+    def test_censoring_code_as_cause_is_usage_error(self, tmp_path, capsys):
+        dest = tmp_path / "curves.csv"
+        code, out, err = run(["plot-data", "--input", "missing.csv", "--cause", "0",
+                              "--out", str(dest)], capsys)
+        assert code == 1
+        assert "--cause" in err
+        assert out == ""
+        assert not dest.exists()
 
 
 class TestTopLevel:

@@ -17,7 +17,7 @@ from cifpoint.data import (
 from cifpoint.errors import InvalidRecord
 from cifpoint.simulation import run_battery
 
-from conftest import make_dataset
+from conftest import group_columns, make_dataset
 
 # field values for fuzzing the CSV reader: valid, unparsable and out of range
 FIELDS = ("1.5", "2", "0", "-1", "nan", "inf", "1e400", "x", "", " 3", "1_0",
@@ -290,11 +290,7 @@ class TestColumnarDataset:
 
 def two_group_battery(data, t):
     """The twelve tests of groups a and b, with c left out."""
-    groups = ("a", "b")
-    member = np.isin(data.codes, [data.groups.index(g) for g in groups])
-    tables = [build_event_table(data, g) for g in groups]
-    pooled = (data.times[member], data.statuses[member], data.group_indicator("a")[member])
-    return run_battery(tables, 1, t, pooled)
+    return run_battery(group_columns(data, ("a", "b")), 1, t)
 
 
 def numbers(result):

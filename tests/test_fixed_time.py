@@ -1,4 +1,5 @@
 import math
+import struct
 import sys
 
 import numpy as np
@@ -21,10 +22,91 @@ from cifpoint.fixed_time import (
 )
 from cifpoint.variance import VarianceKind, gaynor_variance
 
-from conftest import horizons, make_dataset, subject_columns
+from conftest import NEAR_ONE_ROWS, horizons, make_dataset, subject_columns
 
 TOL = 1e-12
 KINDS = list(TransformKind)
+
+
+# The five-way if-chains that the scale table replaced, kept as the
+# reference it must match bit for bit.
+def chain_domain(p, kind):
+    if p <= 0.0 or p >= 1.0:
+        raise NotEstimable(f"transform {kind.value!r} is undefined at estimate {p!r}")
+
+
+def chain_transform(p, kind):
+    if kind is TransformKind.LINEAR:
+        return float(p)
+    if kind is TransformKind.LOG:
+        if p <= 0.0:
+            raise NotEstimable(f"transform 'log' is undefined at estimate {p!r}")
+        return math.log(p)
+    chain_domain(p, kind)
+    if kind is TransformKind.LOGLOG:
+        return math.log(-math.log(p))
+    if kind is TransformKind.ARCSINE_SQRT:
+        return math.asin(math.sqrt(p))
+    return math.log(p / (1.0 - p))
+
+
+def chain_transform_variance(p, v, kind):
+    if v < 0.0:
+        raise ValueError(f"variance must be >= 0, got {v!r}")
+    if kind is TransformKind.LINEAR:
+        return float(v)
+    if kind is TransformKind.LOG:
+        if p <= 0.0:
+            raise NotEstimable(f"transform 'log' is undefined at estimate {p!r}")
+        return v / p**2
+    chain_domain(p, kind)
+    if kind is TransformKind.LOGLOG:
+        return v / (p * math.log(p)) ** 2
+    if kind is TransformKind.ARCSINE_SQRT:
+        return v / (4.0 * p * (1.0 - p))
+    return v / (p * (1.0 - p)) ** 2
+
+
+def chain_inverse_transform(y, kind):
+    if kind is TransformKind.LINEAR:
+        return min(1.0, max(0.0, float(y)))
+    if kind is TransformKind.LOG:
+        return min(1.0, math.exp(y))
+    if kind is TransformKind.LOGLOG:
+        return math.exp(-math.exp(y))
+    if kind is TransformKind.ARCSINE_SQRT:
+        return math.sin(min(math.pi / 2.0, max(0.0, y))) ** 2
+    return 1.0 / (1.0 + math.exp(-y))
+
+
+# where math.exp overflowed, the chain raised; the table gives the limit
+OVERFLOW_LIMITS = {TransformKind.LOG: 1.0, TransformKind.LOGLOG: 0.0, TransformKind.LOGIT: 0.0}
+
+
+def outcome(fn, *args):
+    """The bits of fn's value, or the type and message of its error."""
+    try:
+        return struct.pack("<d", fn(*args))
+    except (NotEstimable, ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def boundary_draws(seed):
+    """Estimates on, near and between the ends of [0, 1], some outside
+    it; variances; and working-scale values reaching past where exp
+    overflows."""
+    rng = np.random.default_rng(seed)
+    ps = np.concatenate((
+        rng.random(2000), 10.0 ** -rng.uniform(1.0, 320.0, 500),
+        1.0 - 10.0 ** -rng.uniform(1.0, 17.0, 500), rng.uniform(-1.0, 2.0, 200),
+        [0.0, -0.0, 1.0, 5e-324, 2.0**-1022, 1.0 - 2.0**-53, 1.0 + 2.0**-52, -1e-300],
+    )).tolist()
+    vs = np.concatenate((rng.exponential(0.01, len(ps) - 3), [0.0, 1e-300, -1e-3])).tolist()
+    ys = np.concatenate((
+        rng.normal(0.0, 5.0, 2000), rng.uniform(-800.0, 800.0, 2000),
+        [0.0, -0.0, 709.78, -709.78, 709.79, -709.79, 1e308, -1e308, 6.6e7, -6.6e7],
+    )).tolist()
+    return ps, vs, ys
 
 
 @pytest.fixture
@@ -87,6 +169,35 @@ class TestTransforms:
 
     def test_loglog_reverses_order(self):
         assert transform(0.2, TransformKind.LOGLOG) > transform(0.4, TransformKind.LOGLOG)
+
+
+class TestScaleTable:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_the_if_chains_bit_for_bit(self, kind, seed):
+        ps, vs, ys = boundary_draws(seed)
+        for p, v in zip(ps, vs):
+            assert outcome(transform, p, kind) == outcome(chain_transform, p, kind)
+            assert (outcome(transform_variance, p, v, kind)
+                    == outcome(chain_transform_variance, p, v, kind))
+        for y in ys:
+            want = outcome(chain_inverse_transform, y, kind)
+            if want[0] is OverflowError:
+                want = struct.pack("<d", OVERFLOW_LIMITS[kind])
+            assert outcome(inverse_transform, y, kind) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(KINDS))
+    def test_inverse_is_total_into_the_unit_interval(self, y, kind):
+        assert 0.0 <= inverse_transform(y, kind) <= 1.0
+
+    @pytest.mark.parametrize("kind", [TransformKind.LOGLOG, TransformKind.LOGIT])
+    def test_interval_at_an_estimate_rounding_below_one(self, kind):
+        # estimate 0.9999999999999999 with variance 1.4e-17: one end of
+        # the interval lies past where exp overflows
+        times, statuses = zip(*(map(float, row.split(",")) for row in NEAR_ONE_ROWS))
+        table = event_table_from_arrays(times, statuses, "g")
+        assert pointwise_ci(table, 1, 5.0, kind) == (0.0, 1.0)
 
 
 class TestChiSquare:

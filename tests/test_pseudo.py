@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cifpoint.data import build_event_table
 from cifpoint.errors import NonConvergence, SeparationDetected, ZeroVariance
 from cifpoint.estimation import cif_estimate
+from cifpoint.fixed_time import TransformKind, chi2_pvalue, transform, transform_variance
 from cifpoint.pseudo import LinkKind, _inverse_link, gee_fit, pseudo_test, pseudo_values
 
 from conftest import FIXTURE_A, make_dataset, random_dataset
@@ -53,6 +54,20 @@ def indicator_dataset(n1, k1, n0, k0):
             statuses.append(1 if i < k else 2)
             groups.append(label)
     return make_dataset(times, statuses, groups)
+
+
+# the link functions that the LOGIT and LOGLOG scales replaced, kept as
+# the reference
+def parent_link(x, link):
+    if link is LinkKind.LOGIT:
+        return math.log(x / (1.0 - x))
+    return math.log(-math.log(1.0 - x))
+
+
+def parent_link_slope(x, link):
+    if link is LinkKind.LOGIT:
+        return 1.0 / (x * (1.0 - x))
+    return -1.0 / ((1.0 - x) * math.log(1.0 - x))
 
 
 def saturated_effect(m1, m0, link):
@@ -314,6 +329,54 @@ class TestGeeFit:
         assert abs(closed.effect - newton.group_effect) <= 1e-8 * scale
         wald = newton.group_effect**2 / newton.group_effect_variance
         assert abs(closed.statistic - wald) <= 1e-10 * wald + 1e-12
+
+
+class TestLinkScales:
+    @pytest.mark.parametrize("link", list(LinkKind))
+    def test_slope_form_matches_the_divisor(self, link):
+        # g'(m)^2 s = s / d(p), with p = m for logit and p = 1 - m for
+        # cloglog, near both ends of (0, 1) and between
+        rng = np.random.default_rng(5)
+        kind, flip = {LinkKind.LOGIT: (TransformKind.LOGIT, False),
+                      LinkKind.CLOGLOG: (TransformKind.LOGLOG, True)}[link]
+        ms = np.concatenate((rng.random(2000), 10.0 ** -rng.uniform(1.0, 15.0, 300),
+                             1.0 - 10.0 ** -rng.uniform(1.0, 15.0, 300))).tolist()
+        for m, s in zip(ms, rng.exponential(0.01, len(ms)).tolist()):
+            p = 1.0 - m if flip else m
+            assert transform(p, kind) == parent_link(m, link)
+            want = parent_link_slope(m, link) ** 2 * s
+            assert transform_variance(p, s, kind) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("link", list(LinkKind))
+    def test_statistic_matches_the_slope_form(self, link):
+        # the closed-form test against the link-slope sandwich it was
+        # written with, on random censored two-group data
+        checked = 0
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 160))
+            data = random_dataset(rng, n, censor_scale=rng.uniform(0.5, 4.0))
+            tau = float(rng.uniform(0.05, 2.0))
+            try:
+                res = pseudo_test(data, 1, tau, link)
+            except (SeparationDetected, ZeroVariance):
+                continue
+            theta = pseudo_values(data, 1, [tau]).values[:, 0]
+            x = data.group_indicator(data.groups[0])
+            moments = []
+            for flag in (1, 0):
+                group = theta[x == flag]
+                mean = float(group.mean())
+                moments.append((mean, float(np.square(group - mean).sum()) / group.size**2))
+            (m1, s1), (m0, s0) = moments
+            assert (res.groups[0].estimate, res.groups[1].estimate) == (m1, m0)
+            assert res.effect == parent_link(m1, link) - parent_link(m0, link)
+            var = parent_link_slope(m1, link) ** 2 * s1 + parent_link_slope(m0, link) ** 2 * s0
+            stat = res.effect**2 / var
+            assert res.statistic == pytest.approx(stat, rel=1e-12, abs=0)
+            assert res.p_value == pytest.approx(chi2_pvalue(stat, 1), rel=1e-12, abs=0)
+            checked += 1
+        assert checked > 100
 
 
 class TestPseudoTest:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from scipy.integrate import quad
 
 import cifpoint.variance
-from cifpoint.data import Dataset, SubjectRecord, build_event_table, event_table_from_arrays
+from cifpoint.data import Dataset, SubjectRecord, event_table_from_arrays
 from cifpoint.errors import CifPointError, DegenerateRiskSet, UnreachableTarget
 from cifpoint.fixed_time import TransformKind, k_sample_test, two_sample_test
 from cifpoint.pseudo import LinkKind, pseudo_test
@@ -29,7 +29,7 @@ from cifpoint.simulation import (
 )
 from cifpoint.variance import VarianceKind
 
-from conftest import horizons, make_dataset, subject_columns
+from conftest import group_columns, horizons, make_dataset, subject_columns
 
 
 def quad_censored(bound, beta, w2, p=0.66):
@@ -213,11 +213,9 @@ class TestRunScenario:
     def test_label_swap_flips_each_effect(self, columns, t):
         # swapping the two groups keeps every statistic and exclusion and
         # flips the sign of each effect
-        data = make_dataset(*columns)
-        tables = [build_event_table(data, g) for g in data.groups]
-        x = data.group_indicator(data.groups[0])
-        ahead = run_battery(tables, 1, t, (data.times, data.statuses, x))
-        swapped = run_battery(tables[::-1], 1, t, (data.times, data.statuses, 1 - x))
+        groups = group_columns(make_dataset(*columns))
+        ahead = run_battery(groups, 1, t)
+        swapped = run_battery(groups[::-1], 1, t)
         for a, b in zip(ahead, swapped):
             assert type(b.error) is type(a.error)
             if a.result is None:
@@ -246,19 +244,16 @@ class TestRunScenario:
 
 
 def draw(seed, n1, n2, censor_bound):
-    """Two simulated groups: their event tables, the pooled arrays the
-    battery takes, and the same subjects as a Dataset."""
+    """Two simulated groups: the (label, times, statuses) the battery
+    takes, their event tables, and the same subjects as a Dataset."""
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    t1, s1 = sample_group(n1, 0.3, 0, 0.66, rng, censor_bound)
-    t2, s2 = sample_group(n2, 0.3, 1, 0.66, rng, censor_bound)
-    tables = (event_table_from_arrays(t1, s1, "1", (1, 2)),
-              event_table_from_arrays(t2, s2, "2", (1, 2)))
-    pooled = (np.concatenate((t1, t2)), np.concatenate((s1, s2)),
-              np.concatenate((np.ones(n1), np.zeros(n2))))
+    groups = (("1", *sample_group(n1, 0.3, 0, 0.66, rng, censor_bound)),
+              ("2", *sample_group(n2, 0.3, 1, 0.66, rng, censor_bound)))
+    tables = tuple(event_table_from_arrays(ts, ss, g, (1, 2)) for g, ts, ss in groups)
     data = Dataset(tuple(SubjectRecord(float(t), int(st), g)
-                         for ts, ss, g in ((t1, s1, "1"), (t2, s2, "2"))
+                         for g, ts, ss in groups
                          for t, st in zip(ts, ss)))
-    return tables, pooled, data
+    return groups, tables, data
 
 
 def public_call(test, tables, data, t):
@@ -270,10 +265,10 @@ def public_call(test, tables, data, t):
     return two_sample_test(*tables, 1, t, TransformKind(method), VarianceKind(variance))
 
 
-def assert_battery_matches_public_calls(tables, pooled, data, t):
+def assert_battery_matches_public_calls(groups, tables, data, t):
     """Every outcome equals its public call bit for bit, or the public
     call raises the same error; returns the error types seen."""
-    outcomes = run_battery(tables, 1, t, pooled)
+    outcomes = run_battery(groups, 1, t)
     assert [o.test for o in outcomes] == list(TEST_IDS)
     seen = set()
     for o in outcomes:
@@ -297,16 +292,14 @@ class TestBattery:
         (5, 3, 3, 1.5, 0.3),
     ])
     def test_matches_public_calls(self, seed, n1, n2, bound, t):
-        tables, pooled, data = draw(seed, n1, n2, bound)
-        assert_battery_matches_public_calls(tables, pooled, data, t)
+        assert_battery_matches_public_calls(*draw(seed, n1, n2, bound), t)
 
     def test_exclusions_match_public_calls(self):
         # early horizons on small groups: a transform undefined at 0 and
         # a group with no cause-1 event so far, seen across 60 draws
         seen = set()
         for seed in range(60):
-            tables, pooled, data = draw(seed, 6, 6, 1.0)
-            seen |= assert_battery_matches_public_calls(tables, pooled, data, 0.08)
+            seen |= assert_battery_matches_public_calls(*draw(seed, 6, 6, 1.0), 0.08)
         assert {"NotEstimable", "SeparationDetected"} <= seen
 
     def test_degenerate_variance_excludes_only_its_tests(self, monkeypatch):
@@ -317,51 +310,51 @@ class TestBattery:
             raise DegenerateRiskSet("aalen squared term: zero denominator")
 
         monkeypatch.setitem(cifpoint.variance._ESTIMATORS, VarianceKind.AALEN, degenerate)
-        tables, pooled, data = draw(1, 40, 40, 2.0)
-        seen = assert_battery_matches_public_calls(tables, pooled, data, 0.5)
+        groups, tables, data = draw(1, 40, 40, 2.0)
+        seen = assert_battery_matches_public_calls(groups, tables, data, 0.5)
         assert seen == {"DegenerateRiskSet"}
-        excluded = {o.test for o in run_battery(tables, 1, 0.5, pooled) if o.error}
+        excluded = {o.test for o in run_battery(groups, 1, 0.5) if o.error}
         assert excluded == {t for t in TEST_IDS if t.startswith("aalen_")}
 
     def test_selected_tests_in_battery_order(self):
-        tables, pooled, _ = draw(1, 40, 40, 2.0)
-        full = run_battery(tables, 1, 0.5, pooled)
-        picked = run_battery(tables, 1, 0.5, pooled, ["pseudo_logit", "gaynor_log"])
+        groups, _, _ = draw(1, 40, 40, 2.0)
+        full = run_battery(groups, 1, 0.5)
+        picked = run_battery(groups, 1, 0.5, ["pseudo_logit", "gaynor_log"])
         assert [o.test for o in picked] == ["gaynor_log", "pseudo_logit"]
         assert [o.result for o in picked] == [full[1].result, full[11].result]
 
-    def test_transform_tests_without_pooled_subjects(self):
-        tables, _, _ = draw(1, 40, 40, 2.0)
-        outcomes = run_battery(tables, 1, 0.5, tests=TEST_IDS[:10])
-        assert all(o.error is None for o in outcomes)
-        with pytest.raises(ValueError):
-            run_battery(tables, 1, 0.5)
-
     def test_more_groups_use_the_quadratic_form(self):
-        tables, _, _ = draw(1, 40, 40, 2.0)
-        third = draw(2, 30, 30, 2.0)[0][1]
-        tables = (*tables, third)
-        for o in run_battery(tables, 1, 0.5, tests=TEST_IDS[:10]):
+        groups, _, _ = draw(1, 40, 40, 2.0)
+        _, times, statuses = draw(2, 30, 30, 2.0)[0][1]
+        groups = (*groups, ("3", times, statuses))
+        tables = [event_table_from_arrays(ts, ss, g) for g, ts, ss in groups]
+        for o in run_battery(groups, 1, 0.5, tests=TEST_IDS[:10]):
             method, variance = TEST_METHODS[o.test]
             assert o.result == k_sample_test(tables, 1, 0.5, TransformKind(method),
                                              VarianceKind(variance))
         with pytest.raises(ValueError):
-            run_battery(tables, 1, 0.5, (np.ones(3), np.ones(3), np.ones(3)))
+            run_battery(groups, 1, 0.5)
 
     def test_argument_validation(self):
-        tables, pooled, _ = draw(1, 40, 40, 2.0)
+        groups, _, _ = draw(1, 40, 40, 2.0)
         with pytest.raises(ValueError):
-            run_battery(tables, 1, 0.5, pooled, ["gaynor_probit"])
+            run_battery(groups, 1, 0.5, ["gaynor_probit"])
         with pytest.raises(ValueError):
-            run_battery(tables[:1], 1, 0.5, tests=TEST_IDS[:10])
+            run_battery(groups[:1], 1, 0.5, tests=TEST_IDS[:10])
+
+    @pytest.mark.parametrize("cause", [0, -1])
+    def test_censoring_code_is_not_a_cause(self, cause):
+        groups, _, _ = draw(1, 40, 40, 2.0)
+        with pytest.raises(ValueError, match="cause"):
+            run_battery(groups, cause, 0.5)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, t):
-        tables, pooled, _ = draw(1, 40, 40, 2.0)
+        groups, _, _ = draw(1, 40, 40, 2.0)
         with pytest.raises(ValueError):
-            run_battery(tables, 1, t, pooled)
+            run_battery(groups, 1, t)
         with pytest.raises(ValueError):
-            run_battery(tables, 1, t, pooled, ["pseudo_llog"])
+            run_battery(groups, 1, t, ["pseudo_llog"])
 
 
 class TestScenarioFile:
