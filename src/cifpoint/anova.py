@@ -17,6 +17,7 @@ are anchored at the remaining factors' reference levels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,25 +31,38 @@ _INTERACTIONS = {1: "NUM1_NUM2", 2: "TIME", 3: "CEN", 4: None}
 _RESPONSES = ("type1", "power")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coefficient:
     factor: str
     level: str
     estimate: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class AnovaTable:
-    """Least-squares coefficients for one model and response."""
+    """Least-squares coefficients for one model and response.
+
+    They are held as the (factor, level) pair of each design column,
+    one tuple shared by every fit of the same model to the same levels,
+    and a read-only array of estimates, so that many tables stay small.
+    """
 
     model: int
     response: str
-    coefficients: tuple[Coefficient, ...]
+    _columns: tuple[tuple[str, str], ...]
+    _estimates: np.ndarray
+
+    @property
+    def coefficients(self) -> tuple[Coefficient, ...]:
+        return tuple(Coefficient(factor, level, estimate)
+                     for (factor, level), estimate in zip(self._columns, self._estimates.tolist()))
 
     def effects(self, factor: str) -> dict[str, float]:
-        found = {c.level: c.estimate for c in self.coefficients if c.factor == factor}
+        found = {level: estimate
+                 for (f, level), estimate in zip(self._columns, self._estimates.tolist())
+                 if f == factor}
         if not found:
-            known = sorted({c.factor for c in self.coefficients})
+            known = sorted({f for f, _ in self._columns})
             raise KeyError(f"no factor {factor!r} in model {self.model}; have {known}")
         return found
 
@@ -117,6 +131,23 @@ def _level_labels(results) -> dict[str, list[str]]:
     return labels
 
 
+@functools.lru_cache(maxsize=64)
+def _design_columns(model: int, levels: tuple[tuple[str, ...], ...]) -> tuple[tuple[str, str], ...]:
+    """(factor, level) of each design column of `model`, given the
+    levels of NUM1_NUM2, TIME and CEN in order of first appearance."""
+    labels = dict(zip(("NUM1_NUM2", "TIME", "CEN"), levels))
+    interaction = _INTERACTIONS[model]
+    if interaction is None:
+        columns = [("TEST", test) for test in TEST_IDS]
+    else:
+        columns = [(f"TEST:{interaction}", f"{test}:{lvl}")
+                   for test in TEST_IDS for lvl in labels[interaction]]
+    for factor in ("NUM1_NUM2", "TIME", "CEN"):
+        if factor != interaction:
+            columns.extend((factor, lvl) for lvl in labels[factor][1:])
+    return tuple(columns)
+
+
 def anova_summarize(results, response: str = "type1", model: int = 4) -> AnovaTable:
     """Fit one of the four summary models to a grid of scenario results.
 
@@ -150,19 +181,7 @@ def anova_summarize(results, response: str = "type1", model: int = 4) -> AnovaTa
             })
 
     interaction = _INTERACTIONS[model]
-    columns: list[tuple[str, str]] = []
-    if interaction is None:
-        columns.extend(("TEST", test) for test in TEST_IDS)
-    else:
-        columns.extend(
-            (f"TEST:{interaction}", f"{test}:{lvl}")
-            for test in TEST_IDS
-            for lvl in labels[interaction]
-        )
-    for factor in ("NUM1_NUM2", "TIME", "CEN"):
-        if factor == interaction:
-            continue
-        columns.extend((factor, lvl) for lvl in labels[factor][1:])
+    columns = _design_columns(model, tuple(tuple(labels[f]) for f in ("NUM1_NUM2", "TIME", "CEN")))
 
     design = np.zeros((len(rows), len(columns)))
     y = np.array([row["y"] for row in rows])
@@ -188,8 +207,5 @@ def anova_summarize(results, response: str = "type1", model: int = 4) -> AnovaTa
             f"model {model} design is rank deficient", aliased=named
         ) from None
 
-    coefficients = tuple(
-        Coefficient(factor=f, level=lvl, estimate=float(b))
-        for (f, lvl), b in zip(columns, coef)
-    )
-    return AnovaTable(model=model, response=response, coefficients=coefficients)
+    coef.flags.writeable = False
+    return AnovaTable(model, response, columns, coef)

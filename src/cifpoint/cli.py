@@ -147,7 +147,13 @@ def _parse_times(text: str) -> list[float]:
 
 
 def _load(args):
-    return parse_dataset(args.input, args.time_col, args.status_col, args.group_col)
+    """The input dataset, refusing a --cause that none of its subjects has."""
+    data = parse_dataset(args.input, args.time_col, args.status_col, args.group_col)
+    if args.cause is not None and args.cause not in data.causes:
+        present = ", ".join(map(str, data.causes)) or "none"
+        raise InvalidRecord(f"{args.input}: no subject has cause {args.cause}; "
+                            f"causes present: {present}")
+    return data
 
 
 def _emit(payload: dict, args, human: str) -> None:
@@ -289,7 +295,10 @@ def _cmd_simulate(args) -> int:
             patch["reps"] = args.reps
         if args.seed is not None:
             patch["master_seed"] = args.seed
-        scenarios = [replace(s, **patch) for s in scenarios]
+        try:
+            scenarios = [replace(s, **patch) for s in scenarios]
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
     results = []
     for i, s in enumerate(scenarios, start=1):
         print(

@@ -245,13 +245,9 @@ def _first_row_error(path, rows, width, ti, si, gi) -> InvalidRecord:
     raise AssertionError("no invalid row found")
 
 
-def event_table_from_arrays(times, statuses, group: str = "all",
-                            causes=None) -> EventTable:
-    """Build an :class:`EventTable` directly from parallel arrays.
-
-    `causes` optionally fixes the set of causes carried in the table;
-    causes seen in `statuses` are always included.
-    """
+def _checked_columns(times, statuses):
+    """One group's times and statuses as float and int arrays, refusing
+    what no subject record allows."""
     times = np.asarray(times, dtype=float)
     statuses = np.asarray(statuses, dtype=int)
     if times.ndim != 1 or times.shape != statuses.shape:
@@ -262,7 +258,17 @@ def event_table_from_arrays(times, statuses, group: str = "all",
         raise InvalidRecord("times must be finite and positive")
     if np.any(statuses < 0):
         raise InvalidRecord("statuses must be >= 0")
+    return times, statuses
 
+
+def event_table_from_arrays(times, statuses, group: str = "all",
+                            causes=None) -> EventTable:
+    """Build an :class:`EventTable` directly from parallel arrays.
+
+    `causes` optionally fixes the set of causes carried in the table;
+    causes seen in `statuses` are always included.
+    """
+    times, statuses = _checked_columns(times, statuses)
     failed = statuses > 0
     knots = np.unique(times[failed])
     order = np.sort(times)

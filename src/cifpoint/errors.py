@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the per-row checks
+that raise them when many data sets are computed at once."""
+
+from typing import Any, Callable, NamedTuple
 
 
 class CifPointError(Exception):
@@ -52,3 +55,21 @@ class UnreachableTarget(CifPointError):
     def __init__(self, message, supremum=None):
         super().__init__(message)
         self.supremum = supremum
+
+
+class _Check(NamedTuple):
+    """One check over the rows of a batch of data sets: the error type
+    it raises, a boolean array of the rows that fail it, and the message
+    of row i's error."""
+
+    error: type
+    fails: Any
+    message: Callable[[int], str]
+
+
+def _first_error(checks, i: int):
+    """The error of row `i` from the first of `checks` it fails, or None."""
+    for check in checks:
+        if check.fails[i]:
+            return check.error(check.message(i))
+    return None

@@ -64,16 +64,23 @@ class CifCurve:
         return self.steps.at(t)
 
 
+def _lagged(x: np.ndarray, first: float) -> np.ndarray:
+    """`x` moved one place along the last axis, with `first` in front."""
+    return np.concatenate((np.full(x.shape[:-1] + (1,), first), x[..., :-1]), axis=-1)
+
+
 def _aalen_johansen(a: np.ndarray, d: np.ndarray, dk: np.ndarray):
-    """The Aalen-Johansen recursion over knots with at-risk counts `a`,
-    failures `d` and cause-k failures `dk` (float arrays).
+    """The Aalen-Johansen recursion along the last axis over knots with
+    at-risk counts `a`, failures `d` and cause-k failures `dk` (float
+    arrays).
 
     Returns (S(t_{j-1}), S(t_j), S(t_{j-1}) * dk_j / a_j): the
     Kaplan-Meier survival just before and just after each knot, built
     from the factors (a_j - d_j) / a_j, and the cause-k incidence jumps.
+    A knot without failures has the factor 1 and no jump.
     """
-    surv = np.cumprod((a - d) / a)
-    s_prev = np.concatenate(([1.0], surv[:-1]))
+    surv = np.cumprod((a - d) / a, axis=-1)
+    s_prev = _lagged(surv, 1.0)
     return s_prev, surv, s_prev * dk / a
 
 
@@ -106,6 +113,67 @@ def _knot_terms(table: EventTable, cause: int, j: int):
     a = table.at_risk[:j].astype(float)
     d = table.events[:j].astype(float)
     dk = table.cause_events[cause][:j].astype(float)
+    s_prev, _, jumps = _aalen_johansen(a, d, dk)
+    return a, d, dk, s_prev, jumps
+
+
+def _take_rows(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """x[r, index[r, ...]] for each row r of the 2-d `x`."""
+    rows, width = x.shape
+    offsets = (np.arange(rows) * width).reshape((rows,) + (1,) * (index.ndim - 1))
+    return np.take(x, index + offsets)
+
+
+def _row_knots(times: np.ndarray, statuses: np.ndarray, cause: int, t: float):
+    """The knots of each row of (R, n) `times` and `statuses`, one data
+    set per row: its distinct failure times at or before `t`.
+
+    Each row is sorted once.  Its knots' counts are packed in time order
+    into (R, K) arrays for the most knots K of any row; a row with fewer
+    ends in entries with one at risk and no events, whose factor
+    (1 - 0) / 1 = 1 and zero jump change no sum.
+
+    Returns (order, statuses, rank, own, a, d, dk): the sorting
+    permutation and the sorted statuses; for each sorted subject the
+    number of knots at or before its time and whether the last of them
+    is at its time; and each knot's at-risk, failure and cause-`cause`
+    failure counts as float arrays.
+    """
+    rows, n = times.shape
+    order = np.argsort(times, axis=-1)
+    times = _take_rows(times, order)
+    statuses = _take_rows(statuses, order)
+    pos = np.arange(n)
+    head = np.ones(times.shape, dtype=bool)
+    head[:, 1:] = times[:, 1:] != times[:, :-1]
+    tail = np.ones(times.shape, dtype=bool)
+    tail[:, :-1] = head[:, 1:]
+    start = np.maximum.accumulate(np.where(head, pos, 0), axis=-1)
+    end = np.flip(np.minimum.accumulate(np.flip(np.where(tail, pos, n - 1), -1), axis=-1), -1)
+
+    def block_sums(flags):
+        """The running count of `flags` within each tie block, which is
+        the block's total on its last position."""
+        before = _lagged(np.cumsum(flags, axis=-1), 0)
+        return before + flags - _take_rows(before, start)
+
+    failures = block_sums(statuses > 0)
+    knot = tail & (times <= t) & (failures > 0)
+    rank = np.cumsum(knot, axis=-1)
+    row, col = np.nonzero(knot)
+    slot = (row, rank[row, col] - 1)
+    shape = (rows, max(1, int(rank[:, -1].max())))
+    a, d, dk = np.ones(shape), np.zeros(shape), np.zeros(shape)
+    a[slot] = n - start[row, col]
+    d[slot] = failures[row, col]
+    dk[slot] = block_sums(statuses == cause)[row, col]
+    return order, statuses, _take_rows(rank, end), _take_rows(knot, end), a, d, dk
+
+
+def _row_terms(times: np.ndarray, statuses: np.ndarray, cause: int, t: float):
+    """The five arrays of `_knot_terms` for each row of (R, n) `times`
+    and `statuses`, over the row's knots up to `t` (see `_row_knots`)."""
+    a, d, dk = _row_knots(times, statuses, cause, t)[4:]
     s_prev, _, jumps = _aalen_johansen(a, d, dk)
     return a, d, dk, s_prev, jumps
 

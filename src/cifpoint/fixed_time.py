@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import EventTable
-from .errors import NotEstimable, ZeroVariance
-from .variance import VarianceKind, estimate_and_variances
+from .errors import NotEstimable, ZeroVariance, _Check, _first_error
+from .variance import VarianceKind, _table_summaries, estimate_and_variances
 
 __all__ = [
     "TransformKind",
@@ -187,34 +187,85 @@ def _point(table: EventTable, cause: int, t: float, variance: VarianceKind):
     return estimate, variances[variance]
 
 
-def _two_sample(groups, points, cause: int, t: float, kind: TransformKind,
-                variance: VarianceKind) -> FixedTimeTestResult:
-    """Two-group statistic from each group's (estimate, variance)."""
-    (e1, v1), (e2, v2) = points
-    p1, w1 = _transformed(e1, v1, kind)
-    p2, w2 = _transformed(e2, v2, kind)
-    num = (p1 - p2) ** 2
-    den = w1 + w2
-    if den == 0.0:
-        if num == 0.0:
-            stat = 0.0
-        else:
-            raise ZeroVariance(
-                f"groups differ at t={t!r} but both transformed variances are zero"
-            )
-    else:
-        stat = num / den
-    return FixedTimeTestResult(
-        statistic=stat,
-        df=1,
-        p_value=chi2_pvalue(stat, 1),
-        time=t,
-        cause=int(cause),
-        method=kind.value,
-        variance=variance.value,
-        groups=(GroupSummary(groups[0], e1, v1), GroupSummary(groups[1], e2, v2)),
-        effect=p1 - p2,
-    )
+@dataclass(frozen=True)
+class _Rows:
+    """One df = 1 test over R rows of data: per row its statistic,
+    effect and group pieces, and the checks in the order they are made.
+    A row's first failing check excludes it; a row that fails none is
+    valid, and only valid rows' numbers mean anything."""
+
+    method: str
+    variance: str | None
+    statistic: np.ndarray
+    effect: np.ndarray
+    estimates: tuple[np.ndarray, ...]
+    variances: tuple[np.ndarray, ...] | None
+    checks: tuple[_Check, ...]
+
+    def first_failure(self) -> np.ndarray:
+        """Index into `checks` of each row's first failing check, -1 for
+        a valid row."""
+        first = np.full(self.statistic.shape, -1)
+        for k in reversed(range(len(self.checks))):
+            first[self.checks[k].fails] = k
+        return first
+
+    def result(self, i: int, groups, cause: int, t: float) -> FixedTimeTestResult:
+        """Row `i` as a result, or its first failing check's error raised."""
+        error = _first_error(self.checks, i)
+        if error is not None:
+            raise error
+        stat = float(self.statistic[i])
+        variances = self.variances or (None,) * len(groups)
+        return FixedTimeTestResult(
+            statistic=stat,
+            df=1,
+            p_value=chi2_pvalue(stat, 1),
+            time=t,
+            cause=int(cause),
+            method=self.method,
+            variance=self.variance,
+            groups=tuple(GroupSummary(g, float(e[i]), None if v is None else float(v[i]))
+                         for g, e, v in zip(groups, self.estimates, variances)),
+            effect=float(self.effect[i]),
+        )
+
+
+def _map(f: Callable[[float], float], x: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """The scalar `f` on the entries of `x` selected by `where`, NaN
+    elsewhere.  `_SCALES` is evaluated through `math` in every path, so
+    that a row's numbers do not depend on how many rows there are."""
+    out = np.full(x.shape, np.nan)
+    out[where] = [f(v) for v in x[where].tolist()]
+    return out
+
+
+def _two_sample_rows(points, t: float, kind: TransformKind, variance: VarianceKind) -> _Rows:
+    """Two-group statistic over R rows from each group's (estimates,
+    (variances, checks)).  Each group's variance checks come before its
+    estimate's domain, the first group before the second, and both
+    before a zero variance under a nonzero difference."""
+    scale = _SCALES[kind]
+    checks, phis, ws = [], [], []
+    for estimate, (var, var_checks) in points:
+        inside = (estimate > scale.low) & (estimate < scale.high)
+        checks.extend(var_checks)
+        checks.append(_Check(
+            NotEstimable, ~inside,
+            lambda i, e=estimate: f"transform {kind.value!r} is undefined at estimate {float(e[i])!r}"))
+        phis.append(_map(scale.phi, estimate, inside))
+        ws.append(var / _map(scale.divisor, estimate, inside))
+    effect = phis[0] - phis[1]
+    num = effect**2
+    den = ws[0] + ws[1]
+    zero = den == 0.0
+    checks.append(_Check(
+        ZeroVariance, zero & (num != 0.0),
+        lambda i: f"groups differ at t={t!r} but both transformed variances are zero"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        statistic = np.where(zero, 0.0, num / den)
+    return _Rows(kind.value, variance.value, statistic, effect,
+                 tuple(e for e, _ in points), tuple(v for _, (v, _) in points), tuple(checks))
 
 
 def _k_sample(groups, points, cause: int, t: float, kind: TransformKind,
@@ -252,9 +303,12 @@ def two_sample_test(table1: EventTable, table2: EventTable, cause: int, t: float
                     variance: VarianceKind = VarianceKind.GAYNOR) -> FixedTimeTestResult:
     """Chi-squared comparison of two groups' incidence of `cause` at `t`."""
     variance = VarianceKind(variance)
-    points = [_point(tb, cause, t, variance) for tb in (table1, table2)]
-    return _two_sample((table1.group, table2.group), points, cause, float(t),
-                       TransformKind(kind), variance)
+    points = []
+    for table in (table1, table2):
+        estimate, variances = _table_summaries(table, cause, t)
+        points.append((estimate, variances[variance]))
+    rows = _two_sample_rows(points, float(t), TransformKind(kind), variance)
+    return rows.result(0, (table1.group, table2.group), cause, float(t))
 
 
 def k_sample_test(tables, cause: int, t: float,

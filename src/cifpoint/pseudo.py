@@ -49,9 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import NonConvergence, SeparationDetected, ZeroVariance
-from .estimation import _aalen_johansen
-from .fixed_time import _SCALES, FixedTimeTestResult, GroupSummary, TransformKind, chi2_pvalue
+from .errors import NonConvergence, SeparationDetected, ZeroVariance, _Check
+from .estimation import _aalen_johansen, _lagged, _row_knots, _take_rows
+from .fixed_time import _SCALES, FixedTimeTestResult, TransformKind, _map, _Rows
 
 __all__ = [
     "LinkKind",
@@ -137,22 +137,21 @@ class GeeFit:
 
 def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
                    taus: np.ndarray) -> np.ndarray:
-    n = times.size
-    failed = statuses > 0
-    # knot 0 is a placeholder with no events before every time, so each
-    # subject and each horizon has a last knot at or before it
-    knots = np.concatenate(([-np.inf], np.unique(times[failed & (times <= taus.max())])))
-    at_risk = (n - np.searchsorted(np.sort(times), knots, side="left")).astype(float)
-    relevant = failed & (times <= knots[-1])
-    pos = np.searchsorted(knots, times[relevant])
-    events = np.bincount(pos, minlength=knots.size).astype(float)
-    cause_events = np.bincount(
-        pos[statuses[relevant] == cause], minlength=knots.size
-    ).astype(float)
+    """Pseudo-values of each row of (R, N) `times` and `statuses`, one
+    pooled sample per row, at the horizons `taus`, as an (R, N, H) array
+    in the subjects' order."""
+    rows, n = times.shape
+    # the knots are each row's failure times up to the last horizon (see
+    # estimation._row_knots) after knot 0, a placeholder with everyone at
+    # risk and no events, so that each subject and each horizon has a
+    # last knot at or before it
+    order, statuses, last, own, a, d, dk = _row_knots(times, statuses, cause, taus.max())
+    at_risk, events, cause_events = (np.concatenate((np.full((rows, 1), first), x), axis=-1)
+                                     for x, first in ((a, float(n)), (d, 0.0), (dk, 0.0)))
 
     # full sample: survival just after, and incidence up to, each knot
     _, surv, jumps = _aalen_johansen(at_risk, events, cause_events)
-    inc = np.cumsum(jumps)
+    inc = np.cumsum(jumps, axis=-1)
 
     # the same with one subject fewer at risk, as seen by a subject still
     # at risk at every knot so far; entry j covers the knots before j.  A
@@ -161,27 +160,35 @@ def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
     fewer = at_risk - 1.0
     fewer[fewer == 0.0] = 1.0
     surv_fewer, _, jumps_fewer = _aalen_johansen(fewer, events, cause_events)
-    inc_fewer = np.concatenate(([0.0], np.cumsum(jumps_fewer)[:-1]))
+    inc_fewer = _lagged(np.cumsum(jumps_fewer, axis=-1), 0.0)
 
     # (subject, horizon) grid: j is the last knot at or before both the
-    # subject's time and the horizon.  Leaving subject i out lowers the
-    # at-risk count at knots up to j, takes its own event out of knot j,
-    # and leaves every later knot as in the full sample.
-    cut = np.searchsorted(knots, taus, side="right") - 1
-    last = np.searchsorted(knots, times, side="right") - 1
-    j = np.minimum(last[:, None], cut[None, :])
-    own = (failed & (times == knots[last]))[:, None] & (last[:, None] == j)
-    d = events[j] - own
-    dk = cause_events[j] - (own & (statuses == cause)[:, None])
-    inc_i = inc_fewer[j] + surv_fewer[j] * dk / fewer[j]
-    surv_i = surv_fewer[j] * ((fewer[j] - d) / fewer[j])
+    # subject's time and the horizon, whose last knot is that of its last
+    # subject.  Leaving subject i out lowers the at-risk count at knots up
+    # to j, takes its own event out of knot j, and leaves every later
+    # knot as in the full sample.
+    within = np.sum(times[..., None] <= taus, axis=-2)
+    cut = _take_rows(np.concatenate((np.zeros((rows, 1), int), last), axis=-1), within)
+    j = np.minimum(last[..., None], cut[:, None, :])
+
+    def at(values):
+        return _take_rows(values, j)
+
+    own = ((statuses > 0) & own)[..., None] & (j == last[..., None])
+    d = at(events) - own
+    dk = at(cause_events) - (own & (statuses == cause)[..., None])
+    fewer_j, surv_fewer_j = at(fewer), at(surv_fewer)
+    inc_i = at(inc_fewer) + surv_fewer_j * dk / fewer_j
+    surv_i = surv_fewer_j * ((fewer_j - d) / fewer_j)
 
     # past knot j the leave-one-out curve is the full-sample tail rescaled
     # by the ratio of the two survivals at j, which is positive there
-    full = inc[cut]
-    ratio = np.divide(surv_i, surv[j], out=np.zeros_like(surv_i), where=j < cut)
-    loo = inc_i + ratio * (full - inc[j])
-    return loo + n * (full - loo)
+    full = _take_rows(inc, cut)[:, None, :]
+    ratio = np.divide(surv_i, at(surv), out=np.zeros_like(surv_i), where=j < cut[:, None, :])
+    loo = inc_i + ratio * (full - at(inc))
+    values = np.empty_like(loo)
+    values[np.arange(rows)[:, None], order] = loo + n * (full - loo)
+    return values
 
 
 def pseudo_values(data: Dataset, cause: int, times) -> PseudoValueMatrix:
@@ -195,7 +202,7 @@ def pseudo_values(data: Dataset, cause: int, times) -> PseudoValueMatrix:
         raise ValueError("times must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(taus) & (taus > 0.0)) or np.any(np.diff(taus) <= 0.0):
         raise ValueError("times must be finite, positive and strictly increasing")
-    values = _pooled_pseudo(data.times, data.statuses, int(cause), taus)
+    values = _pooled_pseudo(data.times[None], data.statuses[None], int(cause), taus)[0]
     return PseudoValueMatrix(values=values, times=taus, cause=int(cause))
 
 
@@ -317,52 +324,43 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
     return GeeFit(beta=beta, sandwich=sandwich, iterations=iterations, link=link)
 
 
-def _group_moments(theta: np.ndarray, x: np.ndarray, groups):
-    """[(m_1, se_1^2), (m_0, se_0^2)]: the mean pseudo-value of the
-    x == 1 group, `groups[0]`, then of the x == 0 group, `groups[1]`,
-    each with the squared standard error sum_i (theta_i - m)^2 / n^2 of
-    that mean.
+def _group_moments(groups, labels):
+    """Each group's mean pseudo-value and the squared standard error
+    sum_i (theta_i - m)^2 / n^2 of that mean, row by row, with a check
+    per group of a mean within N * eps of 0 or 1, the margin `gee_fit`
+    uses.
 
-    Raises SeparationDetected, naming the group, when a mean lies
-    within n * eps of 0 or 1, the margin `gee_fit` uses.
+    `groups` holds one (R, n_g) array of pseudo-values per group, the
+    x = 1 group first.  Returns ([(means, squared errors)], checks).
     """
-    edge = theta.size * np.finfo(float).eps
-    moments = []
-    for flag, label in zip((1, 0), groups):
-        group = theta[x == flag]
-        mean = float(group.mean())
-        if not edge < mean < 1.0 - edge:
-            raise SeparationDetected(
-                f"group {label} mean pseudo-value outside (0, 1): {mean!r}"
-            )
-        moments.append((mean, float(np.square(group - mean).sum()) / group.size**2))
-    return moments
+    edge = sum(theta.shape[-1] for theta in groups) * np.finfo(float).eps
+    moments, checks = [], []
+    for theta, label in zip(groups, labels):
+        mean = theta.mean(axis=-1)
+        moments.append((mean, np.square(theta - mean[..., None]).sum(axis=-1) / theta.shape[-1]**2))
+        checks.append(_Check(
+            SeparationDetected, ~((edge < mean) & (mean < 1.0 - edge)),
+            lambda i, label=label, mean=mean:
+                f"group {label} mean pseudo-value outside (0, 1): {float(mean[i])!r}"))
+    return moments, checks
 
 
-def _saturated_test(moments, groups, cause: int, t: float,
-                    link: LinkKind) -> FixedTimeTestResult:
-    """Wald test from the closed-form saturated fit at one horizon."""
+def _saturated_rows(moments, checks, link: LinkKind) -> _Rows:
+    """Wald test over R rows from the closed-form saturated fit at one
+    horizon, after the separation `checks` of `_group_moments`."""
     (m1, s1), (m0, s0) = moments
+    valid = ~(checks[0].fails | checks[1].fails)
     (scale, p1), (_, p0) = _link_scale(m1, link), _link_scale(m0, link)
-    effect = scale.phi(p1) - scale.phi(p0)
-    var = s1 / scale.divisor(p1) + s0 / scale.divisor(p0)
-    if var == 0.0:
-        if effect != 0.0:
-            raise ZeroVariance(f"group effect {effect!r} has zero sandwich variance")
-        stat = 0.0
-    else:
-        stat = effect**2 / var
-    return FixedTimeTestResult(
-        statistic=stat,
-        df=1,
-        p_value=chi2_pvalue(stat, 1),
-        time=t,
-        cause=int(cause),
-        method=PSEUDO_METHODS[link],
-        variance=None,
-        groups=(GroupSummary(groups[0], m1, None), GroupSummary(groups[1], m0, None)),
-        effect=effect,
-    )
+    effect = _map(scale.phi, p1, valid) - _map(scale.phi, p0, valid)
+    var = s1 / _map(scale.divisor, p1, valid) + s0 / _map(scale.divisor, p0, valid)
+    zero = var == 0.0
+    zero_variance = _Check(
+        ZeroVariance, zero & (effect != 0.0),
+        lambda i: f"group effect {float(effect[i])!r} has zero sandwich variance")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        statistic = np.where(zero, 0.0, effect**2 / var)
+    return _Rows(PSEUDO_METHODS[link], None, statistic, effect, (m1, m0), None,
+                 (*checks, zero_variance))
 
 
 def pseudo_test(data: Dataset, cause: int, t: float,
@@ -377,7 +375,8 @@ def pseudo_test(data: Dataset, cause: int, t: float,
     link = LinkKind(link)
     if len(data.groups) != 2:
         raise ValueError(f"pseudo_test needs exactly two groups, got {len(data.groups)}")
-    pseudo = pseudo_values(data, cause, [t])
-    moments = _group_moments(pseudo.values[:, 0], data.group_indicator(data.groups[0]),
-                             data.groups)
-    return _saturated_test(moments, data.groups, cause, float(t), link)
+    theta = pseudo_values(data, cause, [t]).values[:, 0]
+    x = data.group_indicator(data.groups[0])
+    rows = _saturated_rows(*_group_moments([theta[x == 1][None], theta[x == 0][None]],
+                                           data.groups), link)
+    return rows.result(0, data.groups, cause, float(t))

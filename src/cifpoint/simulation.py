@@ -20,6 +20,17 @@ takes each group's (label, times, statuses) and nothing else.
 Replications use independent counter-based streams keyed by the master
 seed and the replication index, so results are reproducible bit for
 bit regardless of execution order or parallelism.
+
+The battery runs on a block of replications at once: each group's
+times and statuses are (R, n_g) arrays, one replication per row, and
+every step (sorting, the Aalen-Johansen recursion over each row's
+knots, both variances, the pooled pseudo-values, the transforms and
+each exclusion reason as a mask over the rows) is array arithmetic
+over the block.  A block holds at most _BLOCK_CELLS subjects in all,
+R (n1 + n2) <= 2**18, which bounds its arrays to a few megabytes
+whatever the scenario; the replication range is cut into such blocks
+and the counts summed, so the counts do not depend on where it is
+cut.  `run_battery` is the same engine with one row per group.
 """
 
 from __future__ import annotations
@@ -27,11 +38,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import event_table_from_arrays
+from .data import _checked_columns
 from .errors import (
     CifPointError,
     DegenerateRiskSet,
@@ -41,10 +52,17 @@ from .errors import (
     UnreachableTarget,
     ZeroVariance,
 )
-from .estimation import _finite_horizon
-from .fixed_time import FixedTimeTestResult, TransformKind, _k_sample, _two_sample
-from .pseudo import PSEUDO_METHODS, _group_moments, _pooled_pseudo, _saturated_test
-from .variance import VarianceKind, estimate_and_variances
+from .estimation import _finite_horizon, _row_terms
+from .fixed_time import (
+    FixedTimeTestResult,
+    TransformKind,
+    _k_sample,
+    _Rows,
+    _two_sample_rows,
+    chi2_pvalue,
+)
+from .pseudo import PSEUDO_METHODS, _group_moments, _pooled_pseudo, _saturated_rows
+from .variance import VarianceKind, _scalar, _summaries
 
 __all__ = [
     "TEST_IDS",
@@ -95,17 +113,50 @@ class BatteryOutcome:
     error: CifPointError | None
 
 
+def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> dict[str, _Rows]:
+    """The requested tests of the battery for two groups over R data
+    sets at once, in TEST_IDS order.
+
+    `groups` holds two (label, times, statuses) with (R, n_g) arrays;
+    row r of both is one data set.  Each group's estimate and both
+    variances come from one pass over its sorted rows, and the pooled
+    pseudo-values, with the first group as x = 1, once for both links.
+    """
+    summaries = moments = None
+    rows = {}
+    for test, kind, variance in _BATTERY:
+        if test not in tests:
+            continue
+        if variance is not None:
+            if summaries is None:
+                summaries = [_summaries(_row_terms(times, statuses, cause, t))
+                             for _, times, statuses in groups]
+            rows[test] = _two_sample_rows([(estimate, variances[variance])
+                                           for estimate, variances in summaries],
+                                          t, kind, variance)
+        else:
+            if moments is None:
+                (label1, times1, statuses1), (label0, times0, statuses0) = groups
+                theta = _pooled_pseudo(np.concatenate((times1, times0), axis=-1),
+                                       np.concatenate((statuses1, statuses0), axis=-1),
+                                       int(cause), np.array([t]))[..., 0]
+                n1 = times1.shape[-1]
+                moments = _group_moments([theta[:, :n1], theta[:, n1:]], (label1, label0))
+            rows[test] = _saturated_rows(*moments, kind)
+    return rows
+
+
 def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOutcome]:
     """Run the requested tests of the battery at `t`, in TEST_IDS order.
 
-    `groups` holds one (label, times, statuses) per group.  The
-    transform tests compare two groups as `two_sample_test` and more as
-    `k_sample_test` do, from one pass over each group's event table for
-    its estimate and both variances.  The pseudo-value tests need
-    exactly two groups; their subjects are pooled in group order with
-    the first group as x = 1, and the pooled pseudo-values are computed
-    once for both links.  The numbers equal those of `two_sample_test`,
-    `k_sample_test` and `pseudo_test` bit for bit.
+    `groups` holds one (label, times, statuses) per group.  Two groups
+    are one row of the batched battery the simulation runs; more are
+    compared as `k_sample_test` does, from the same per-group estimate
+    and variances.  The pseudo-value tests need exactly two groups;
+    their subjects are pooled in group order with the first group as
+    x = 1.  Estimates and pseudo-values equal those of
+    `two_sample_test`, `k_sample_test` and `pseudo_test` bit for bit,
+    and variances and statistics to round-off.
     """
     unknown = set(tests) - set(TEST_IDS)
     if unknown:
@@ -118,43 +169,35 @@ def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOut
         raise ValueError(f"cause must be >= 1 (0 marks censoring), got {cause!r}")
     t = _finite_horizon(t)
     labels = [label for label, _, _ in groups]
-    tables = [event_table_from_arrays(times, statuses, label, (cause,))
-              for label, times, statuses in groups]
-    compare = _two_sample if len(groups) == 2 else _k_sample
-    summaries = moments = None
+    columns = [(label, *(x[None] for x in _checked_columns(times, statuses)))
+               for label, times, statuses in groups]
+    if len(groups) == 2:
+        rows = _battery_rows(columns, cause, t, tests)
+
+        def result(test, kind, variance):
+            return rows[test].result(0, labels, cause, t)
+    else:
+        summaries = [_summaries(_row_terms(times, statuses, cause, t))
+                     for _, times, statuses in columns]
+
+        def result(test, kind, variance):
+            points = [(float(estimate[0]), _scalar(*variances[variance]))
+                      for estimate, variances in summaries]
+            return _k_sample(labels, points, cause, t, kind, variance)
+
     outcomes = []
     for test, kind, variance in _BATTERY:
         if test not in tests:
             continue
         try:
-            if variance is not None:
-                if summaries is None:
-                    summaries = [estimate_and_variances(tb, cause, t) for tb in tables]
-                points = [(estimate, variances[variance]) for estimate, variances in summaries]
-                result = compare(labels, points, cause, t, kind, variance)
-            else:
-                if moments is None:
-                    (_, times1, statuses1), (_, times0, statuses0) = groups
-                    theta = _pooled_pseudo(np.concatenate((times1, times0), dtype=float),
-                                           np.concatenate((statuses1, statuses0)),
-                                           int(cause), np.array([t]))
-                    x = np.repeat((1, 0), (len(times1), len(times0)))
-                    # a separation stops both links
-                    try:
-                        moments = _group_moments(theta[:, 0], x, labels)
-                    except SeparationDetected as exc:
-                        moments = exc
-                if isinstance(moments, Exception):
-                    raise moments
-                result = _saturated_test(moments, labels, cause, t, kind)
+            outcome = BatteryOutcome(test, *TEST_METHODS[test], result(test, kind, variance), None)
         except (*_EXCLUDING, NumericalError) as exc:
-            outcomes.append(BatteryOutcome(test, *TEST_METHODS[test], None, exc))
-        else:
-            outcomes.append(BatteryOutcome(test, *TEST_METHODS[test], result, None))
+            outcome = BatteryOutcome(test, *TEST_METHODS[test], None, exc)
+        outcomes.append(outcome)
     return outcomes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """One cell of the simulation grid."""
 
@@ -169,6 +212,10 @@ class Scenario:
     master_seed: int = 20180612
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_fixed) and self.t_fixed > 0.0):
+            raise ValueError(f"t_fixed must be finite and positive, got {self.t_fixed!r}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"p must be in (0, 1), got {self.p!r}")
         if not (0.0 <= self.censor_fraction < 1.0):
@@ -179,26 +226,65 @@ class Scenario:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed!r}")
 
     @property
     def shr(self) -> float:
         return math.exp(self.beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScenarioResult:
-    """Empirical rejection proportions of the twelve tests."""
+    """Empirical rejection proportions of the twelve tests.
+
+    `rejections` and `excluded` map each test to its count.  `reasons`
+    splits a test's exclusions by the error type that excluded them
+    (test -> {type name: count}, nonzero counts only, tests without
+    exclusions left out); a result read back from a CSV file has none,
+    and it takes no part in equality.  The counts are held as tuples in
+    TEST_IDS order, so that a grid of many results stays small.
+    """
 
     scenario: Scenario
-    rejections: dict[str, int]
-    excluded: dict[str, int]
+    _counts: tuple[int, ...]
+    _reasons: tuple[int, ...] = field(compare=False)
+
+    def __init__(self, scenario: Scenario, rejections: dict[str, int],
+                 excluded: dict[str, int], reasons=None):
+        reasons = reasons or {}
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "_counts", (*(rejections[test] for test in TEST_IDS),
+                                             *(excluded[test] for test in TEST_IDS)))
+        object.__setattr__(self, "_reasons", tuple(
+            reasons.get(test, {}).get(error.__name__, 0)
+            for test in TEST_IDS for error in _EXCLUDING) if any(reasons.values()) else ())
+
+    @property
+    def rejections(self) -> dict[str, int]:
+        return dict(zip(TEST_IDS, self._counts))
+
+    @property
+    def excluded(self) -> dict[str, int]:
+        return dict(zip(TEST_IDS, self._counts[len(TEST_IDS):]))
+
+    @property
+    def reasons(self) -> dict[str, dict[str, int]]:
+        width = len(_EXCLUDING)
+        found = {}
+        for i, test in enumerate(TEST_IDS):
+            counts = self._reasons[i * width:(i + 1) * width]
+            by_type = {error.__name__: n for error, n in zip(_EXCLUDING, counts) if n}
+            if by_type:
+                found[test] = by_type
+        return found
 
     def valid(self, test: str) -> int:
-        return self.scenario.reps - self.excluded[test]
+        return self.scenario.reps - self._counts[len(TEST_IDS) + TEST_IDS.index(test)]
 
     def rate(self, test: str) -> float:
         n = self.valid(test)
-        return self.rejections[test] / n if n else float("nan")
+        return self._counts[TEST_IDS.index(test)] / n if n else float("nan")
 
     @property
     def rejection(self) -> dict[str, float]:
@@ -227,6 +313,19 @@ def _invert_times(u: np.ndarray, eta: float) -> np.ndarray:
     return np.maximum(-np.log(1.0 - u) / eta, 1e-12)
 
 
+def _draw(u: np.ndarray, beta: float, z: int, p: float, censor_bound: float):
+    """(observed time, status) of subjects from their (..., 3) uniforms."""
+    eta = math.exp(beta * z)
+    is_cause1 = u[..., 0] < 1.0 - (1.0 - p) ** eta
+    t = _invert_times(u[..., 1], eta)
+    status = np.where(is_cause1, 1, 2)
+    if math.isinf(censor_bound):
+        return t, status
+    c = np.maximum(censor_bound * u[..., 2], 1e-12)
+    observed = np.minimum(t, c)
+    return observed, np.where(t <= c, status, 0)
+
+
 def sample_group(n: int, beta: float, z: int, p: float, rng: np.random.Generator,
                  censor_bound: float = math.inf):
     """Draw one group: (observed time, status) with status 0 censored.
@@ -235,16 +334,19 @@ def sample_group(n: int, beta: float, z: int, p: float, rng: np.random.Generator
     time, censoring) so that scenarios differing only in the censoring
     target share failure times under a common seed.
     """
-    u = rng.random((n, 3))
-    eta = math.exp(beta * z)
-    is_cause1 = u[:, 0] < 1.0 - (1.0 - p) ** eta
-    t = _invert_times(u[:, 1], eta)
-    status = np.where(is_cause1, 1, 2)
-    if math.isinf(censor_bound):
-        return t, status
-    c = np.maximum(censor_bound * u[:, 2], 1e-12)
-    observed = np.minimum(t, c)
-    return observed, np.where(t <= c, status, 0)
+    return _draw(rng.random((n, 3)), beta, z, p, censor_bound)
+
+
+def _sample_block(s: Scenario, first: int, stop: int, bounds):
+    """Replications `first` to `stop` as the battery's two groups of
+    (R, n_g) rows.  Each replication's stream gives both groups'
+    uniforms in one draw, the same doubles as one `sample_group` call
+    per group."""
+    u = np.empty((stop - first, s.n1 + s.n2, 3))
+    for row, rep in enumerate(range(first, stop)):
+        np.random.Generator(np.random.Philox(key=[s.master_seed, rep])).random(out=u[row])
+    return [("1", *_draw(u[:, :s.n1], s.beta, 0, s.p, bounds[0])),
+            ("2", *_draw(u[:, s.n1:], s.beta, 1, s.p, bounds[1]))]
 
 
 def _expected_censored(bound: float, beta: float, w2: float) -> float:
@@ -296,22 +398,32 @@ def calibrate_censoring(beta: float, p: float, weights: tuple[float, float],
     return 0.5 * (lo + hi)
 
 
+# replications per engine call: R rows of n1 + n2 subjects keep R (n1 + n2)
+# at or below this many cells, which bounds the block's arrays
+_BLOCK_CELLS = 2**18
+
+
 def _run_block(args) -> tuple[dict, dict]:
+    """Rejection counts and exclusion counts by error type of
+    replications `start` to `stop`, computed a block of rows at a
+    time."""
     s, start, stop, bounds = args
     rejections = dict.fromkeys(TEST_IDS, 0)
-    excluded = dict.fromkeys(TEST_IDS, 0)
-    for rep in range(start, stop):
-        rng = np.random.Generator(np.random.Philox(key=[s.master_seed, rep]))
-        groups = [("1", *sample_group(s.n1, s.beta, 0, s.p, rng, bounds[0])),
-                  ("2", *sample_group(s.n2, s.beta, 1, s.p, rng, bounds[1]))]
-        for o in run_battery(groups, 1, s.t_fixed):
-            if o.error is None:
-                rejections[o.test] += o.result.p_value < s.alpha
-            elif isinstance(o.error, _EXCLUDING):
-                excluded[o.test] += 1
-            else:
-                raise o.error
-    return rejections, excluded
+    reasons = {test: dict.fromkeys(_EXCLUDING, 0) for test in TEST_IDS}
+    step = max(1, _BLOCK_CELLS // (s.n1 + s.n2))
+    for first in range(start, stop, step):
+        groups = _sample_block(s, first, min(first + step, stop), bounds)
+        for test, rows in _battery_rows(groups, 1, s.t_fixed).items():
+            failure = rows.first_failure()
+            for k, check in enumerate(rows.checks):
+                hit = np.flatnonzero(failure == k)
+                if hit.size:
+                    if check.error not in _EXCLUDING:
+                        raise check.error(check.message(int(hit[0])))
+                    reasons[test][check.error] += hit.size
+            rejections[test] += sum(chi2_pvalue(x, 1) < s.alpha
+                                    for x in rows.statistic[failure < 0].tolist())
+    return rejections, reasons
 
 
 def run_scenario(s: Scenario, workers: int = 1,
@@ -333,22 +445,21 @@ def run_scenario(s: Scenario, workers: int = 1,
         bounds = (shared, shared)
 
     if workers <= 1 or s.reps < 2 * workers:
-        rejections, excluded = _run_block((s, 0, s.reps, bounds))
-        return ScenarioResult(s, rejections, excluded)
+        parts = [_run_block((s, 0, s.reps, bounds))]
+    else:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    # imported here so that a serial run never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    edges = np.linspace(0, s.reps, workers + 1).astype(int)
-    blocks = [(s, int(a), int(b), bounds) for a, b in zip(edges[:-1], edges[1:])]
-    rejections = dict.fromkeys(TEST_IDS, 0)
-    excluded = dict.fromkeys(TEST_IDS, 0)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for rej, exc in pool.map(_run_block, blocks):
-            for test in TEST_IDS:
-                rejections[test] += rej[test]
-                excluded[test] += exc[test]
-    return ScenarioResult(s, rejections, excluded)
+        edges = np.linspace(0, s.reps, workers + 1).astype(int)
+        blocks = [(s, int(a), int(b), bounds) for a, b in zip(edges[:-1], edges[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_block, blocks))
+    rejections = {test: sum(rej[test] for rej, _ in parts) for test in TEST_IDS}
+    reasons = {test: {error.__name__: count for error in _EXCLUDING
+                      if (count := sum(part[test][error] for _, part in parts))}
+               for test in TEST_IDS}
+    excluded = {test: sum(counts.values()) for test, counts in reasons.items()}
+    return ScenarioResult(s, rejections, excluded, reasons)
 
 
 def parse_scenarios(path) -> list[Scenario]:
@@ -379,42 +490,59 @@ def parse_scenarios(path) -> list[Scenario]:
     if "shr" in raw and "beta" in raw:
         raise CifPointError(f"{path}: give either 'shr' or 'beta', not both")
 
-    def floats(key, default):
+    def number(key, tok, kind=float):
+        try:
+            return kind(tok.strip())
+        except ValueError:
+            raise CifPointError(f"{path}: key {key!r}: bad value {tok.strip()!r}") from None
+
+    def values(key, default, kind=float):
         if key not in raw:
             return default
-        return [float(tok) for tok in raw[key].split(",") if tok.strip()]
+        return [number(key, tok, kind) for tok in raw[key].split(",") if tok.strip()]
 
     sizes = []
-    for tok in raw["sizes"].split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in values("sizes", [], str):
         parts = tok.split("/")
         if len(parts) != 2:
             raise CifPointError(f"{path}: bad size pair {tok!r}, expected n1/n2")
-        sizes.append((int(parts[0]), int(parts[1])))
-    times = floats("times", None)
-    censoring = floats("censoring", [0.0])
-    if "shr" in raw:
-        betas = [math.log(v) for v in floats("shr", None)]
-    else:
-        betas = floats("beta", [0.0])
-    p = float(raw.get("p", 0.66))
-    alpha = float(raw.get("alpha", 0.05))
-    reps = int(raw.get("reps", 10000))
-    seed = int(raw.get("seed", 20180612))
+        sizes.append({"n1": number("sizes", parts[0], int), "n2": number("sizes", parts[1], int)})
+    beta_key = "shr" if "shr" in raw else "beta"
+    betas = values("beta", [0.0])
+    if beta_key == "shr":
+        betas = []
+        for shr in values("shr", None):
+            if not shr > 0.0:
+                raise CifPointError(f"{path}: key 'shr': must be positive, got {shr!r}")
+            betas.append(math.log(shr))
+    choices = {
+        beta_key: [{"beta": beta} for beta in betas],
+        "sizes": sizes,
+        "times": [{"t_fixed": t} for t in values("times", None)],
+        "censoring": [{"censor_fraction": c} for c in values("censoring", [0.0])],
+    }
+    scalars = {}
+    for key, name, kind in (("p", "p", float), ("alpha", "alpha", float),
+                            ("reps", "reps", int), ("seed", "master_seed", int)):
+        if key in raw:
+            choices[key] = [{name: number(key, raw[key], kind)}]
+            scalars.update(choices[key][0])
 
-    try:
-        return [
-            Scenario(n1=n1, n2=n2, beta=beta, censor_fraction=cen, t_fixed=t,
-                     p=p, alpha=alpha, reps=reps, master_seed=seed)
-            for beta in betas
-            for (n1, n2) in sizes
-            for t in times
-            for cen in censoring
-        ]
-    except ValueError as exc:
-        raise CifPointError(f"{path}: {exc}") from None
+    # each value checked on its own, so that an error names its key
+    base = Scenario(n1=2, n2=2, beta=0.0, censor_fraction=0.0, t_fixed=1.0)
+    for key, options in choices.items():
+        for fields in options:
+            try:
+                replace(base, **fields)
+            except ValueError as exc:
+                raise CifPointError(f"{path}: key {key!r}: {exc}") from None
+    return [
+        Scenario(**size, **beta, **t, **cen, **scalars)
+        for beta in choices[beta_key]
+        for size in choices["sizes"]
+        for t in choices["times"]
+        for cen in choices["censoring"]
+    ]
 
 
 _CSV_COLUMNS = (
@@ -430,12 +558,13 @@ def write_results_csv(results, path) -> None:
         writer.writerow(_CSV_COLUMNS)
         for res in results:
             s = res.scenario
+            rejections, excluded = res.rejections, res.excluded
             for test in TEST_IDS:
                 writer.writerow([
                     s.n1, s.n2, repr(s.shr), repr(s.t_fixed), repr(s.censor_fraction),
                     repr(s.p), repr(s.alpha), s.reps, s.master_seed,
-                    test, res.rejections[test], res.valid(test),
-                    repr(res.rate(test)), res.excluded[test],
+                    test, rejections[test], res.valid(test),
+                    repr(res.rate(test)), excluded[test],
                 ])
 
 
@@ -481,10 +610,12 @@ def read_results_csv(path) -> list[ScenarioResult]:
 
 
 def results_to_json(results) -> str:
-    """Full-precision JSON rendering of scenario results."""
+    """Full-precision JSON rendering of scenario results, each test's
+    exclusions split by reason where the result carries them."""
     payload = []
     for res in results:
         s = res.scenario
+        rejections, excluded = res.rejections, res.excluded
         payload.append({
             "scenario": {
                 "n1": s.n1, "n2": s.n2, "shr": s.shr, "beta": s.beta,
@@ -493,10 +624,11 @@ def results_to_json(results) -> str:
             },
             "tests": {
                 test: {
-                    "rejections": res.rejections[test],
+                    "rejections": rejections[test],
                     "valid": res.valid(test),
                     "rate": res.rate(test),
-                    "excluded": res.excluded[test],
+                    "excluded": excluded[test],
+                    "reasons": res.reasons.get(test, {}),
                 }
                 for test in TEST_IDS
             },

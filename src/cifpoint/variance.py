@@ -20,8 +20,8 @@ import enum
 import numpy as np
 
 from .data import EventTable
-from .errors import DegenerateRiskSet, NumericalError
-from .estimation import _finite_horizon, _knot_terms
+from .errors import DegenerateRiskSet, NumericalError, _Check, _first_error
+from .estimation import _finite_horizon, _knot_terms, _lagged
 
 __all__ = [
     "VarianceKind",
@@ -39,22 +39,13 @@ class VarianceKind(enum.Enum):
     GAYNOR = "gaynor"
 
 
-def _clamped(value: float, label: str) -> float:
-    if value < 0.0:
-        if value < -_CLAMP:
-            raise NumericalError(f"{label} variance is negative: {value!r}")
-        return 0.0
-    return float(value)
-
-
-def _guarded_ratio(num: np.ndarray, den: np.ndarray, label: str) -> np.ndarray:
+def _guarded_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num/den termwise; a zero denominator is allowed only under a zero
-    numerator, where the term is dropped."""
+    numerator, where the term is dropped.  Under a nonzero numerator the
+    term is NaN, which marks its row degenerate."""
     bad = den == 0.0
-    if np.any(bad & (num != 0.0)):
-        raise DegenerateRiskSet(f"{label}: zero denominator with nonzero numerator")
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=~bad)
+    out = np.divide(num, den, out=np.zeros_like(num), where=~bad)
+    out[bad & (num != 0.0)] = np.nan
     return out
 
 
@@ -67,35 +58,39 @@ def _terms(table: EventTable, cause: int, t: float):
     return _knot_terms(table, cause, j)
 
 
-def _aalen(terms) -> float:
+# Both estimators work along the last axis of the knot terms, one row
+# per data set: one group's knots, or many data sets' sorted subjects at
+# once (see estimation._row_terms).  Each gives one variance per row,
+# NaN where the row is degenerate, and round-off may leave it a little
+# below 0.
+
+
+def _aalen(terms):
     a, d, dk, s_prev, inc = terms
-    cum = np.cumsum(inc)
-    diff = cum[-1] - cum
-    sq = _guarded_ratio(diff**2 * d, (a - 1.0) * (a - d), "aalen squared term")
-    binom = _guarded_ratio(s_prev**2 * dk * (a - dk), a**2 * (a - 1.0), "aalen binomial term")
-    cross = _guarded_ratio(
-        diff * s_prev * dk * (a - dk), a * (a - 1.0) * (a - d), "aalen cross term"
-    )
-    return _clamped(sq.sum() + binom.sum() - 2.0 * cross.sum(), "aalen")
+    cum = np.cumsum(inc, axis=-1)
+    diff = cum[..., -1:] - cum
+    sq = _guarded_ratio(diff**2 * d, (a - 1.0) * (a - d))
+    binom = _guarded_ratio(s_prev**2 * dk * (a - dk), a**2 * (a - 1.0))
+    cross = _guarded_ratio(diff * s_prev * dk * (a - dk), a * (a - 1.0) * (a - d))
+    return sq.sum(axis=-1) + binom.sum(axis=-1) - 2.0 * cross.sum(axis=-1)
 
 
-def _gaynor(terms) -> float:
+def _gaynor(terms):
     a, d, dk, _, inc = terms
     # prefix[i] = sum over l < i of d_l / (a_l (a_l - d_l)); a saturated
     # knot (a_l = d_l) can only be the last one, where no later increment
     # exists to multiply it, so its ratio is dropped if that holds.
     exhausted = a == d
-    ratio = np.zeros_like(a)
-    np.divide(d, a * (a - d), out=ratio, where=~exhausted)
-    prefix = np.concatenate(([0.0], np.cumsum(ratio)))[:-1]
-    if np.any(exhausted[:-1]) and np.any(inc[np.argmax(exhausted) + 1 :] != 0.0):
-        raise DegenerateRiskSet("gaynor prefix: zero denominator with nonzero numerator")
+    ratio = np.divide(d, a * (a - d), out=np.zeros_like(a), where=~exhausted)
+    prefix = _lagged(np.cumsum(ratio, axis=-1), 0.0)
+    degenerate = np.any((_lagged(np.cumsum(exhausted, axis=-1), 0) > 0) & (inc != 0.0), axis=-1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         own = np.where(dk > 0.0, inc**2 * ((a - dk) / (dk * a) + prefix), 0.0)
-    later = np.concatenate((np.cumsum(inc[::-1])[::-1][1:], [0.0]))
+    later = np.flip(_lagged(np.cumsum(np.flip(inc, -1), axis=-1), 0.0), -1)
     pairs = inc * (prefix - 1.0 / a) * later
-    return _clamped(own.sum() + 2.0 * pairs.sum(), "gaynor")
+    value = own.sum(axis=-1) + 2.0 * pairs.sum(axis=-1)
+    return np.where(degenerate, np.nan, value)
 
 
 _ESTIMATORS = {VarianceKind.GAYNOR: _gaynor, VarianceKind.AALEN: _aalen}
@@ -111,12 +106,56 @@ def gaynor_variance(table: EventTable, cause: int, t: float) -> float:
     return cif_variance(table, cause, t, VarianceKind.GAYNOR)
 
 
+def _variance(kind: VarianceKind, terms):
+    """The `kind` variance of each row of `terms`, and the checks that
+    fail a row: a zero denominator under a nonzero numerator, then a
+    value below -_CLAMP.  Round-off negatives above that become 0.  An
+    estimator that raises fails every row with its error.
+    """
+    shape = np.shape(terms[0])[:-1]
+    try:
+        values = _ESTIMATORS[kind](terms)
+    except (DegenerateRiskSet, NumericalError) as exc:
+        return np.full(shape, np.nan), (_Check(type(exc), np.ones(shape, bool),
+                                               lambda i, message=str(exc): message),)
+    negative = values < -_CLAMP
+    return np.where(negative, np.nan, np.where(values < 0.0, 0.0, values)), (
+        _Check(DegenerateRiskSet, np.isnan(values),
+               lambda i: f"{kind.value} variance: zero denominator with nonzero numerator"),
+        _Check(NumericalError, negative,
+               lambda i: f"{kind.value} variance is negative: {float(values[i])!r}"),
+    )
+
+
+def _summaries(terms):
+    """The incidence at the end of `terms` and each variance as
+    (values, checks), row by row."""
+    return (np.cumsum(terms[4], axis=-1)[..., -1],
+            {kind: _variance(kind, terms) for kind in VarianceKind})
+
+
+def _table_summaries(table: EventTable, cause: int, t: float):
+    """`_summaries` of one table up to `t`, as one row."""
+    terms = _terms(table, cause, t)
+    if terms is None:
+        return np.zeros(1), dict.fromkeys(VarianceKind, (np.zeros(1), ()))
+    return _summaries([x[None] for x in terms])
+
+
+def _scalar(values, checks):
+    """Row 0 of a variance as a float, or as the error that fails it."""
+    error = _first_error(checks, 0)
+    return float(values[0]) if error is None else error
+
+
 def cif_variance(table: EventTable, cause: int, t: float,
                  kind: VarianceKind = VarianceKind.GAYNOR) -> float:
     """Dispatch to the requested variance estimator."""
-    estimator = _ESTIMATORS[VarianceKind(kind)]
-    terms = _terms(table, cause, t)
-    return 0.0 if terms is None else estimator(terms)
+    kind = VarianceKind(kind)
+    variance = _scalar(*_table_summaries(table, cause, t)[1][kind])
+    if isinstance(variance, Exception):
+        raise variance
+    return variance
 
 
 def estimate_and_variances(table: EventTable, cause: int, t: float):
@@ -128,13 +167,5 @@ def estimate_and_variances(table: EventTable, cause: int, t: float):
     NumericalError it raised, so that it excludes only the tests that
     use it.
     """
-    terms = _terms(table, cause, t)
-    if terms is None:
-        return 0.0, dict.fromkeys(VarianceKind, 0.0)
-    variances = {}
-    for kind in VarianceKind:
-        try:
-            variances[kind] = _ESTIMATORS[kind](terms)
-        except (DegenerateRiskSet, NumericalError) as exc:
-            variances[kind] = exc
-    return float(np.cumsum(terms[4])[-1]), variances
+    estimate, variances = _table_summaries(table, cause, t)
+    return float(estimate[0]), {kind: _scalar(*v) for kind, v in variances.items()}

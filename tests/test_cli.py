@@ -166,6 +166,14 @@ class TestEstimate:
         assert "--cause" in err
         assert out == ""
 
+    def test_absent_cause_is_data_error(self, data_csv, capsys):
+        # the file has causes 1 and 2 only; cause 5 used to print zeros
+        code, out, err = run(["estimate", "--input", str(data_csv), "--group-col", "arm",
+                              "--cause", "5", "--times", "3"], capsys)
+        assert code == 2
+        assert "cause 5" in err and "causes present: 1, 2" in err
+        assert out == ""
+
 
 class TestTest:
     def test_single_method(self, data_csv, capsys):
@@ -272,6 +280,14 @@ class TestTest:
         assert "--cause" in err
         assert out == ""
 
+    def test_absent_cause_is_data_error(self, data_csv, capsys):
+        # used to report ten of twelve tests failed, with exit 3
+        code, out, err = run(["test", "--input", str(data_csv), "--group-col", "arm",
+                              "--cause", "5", "--time", "3", "--method", "all"], capsys)
+        assert code == 2
+        assert "cause 5" in err and "causes present: 1, 2" in err
+        assert out == ""
+
     def test_separation_names_the_group(self, tmp_path, capsys):
         # group b has no cause-1 event, so its mean pseudo-value is 0
         path = tmp_path / "separated.csv"
@@ -344,6 +360,34 @@ class TestSimulateAndSummarize:
         code, _, _ = run(["simulate", "--scenario", str(path)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("line, key", [
+        ("times = nan", "times"),
+        ("times = -1", "times"),
+        ("times = x", "times"),
+        ("shr = 0", "shr"),
+        ("sizes = a/10", "sizes"),
+        ("reps = 2.5", "reps"),
+        ("beta = nan", "beta"),
+    ])
+    def test_bad_scenario_value_names_its_key(self, tmp_path, line, key, capsys):
+        # each used to end in a traceback, a silent answer or a message
+        # about another key
+        lines = {"sizes": "sizes = 6/6", "times": "times = 0.5", "reps": "reps = 3"}
+        lines[line.split(" = ")[0]] = line
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(lines.values()) + "\n")
+        dest = tmp_path / "out.csv"
+        code, out, err = run(["simulate", "--scenario", str(path), "--out", str(dest)], capsys)
+        assert code == 2
+        assert str(path) in err and f"key {key!r}" in err
+        assert out == "" and not dest.exists()
+
+    def test_bad_override_is_usage_error(self, grid_cfg, tmp_path, capsys):
+        code, out, err = run(["simulate", "--scenario", str(grid_cfg), "--reps", "0",
+                              "--out", str(tmp_path / "out.csv")], capsys)
+        assert code == 1
+        assert "reps" in err and out == ""
+
     def test_summarize_missing_input(self, capsys):
         code, _, _ = run(
             ["summarize-anova", "--input", "missing.csv", "--model", "4"],
@@ -387,6 +431,15 @@ class TestPlotData:
                               "--out", str(dest)], capsys)
         assert code == 1
         assert "--cause" in err
+        assert out == ""
+        assert not dest.exists()
+
+    def test_absent_cause_is_data_error(self, data_csv, tmp_path, capsys):
+        dest = tmp_path / "curves.csv"
+        code, out, err = run(["plot-data", "--input", str(data_csv), "--group-col", "arm",
+                              "--cause", "5", "--out", str(dest)], capsys)
+        assert code == 2
+        assert "cause 5" in err and "causes present: 1, 2" in err
         assert out == ""
         assert not dest.exists()
 

@@ -1,16 +1,25 @@
+import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import cifpoint.simulation
 import cifpoint.variance
 from cifpoint.data import Dataset, SubjectRecord, event_table_from_arrays
-from cifpoint.errors import CifPointError, DegenerateRiskSet, UnreachableTarget
+from cifpoint.errors import (
+    CifPointError,
+    DegenerateRiskSet,
+    NumericalError,
+    UnreachableTarget,
+)
 from cifpoint.fixed_time import TransformKind, k_sample_test, two_sample_test
-from cifpoint.pseudo import LinkKind, pseudo_test
+from cifpoint.pseudo import LinkKind, _pooled_pseudo, pseudo_test, pseudo_values
 from cifpoint.simulation import (
     TEST_IDS,
     TEST_METHODS,
@@ -25,7 +34,10 @@ from cifpoint.simulation import (
     run_scenario,
     sample_group,
     write_results_csv,
+    _battery_rows,
     _expected_censored,
+    _run_block,
+    _sample_block,
 )
 from cifpoint.variance import VarianceKind
 
@@ -157,6 +169,14 @@ class TestScenario:
             tiny(p=0.0)
         with pytest.raises(ValueError):
             tiny(reps=0)
+        for bad in (math.nan, 0.0, -1.0, math.inf):
+            with pytest.raises(ValueError, match="t_fixed"):
+                tiny(t_fixed=bad)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta"):
+                tiny(beta=bad)
+        with pytest.raises(ValueError, match="master_seed"):
+            tiny(master_seed=-1)
 
 
 class TestRunScenario:
@@ -238,6 +258,18 @@ class TestRunScenario:
         for test in TEST_IDS:
             assert res.excluded[test] == (20 if test.startswith("aalen_") else 0)
 
+    def test_negative_variance_stops_the_run(self, monkeypatch):
+        # one replication's Aalen variance below round-off is a fault,
+        # not an exclusion
+        def negative_in_row_3(terms):
+            values = np.full(terms[0].shape[:-1], 0.01)
+            values[3] = -1e-9
+            return values
+
+        monkeypatch.setitem(cifpoint.variance._ESTIMATORS, VarianceKind.AALEN, negative_in_row_3)
+        with pytest.raises(NumericalError, match="aalen variance is negative: -1e-09"):
+            run_scenario(tiny(reps=20))
+
     def test_per_group_censoring_runs(self):
         res = run_scenario(tiny(censor_fraction=0.3, reps=50), per_group_censoring=True)
         assert set(res.rejections) == set(TEST_IDS)
@@ -263,6 +295,24 @@ def public_call(test, tables, data, t):
         link = LinkKind.CLOGLOG if method == "pseudo-llog" else LinkKind.LOGIT
         return pseudo_test(data, 1, t, link)
     return two_sample_test(*tables, 1, t, TransformKind(method), VarianceKind(variance))
+
+
+def assert_same_result(got, want, rel=1e-12):
+    """`got` equals `want` with estimates and effects bit for bit;
+    variances, statistics and p-values, which a block of rows may sum
+    in another order, agree to `rel`."""
+    def close(a, b):
+        return math.isclose(a, b, rel_tol=rel, abs_tol=0.0)
+
+    assert dataclasses.replace(got, statistic=0.0, p_value=0.0, groups=()) == \
+        dataclasses.replace(want, statistic=0.0, p_value=0.0, groups=())
+    assert [(g.group, g.estimate) for g in got.groups] == \
+        [(g.group, g.estimate) for g in want.groups]
+    for a, b in zip(got.groups, want.groups):
+        assert (a.variance is None) == (b.variance is None)
+        assert a.variance is None or close(a.variance, b.variance)
+    assert close(got.statistic, want.statistic), (got.statistic, want.statistic)
+    assert close(got.p_value, want.p_value), (got.p_value, want.p_value)
 
 
 def assert_battery_matches_public_calls(groups, tables, data, t):
@@ -357,6 +407,118 @@ class TestBattery:
             run_battery(groups, 1, t, ["pseudo_llog"])
 
 
+def public_outcomes(groups, t):
+    """Each test's (result, error) from its public call on one data set
+    of two groups, with the data set's pooled pseudo-values."""
+    tables = tuple(event_table_from_arrays(ts, ss, g, (1,)) for g, ts, ss in groups)
+    data = Dataset(tuple(SubjectRecord(float(x), int(st), g)
+                         for g, ts, ss in groups for x, st in zip(ts, ss)))
+    outcomes = {}
+    for test in TEST_IDS:
+        try:
+            outcomes[test] = public_call(test, tables, data, t), None
+        except CifPointError as exc:
+            outcomes[test] = None, exc
+    return outcomes, pseudo_values(data, 1, [t]).values[:, 0]
+
+
+@st.composite
+def row_blocks(draw):
+    """R data sets of two groups as (R, n_g) rows, with times on a grid
+    of eighths (ties, and censorings at failure times) and a horizon on
+    a grid of sixteenths, from before the first failure to past the
+    last."""
+    rows = draw(st.integers(1, 6))
+
+    def group():
+        n = draw(st.integers(2, 10))
+        times = draw(st.lists(st.lists(st.integers(1, 16), min_size=n, max_size=n),
+                              min_size=rows, max_size=rows))
+        statuses = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                                 min_size=rows, max_size=rows))
+        return np.array(times) / 8.0, np.array(statuses)
+
+    return group(), group(), draw(st.integers(1, 36)) / 16.0
+
+
+class TestEngine:
+    """The battery over (R, n) rows, against the public tests row by row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(row_blocks())
+    def test_rows_match_public_tests(self, block):
+        (times1, statuses1), (times2, statuses2), t = block
+        groups = [("1", times1, statuses1), ("2", times2, statuses2)]
+        columns = _battery_rows(groups, 1, t)
+        assert list(columns) == list(TEST_IDS)
+        theta = _pooled_pseudo(np.concatenate((times1, times2), axis=-1),
+                               np.concatenate((statuses1, statuses2), axis=-1),
+                               1, np.array([t]))[..., 0]
+        for r in range(times1.shape[0]):
+            row = [(label, times[r], statuses[r]) for label, times, statuses in groups]
+            public, pseudo = public_outcomes(row, t)
+            assert np.array_equal(theta[r], pseudo)
+            for test, rows in columns.items():
+                want, error = public[test]
+                try:
+                    got, got_error = rows.result(r, ("1", "2"), 1, t), None
+                except CifPointError as exc:
+                    got, got_error = None, exc
+                assert type(got_error) is type(error), (test, r, got_error, error)
+                if error is None:
+                    assert_same_result(got, want)
+                elif not isinstance(error, NumericalError):
+                    # a negative variance's message quotes the variance
+                    assert str(got_error) == str(error)
+
+    @pytest.mark.parametrize("bounds", [(1.3, 1.3), (0.9, 2.2), (math.inf, math.inf)],
+                             ids=["shared", "per-group", "uncensored"])
+    def test_block_sampler_equals_sample_group(self, bounds):
+        s = tiny(n1=7, n2=11, beta=0.4, reps=30, master_seed=5)
+        (_, times1, statuses1), (_, times2, statuses2) = _sample_block(s, 4, 30, bounds)
+        for row, rep in enumerate(range(4, 30)):
+            rng = np.random.Generator(np.random.Philox(key=[5, rep]))
+            for times, statuses, (n, z, bound) in ((times1, statuses1, (7, 0, bounds[0])),
+                                                   (times2, statuses2, (11, 1, bounds[1]))):
+                want_times, want_statuses = sample_group(n, 0.4, z, 0.66, rng, bound)
+                assert np.array_equal(times[row], want_times)
+                assert np.array_equal(statuses[row], want_statuses)
+
+    def test_any_split_gives_the_same_counts(self, monkeypatch):
+        s = tiny(n1=6, n2=6, t_fixed=0.08, reps=40)
+        bounds = (1.0, 1.0)
+        whole = _run_block((s, 0, s.reps, bounds))
+        assert any(any(counts.values()) for counts in whole[1].values())
+        # blocks of five replications, so that splits fall inside and
+        # across blocks
+        monkeypatch.setattr(cifpoint.simulation, "_BLOCK_CELLS", 5 * (s.n1 + s.n2))
+        for cut in (0, 1, 5, 7, 20, 39, 40):
+            parts = [_run_block((s, a, b, bounds)) for a, b in ((0, cut), (cut, s.reps))]
+            rejections = {test: sum(rej[test] for rej, _ in parts) for test in TEST_IDS}
+            reasons = {test: {error: sum(reas[test][error] for _, reas in parts)
+                              for error in whole[1][test]}
+                       for test in TEST_IDS}
+            assert (rejections, reasons) == whole
+
+    @pytest.mark.parametrize("n, t", [(6, 0.08), (25, 0.1)])
+    def test_reasons_match_public_replay(self, n, t):
+        s = Scenario(n1=n, n2=n, beta=0.0, censor_fraction=0.3, t_fixed=t, reps=150,
+                     master_seed=20180612)
+        bound = calibrate_censoring(s.beta, s.p, (n, n), s.censor_fraction)
+        want = {}
+        for rep in range(s.reps):
+            rng = np.random.Generator(np.random.Philox(key=[s.master_seed, rep]))
+            groups = [("1", *sample_group(n, s.beta, 0, s.p, rng, bound)),
+                      ("2", *sample_group(n, s.beta, 1, s.p, rng, bound))]
+            for test, (_, error) in public_outcomes(groups, t)[0].items():
+                if error is not None:
+                    want.setdefault(test, Counter())[type(error).__name__] += 1
+        res = run_scenario(s)
+        assert res.reasons == {test: dict(counts) for test, counts in want.items()}
+        assert res.excluded == {test: sum(want.get(test, {}).values()) for test in TEST_IDS}
+        assert {"NotEstimable", "SeparationDetected"} <= set().union(*res.reasons.values())
+
+
 class TestScenarioFile:
     def test_cross_product(self, tmp_path):
         path = tmp_path / "grid.cfg"
@@ -442,7 +604,20 @@ class TestResultsIo:
         assert entry["scenario"]["n1"] == 40
         assert set(entry["tests"]) == set(TEST_IDS)
         one = entry["tests"]["gaynor_llog"]
-        assert {"rejections", "valid", "rate", "excluded"} <= set(one)
+        assert {"rejections", "valid", "rate", "excluded", "reasons"} <= set(one)
+
+    def test_reasons_reported_in_json_and_not_in_csv(self, tmp_path):
+        res = run_scenario(tiny(n1=6, n2=6, t_fixed=0.08, reps=100))
+        assert res.reasons
+        doc = json.loads(results_to_json([res]))
+        assert {test: entry["reasons"] for test, entry in doc[0]["tests"].items()
+                if entry["reasons"]} == res.reasons
+        path = tmp_path / "res.csv"
+        write_results_csv([res], path)
+        (back,) = read_results_csv(path)
+        assert back.reasons == {}
+        # the reasons take no part in equality
+        assert back == res
 
     def test_read_rejects_incomplete(self, results, tmp_path):
         path = tmp_path / "res.csv"

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cifpoint.data import build_event_table, event_table_from_arrays
-from cifpoint.errors import NumericalError
+from cifpoint.errors import DegenerateRiskSet, NumericalError, _first_error
+from cifpoint.estimation import _aalen_johansen
 from cifpoint.variance import (
+    _ESTIMATORS,
     VarianceKind,
+    _variance,
     aalen_variance,
     cif_variance,
     gaynor_variance,
-    _clamped,
 )
 
 from conftest import horizons, random_dataset, subject_columns
@@ -95,13 +97,38 @@ class TestShape:
 
 
 class TestGuards:
-    def test_clamp_tolerates_tiny_negative(self):
-        assert _clamped(-1e-15, "test") == 0.0
-        assert _clamped(0.5, "test") == 0.5
+    @staticmethod
+    def rows_with_variances(monkeypatch, values):
+        # one row of terms per value, the estimator made to return them
+        monkeypatch.setitem(_ESTIMATORS, VarianceKind.AALEN, lambda terms: np.array(values))
+        terms = [np.ones((len(values), 3))] * 5
+        return _variance(VarianceKind.AALEN, terms)
 
-    def test_clamp_rejects_large_negative(self):
-        with pytest.raises(NumericalError):
-            _clamped(-1e-12, "test")
+    def test_clamp_tolerates_tiny_negative(self, monkeypatch):
+        values, checks = self.rows_with_variances(monkeypatch, [-1e-15, 0.5, -0.0])
+        assert values.tolist() == [0.0, 0.5, -0.0]
+        assert all(_first_error(checks, i) is None for i in range(3))
+
+    def test_clamp_rejects_large_negative(self, monkeypatch):
+        # only the row below round-off fails, with its own value
+        values, checks = self.rows_with_variances(monkeypatch, [0.5, -1e-12, -1e-15])
+        assert [type(_first_error(checks, i)) for i in range(3)] == \
+            [type(None), NumericalError, type(None)]
+        assert str(_first_error(checks, 1)) == "aalen variance is negative: -1e-12"
+        assert values[0] == 0.5 and values[2] == 0.0
+
+    def test_degenerate_row_fails_alone(self, monkeypatch):
+        # a zero denominator under a nonzero numerator marks its row
+        # only: row 1 has one at risk and, impossibly, two failures
+        a = np.array([[5.0, 3.0], [1.0, 1.0]])
+        d = np.array([[1.0, 1.0], [0.0, 2.0]])
+        dk = d.copy()
+        s_prev, _, inc = _aalen_johansen(a, d, dk)
+        aalen = _ESTIMATORS[VarianceKind.AALEN]((a, d, dk, s_prev, inc))
+        assert np.isfinite(aalen[0]) and np.isnan(aalen[1])
+        values, checks = self.rows_with_variances(monkeypatch, [0.5, np.nan])
+        assert _first_error(checks, 0) is None
+        assert isinstance(_first_error(checks, 1), DegenerateRiskSet)
 
     def test_exhausted_risk_set_ok_when_nothing_follows(self):
         # the last subject fails: a-d hits 0 at the final knot, but no
