@@ -286,6 +286,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     scenarios = parse_scenarios(args.scenario)
     if args.reps is not None or args.seed is not None:
         from dataclasses import replace

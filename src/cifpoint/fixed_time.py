@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import EventTable
 from .errors import NotEstimable, ZeroVariance, _Check, _first_error
-from .variance import VarianceKind, _table_summaries, estimate_and_variances
+from .variance import VarianceKind, _table_summaries
 
 __all__ = [
     "TransformKind",
@@ -173,31 +173,18 @@ def chi2_pvalue(x: float, df: int) -> float:
     return tail
 
 
-def _transformed(estimate: float, variance, kind: TransformKind):
-    """(phi(I), V[phi(I)]); a variance given as the error that stopped
-    it is raised here, ahead of the transform's own checks."""
-    if isinstance(variance, Exception):
-        raise variance
-    scale = _scale(estimate, kind)
-    return scale.phi(estimate), variance / scale.divisor(estimate)
-
-
-def _point(table: EventTable, cause: int, t: float, variance: VarianceKind):
-    estimate, variances = estimate_and_variances(table, cause, t)
-    return estimate, variances[variance]
-
-
 @dataclass(frozen=True)
 class _Rows:
-    """One df = 1 test over R rows of data: per row its statistic,
-    effect and group pieces, and the checks in the order they are made.
+    """One test of K groups over R rows of data, with K - 1 degrees of
+    freedom: per row its statistic, effect (None for the quadratic
+    form) and group pieces, and the checks in the order they are made.
     A row's first failing check excludes it; a row that fails none is
     valid, and only valid rows' numbers mean anything."""
 
     method: str
     variance: str | None
     statistic: np.ndarray
-    effect: np.ndarray
+    effect: np.ndarray | None
     estimates: tuple[np.ndarray, ...]
     variances: tuple[np.ndarray, ...] | None
     checks: tuple[_Check, ...]
@@ -216,18 +203,19 @@ class _Rows:
         if error is not None:
             raise error
         stat = float(self.statistic[i])
+        df = len(self.estimates) - 1
         variances = self.variances or (None,) * len(groups)
         return FixedTimeTestResult(
             statistic=stat,
-            df=1,
-            p_value=chi2_pvalue(stat, 1),
+            df=df,
+            p_value=chi2_pvalue(stat, df),
             time=t,
             cause=int(cause),
             method=self.method,
             variance=self.variance,
             groups=tuple(GroupSummary(g, float(e[i]), None if v is None else float(v[i]))
                          for g, e, v in zip(groups, self.estimates, variances)),
-            effect=float(self.effect[i]),
+            effect=None if self.effect is None else float(self.effect[i]),
         )
 
 
@@ -240,11 +228,12 @@ def _map(f: Callable[[float], float], x: np.ndarray, where: np.ndarray) -> np.nd
     return out
 
 
-def _two_sample_rows(points, t: float, kind: TransformKind, variance: VarianceKind) -> _Rows:
-    """Two-group statistic over R rows from each group's (estimates,
-    (variances, checks)).  Each group's variance checks come before its
-    estimate's domain, the first group before the second, and both
-    before a zero variance under a nonzero difference."""
+def _transformed_rows(points, kind: TransformKind):
+    """Each group's phi and delta-method variance over R rows from its
+    (estimates, (variances, checks)), NaN where the estimate is outside
+    the transform's domain, and the checks in the order they are made:
+    each group's variance checks before its estimate's domain, group by
+    group."""
     scale = _SCALES[kind]
     checks, phis, ws = [], [], []
     for estimate, (var, var_checks) in points:
@@ -255,6 +244,14 @@ def _two_sample_rows(points, t: float, kind: TransformKind, variance: VarianceKi
             lambda i, e=estimate: f"transform {kind.value!r} is undefined at estimate {float(e[i])!r}"))
         phis.append(_map(scale.phi, estimate, inside))
         ws.append(var / _map(scale.divisor, estimate, inside))
+    return checks, phis, ws
+
+
+def _two_sample_rows(points, t: float, kind: TransformKind, variance: VarianceKind) -> _Rows:
+    """Two-group statistic over R rows, after the per-group checks of
+    `_transformed_rows`: a zero variance under a nonzero difference
+    fails a row."""
+    checks, phis, ws = _transformed_rows(points, kind)
     effect = phis[0] - phis[1]
     num = effect**2
     den = ws[0] + ws[1]
@@ -268,34 +265,35 @@ def _two_sample_rows(points, t: float, kind: TransformKind, variance: VarianceKi
                  tuple(e for e, _ in points), tuple(v for _, (v, _) in points), tuple(checks))
 
 
-def _k_sample(groups, points, cause: int, t: float, kind: TransformKind,
-              variance: VarianceKind) -> FixedTimeTestResult:
-    """Quadratic-form statistic from each group's (estimate, variance)."""
-    phi, w = np.array([_transformed(e, v, kind) for e, v in points]).T
-    contrasts = phi[0] - phi[1:]
-    cov = np.full((len(points) - 1, len(points) - 1), w[0])
-    cov[np.diag_indices_from(cov)] = w[0] + w[1:]
-    try:
-        stat = float(contrasts @ np.linalg.solve(cov, contrasts))
-    except np.linalg.LinAlgError:
-        if np.all(contrasts == 0.0):
-            stat = 0.0
-        else:
-            raise ZeroVariance(
-                f"groups differ at t={t!r} but the contrast covariance is singular"
-            ) from None
-    stat = max(stat, 0.0)
-    df = len(points) - 1
-    return FixedTimeTestResult(
-        statistic=stat,
-        df=df,
-        p_value=chi2_pvalue(stat, df),
-        time=t,
-        cause=int(cause),
-        method=kind.value,
-        variance=variance.value,
-        groups=tuple(GroupSummary(g, e, v) for g, (e, v) in zip(groups, points)),
-    )
+def _k_sample_rows(points, t: float, kind: TransformKind, variance: VarianceKind) -> _Rows:
+    """Quadratic-form statistic of K >= 2 groups over R rows, after the
+    per-group checks of `_transformed_rows`: a singular contrast
+    covariance under nonzero contrasts fails a row.  Each valid row is
+    solved on its own."""
+    checks, phis, ws = _transformed_rows(points, kind)
+    phi, w = np.array(phis), np.array(ws)
+    failed = np.logical_or.reduce([check.fails for check in checks])
+    statistic = np.zeros(phi.shape[1])
+    singular = np.zeros(phi.shape[1], bool)
+    for i in np.flatnonzero(~failed):
+        contrasts = phi[0, i] - phi[1:, i]
+        cov = np.full((len(points) - 1, len(points) - 1), w[0, i])
+        cov[np.diag_indices_from(cov)] = w[0, i] + w[1:, i]
+        try:
+            statistic[i] = max(float(contrasts @ np.linalg.solve(cov, contrasts)), 0.0)
+        except np.linalg.LinAlgError:
+            singular[i] = np.any(contrasts != 0.0)
+    checks.append(_Check(
+        ZeroVariance, singular,
+        lambda i: f"groups differ at t={t!r} but the contrast covariance is singular"))
+    return _Rows(kind.value, variance.value, statistic, None,
+                 tuple(e for e, _ in points), tuple(v for _, (v, _) in points), tuple(checks))
+
+
+def _table_points(tables, cause: int, t: float, variance: VarianceKind):
+    """Each table's one-row (estimates, (variances, checks)) at `t`."""
+    return [(estimate, variances[variance])
+            for estimate, variances in (_table_summaries(tb, cause, t) for tb in tables)]
 
 
 def two_sample_test(table1: EventTable, table2: EventTable, cause: int, t: float,
@@ -303,11 +301,8 @@ def two_sample_test(table1: EventTable, table2: EventTable, cause: int, t: float
                     variance: VarianceKind = VarianceKind.GAYNOR) -> FixedTimeTestResult:
     """Chi-squared comparison of two groups' incidence of `cause` at `t`."""
     variance = VarianceKind(variance)
-    points = []
-    for table in (table1, table2):
-        estimate, variances = _table_summaries(table, cause, t)
-        points.append((estimate, variances[variance]))
-    rows = _two_sample_rows(points, float(t), TransformKind(kind), variance)
+    rows = _two_sample_rows(_table_points((table1, table2), cause, t, variance),
+                            float(t), TransformKind(kind), variance)
     return rows.result(0, (table1.group, table2.group), cause, float(t))
 
 
@@ -325,9 +320,9 @@ def k_sample_test(tables, cause: int, t: float,
     if len(tables) < 2:
         raise ValueError("k_sample_test needs at least two groups")
     variance = VarianceKind(variance)
-    points = [_point(tb, cause, t, variance) for tb in tables]
-    return _k_sample([tb.group for tb in tables], points, cause, float(t),
-                     TransformKind(kind), variance)
+    rows = _k_sample_rows(_table_points(tables, cause, t, variance),
+                          float(t), TransformKind(kind), variance)
+    return rows.result(0, [tb.group for tb in tables], cause, float(t))
 
 
 def pointwise_ci(table: EventTable, cause: int, t: float,
@@ -339,7 +334,12 @@ def pointwise_ci(table: EventTable, cause: int, t: float,
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level!r}")
     kind = TransformKind(kind)
-    phi, w = _transformed(*_point(table, cause, t, VarianceKind(variance)), kind)
+    checks, (phi,), (w,) = _transformed_rows(
+        _table_points((table,), cause, t, VarianceKind(variance)), kind)
+    error = _first_error(checks, 0)
+    if error is not None:
+        raise error
+    phi, w = float(phi[0]), float(w[0])
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * math.sqrt(w)
     ends = sorted(

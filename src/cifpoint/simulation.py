@@ -30,7 +30,8 @@ over the block.  A block holds at most _BLOCK_CELLS subjects in all,
 R (n1 + n2) <= 2**18, which bounds its arrays to a few megabytes
 whatever the scenario; the replication range is cut into such blocks
 and the counts summed, so the counts do not depend on where it is
-cut.  `run_battery` is the same engine with one row per group.
+cut.  `run_battery` is the same engine at R = 1, for any number of
+groups; a test's exclusion is its row's first failing check.
 """
 
 from __future__ import annotations
@@ -56,13 +57,13 @@ from .estimation import _finite_horizon, _row_terms
 from .fixed_time import (
     FixedTimeTestResult,
     TransformKind,
-    _k_sample,
+    _k_sample_rows,
     _Rows,
     _two_sample_rows,
     chi2_pvalue,
 )
 from .pseudo import PSEUDO_METHODS, _group_moments, _pooled_pseudo, _saturated_rows
-from .variance import VarianceKind, _scalar, _summaries
+from .variance import VarianceKind, _summaries
 
 __all__ = [
     "TEST_IDS",
@@ -114,14 +115,17 @@ class BatteryOutcome:
 
 
 def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> dict[str, _Rows]:
-    """The requested tests of the battery for two groups over R data
-    sets at once, in TEST_IDS order.
+    """The requested tests of the battery over R data sets at once, in
+    TEST_IDS order.
 
-    `groups` holds two (label, times, statuses) with (R, n_g) arrays;
-    row r of both is one data set.  Each group's estimate and both
-    variances come from one pass over its sorted rows, and the pooled
-    pseudo-values, with the first group as x = 1, once for both links.
+    `groups` holds one (label, times, statuses) per group with (R, n_g)
+    arrays; row r of every group is one data set.  Each group's
+    estimate and both variances come from one pass over its sorted
+    rows.  Two groups are compared by the two-sample statistic, more by
+    the quadratic form.  The pseudo-value tests take exactly two
+    groups, pooled once for both links with the first group as x = 1.
     """
+    builder = _two_sample_rows if len(groups) == 2 else _k_sample_rows
     summaries = moments = None
     rows = {}
     for test, kind, variance in _BATTERY:
@@ -131,9 +135,9 @@ def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> dict[str, _Ro
             if summaries is None:
                 summaries = [_summaries(_row_terms(times, statuses, cause, t))
                              for _, times, statuses in groups]
-            rows[test] = _two_sample_rows([(estimate, variances[variance])
-                                           for estimate, variances in summaries],
-                                          t, kind, variance)
+            rows[test] = builder([(estimate, variances[variance])
+                                  for estimate, variances in summaries],
+                                 t, kind, variance)
         else:
             if moments is None:
                 (label1, times1, statuses1), (label0, times0, statuses0) = groups
@@ -149,14 +153,14 @@ def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> dict[str, _Ro
 def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOutcome]:
     """Run the requested tests of the battery at `t`, in TEST_IDS order.
 
-    `groups` holds one (label, times, statuses) per group.  Two groups
-    are one row of the batched battery the simulation runs; more are
-    compared as `k_sample_test` does, from the same per-group estimate
-    and variances.  The pseudo-value tests need exactly two groups;
-    their subjects are pooled in group order with the first group as
-    x = 1.  Estimates and pseudo-values equal those of
-    `two_sample_test`, `k_sample_test` and `pseudo_test` bit for bit,
-    and variances and statistics to round-off.
+    `groups` holds one (label, times, statuses) per group; the battery
+    is one row of the batched one the simulation runs, comparing two
+    groups as `two_sample_test` does and more as `k_sample_test` does.
+    The pseudo-value tests need exactly two groups; their subjects are
+    pooled in group order with the first group as x = 1.  Estimates and
+    pseudo-values equal those of `two_sample_test`, `k_sample_test` and
+    `pseudo_test` bit for bit, and variances and statistics to
+    round-off.
     """
     unknown = set(tests) - set(TEST_IDS)
     if unknown:
@@ -171,28 +175,13 @@ def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOut
     labels = [label for label, _, _ in groups]
     columns = [(label, *(x[None] for x in _checked_columns(times, statuses)))
                for label, times, statuses in groups]
-    if len(groups) == 2:
-        rows = _battery_rows(columns, cause, t, tests)
-
-        def result(test, kind, variance):
-            return rows[test].result(0, labels, cause, t)
-    else:
-        summaries = [_summaries(_row_terms(times, statuses, cause, t))
-                     for _, times, statuses in columns]
-
-        def result(test, kind, variance):
-            points = [(float(estimate[0]), _scalar(*variances[variance]))
-                      for estimate, variances in summaries]
-            return _k_sample(labels, points, cause, t, kind, variance)
-
     outcomes = []
-    for test, kind, variance in _BATTERY:
-        if test not in tests:
-            continue
+    for test, rows in _battery_rows(columns, cause, t, tests).items():
+        method = TEST_METHODS[test]
         try:
-            outcome = BatteryOutcome(test, *TEST_METHODS[test], result(test, kind, variance), None)
+            outcome = BatteryOutcome(test, *method, rows.result(0, labels, cause, t), None)
         except (*_EXCLUDING, NumericalError) as exc:
-            outcome = BatteryOutcome(test, *TEST_METHODS[test], None, exc)
+            outcome = BatteryOutcome(test, *method, None, exc)
         outcomes.append(outcome)
     return outcomes
 
@@ -360,8 +349,12 @@ def _expected_censored(bound: float, beta: float, w2: float) -> float:
     return ((1.0 - w2) * integral(0) + w2 * integral(1)) / bound
 
 
+# how close to its target the calibrated censored fraction must come
+_CALIBRATION_TOL = 1e-4
+
+
 def calibrate_censoring(beta: float, p: float, weights: tuple[float, float],
-                        target: float, tol: float = 1e-4) -> float:
+                        target: float) -> float:
     """Uniform(0, b) bound giving an expected censored fraction `target`.
 
     `weights` are the relative sizes of the z=0 and z=1 groups; the
@@ -389,7 +382,7 @@ def calibrate_censoring(beta: float, p: float, weights: tuple[float, float],
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         frac = _expected_censored(mid, beta, w2)
-        if abs(frac - target) <= tol:
+        if abs(frac - target) <= _CALIBRATION_TOL:
             return mid
         if frac > target:
             lo = mid
@@ -570,8 +563,7 @@ def write_results_csv(results, path) -> None:
 
 def read_results_csv(path) -> list[ScenarioResult]:
     """Rebuild scenario results written by `write_results_csv`."""
-    grouped: dict[tuple, dict] = {}
-    order: list[tuple] = []
+    grouped: dict[Scenario, tuple[dict, dict]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(_CSV_COLUMNS) - set(reader.fieldnames or ())
@@ -593,19 +585,16 @@ def read_results_csv(path) -> list[ScenarioResult]:
                 counts = (int(row["rejections"]), int(row["excluded"]))
             except (ValueError, KeyError) as exc:
                 raise CifPointError(f"{path}: bad row {row!r}: {exc}") from None
-            key = scenario
-            if key not in grouped:
-                grouped[key] = {"rej": {}, "exc": {}}
-                order.append(key)
-            grouped[key]["rej"][test] = counts[0]
-            grouped[key]["exc"][test] = counts[1]
+            rejections, excluded = grouped.setdefault(scenario, ({}, {}))
+            if test in rejections:
+                raise CifPointError(f"{path}: scenario {scenario} repeats test {test!r}")
+            rejections[test], excluded[test] = counts
     results = []
-    for key in order:
-        gathered = grouped[key]
-        absent = [t for t in TEST_IDS if t not in gathered["rej"]]
+    for scenario, (rejections, excluded) in grouped.items():
+        absent = [t for t in TEST_IDS if t not in rejections]
         if absent:
-            raise CifPointError(f"{path}: scenario {key} lacks tests {absent}")
-        results.append(ScenarioResult(key, gathered["rej"], gathered["exc"]))
+            raise CifPointError(f"{path}: scenario {scenario} lacks tests {absent}")
+        results.append(ScenarioResult(scenario, rejections, excluded))
     return results
 
 

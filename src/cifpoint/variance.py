@@ -28,7 +28,6 @@ __all__ = [
     "aalen_variance",
     "gaynor_variance",
     "cif_variance",
-    "estimate_and_variances",
 ]
 
 _CLAMP = 1e-14
@@ -142,30 +141,11 @@ def _table_summaries(table: EventTable, cause: int, t: float):
     return _summaries([x[None] for x in terms])
 
 
-def _scalar(values, checks):
-    """Row 0 of a variance as a float, or as the error that fails it."""
-    error = _first_error(checks, 0)
-    return float(values[0]) if error is None else error
-
-
 def cif_variance(table: EventTable, cause: int, t: float,
                  kind: VarianceKind = VarianceKind.GAYNOR) -> float:
     """Dispatch to the requested variance estimator."""
-    kind = VarianceKind(kind)
-    variance = _scalar(*_table_summaries(table, cause, t)[1][kind])
-    if isinstance(variance, Exception):
-        raise variance
-    return variance
-
-
-def estimate_and_variances(table: EventTable, cause: int, t: float):
-    """The cause-`cause` incidence at `t` and both its variances, from
-    one pass over the table.
-
-    Returns (estimate, {VarianceKind: variance}); a variance that
-    cannot be computed is given as the DegenerateRiskSet or
-    NumericalError it raised, so that it excludes only the tests that
-    use it.
-    """
-    estimate, variances = _table_summaries(table, cause, t)
-    return float(estimate[0]), {kind: _scalar(*v) for kind, v in variances.items()}
+    values, checks = _table_summaries(table, cause, t)[1][VarianceKind(kind)]
+    error = _first_error(checks, 0)
+    if error is not None:
+        raise error
+    return float(values[0])

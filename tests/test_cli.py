@@ -388,6 +388,38 @@ class TestSimulateAndSummarize:
         assert code == 1
         assert "reps" in err and out == ""
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, grid_cfg, tmp_path, workers, monkeypatch,
+                                              capsys):
+        # it used to run serially; no scenario may start, let alone a pool
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_scenario called")
+
+        monkeypatch.setattr(cifpoint.cli, "run_scenario", refuse)
+        dest = tmp_path / "out.csv"
+        code, out, err = run(["simulate", "--scenario", str(grid_cfg), "--workers", workers,
+                              "--out", str(dest)], capsys)
+        assert code == 1
+        assert f"--workers must be at least 1, got {workers}" in err
+        assert out == "" and not dest.exists()
+
+    def test_summarize_rejects_a_repeated_test(self, tmp_path, capsys):
+        # the later row used to win silently
+        scenario = cifpoint.Scenario(n1=20, n2=20, beta=0.0, censor_fraction=0.0,
+                                     t_fixed=0.5, reps=20)
+        counts = dict.fromkeys(cifpoint.TEST_IDS, 1)
+        path = tmp_path / "results.csv"
+        cifpoint.write_results_csv([cifpoint.ScenarioResult(scenario, counts, counts)], path)
+        lines = path.read_text().splitlines()
+        (repeat,) = [line for line in lines if ",gaynor_linear," in line]
+        lines.append(repeat.replace(",gaynor_linear,1,", ",gaynor_linear,7,"))
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(["summarize-anova", "--input", str(path), "--model", "1", "--json"],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert "repeats test 'gaynor_linear'" in err and "n1=20" in err
+
     def test_summarize_missing_input(self, capsys):
         code, _, _ = run(
             ["summarize-anova", "--input", "missing.csv", "--model", "4"],

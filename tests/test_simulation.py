@@ -2,10 +2,11 @@ import dataclasses
 import json
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -18,7 +19,14 @@ from cifpoint.errors import (
     NumericalError,
     UnreachableTarget,
 )
-from cifpoint.fixed_time import TransformKind, k_sample_test, two_sample_test
+from cifpoint.estimation import cif_at, cif_estimate
+from cifpoint.fixed_time import (
+    TransformKind,
+    k_sample_test,
+    pointwise_ci,
+    transform,
+    two_sample_test,
+)
 from cifpoint.pseudo import LinkKind, _pooled_pseudo, pseudo_test, pseudo_values
 from cifpoint.simulation import (
     TEST_IDS,
@@ -39,7 +47,7 @@ from cifpoint.simulation import (
     _run_block,
     _sample_block,
 )
-from cifpoint.variance import VarianceKind
+from cifpoint.variance import VarianceKind, cif_variance
 
 from conftest import group_columns, horizons, make_dataset, subject_columns
 
@@ -333,6 +341,64 @@ def assert_battery_matches_public_calls(groups, tables, data, t):
     return seen
 
 
+# three or four groups of one to eight subjects each, as (time, status)
+# lists with times on a grid of eighths and statuses censored or one of
+# three causes
+k_groups = st.lists(st.lists(st.tuples(st.integers(1, 24).map(lambda k: k / 8.0),
+                                       st.integers(0, 3)), min_size=1, max_size=8),
+                    min_size=3, max_size=4)
+# estimates 1, 1 and 0 with zero variances at t=0.25: a singular contrast
+# covariance on the identity scale, and estimates outside the log's and
+# the log-log's domains
+SINGULAR_AND_UNDEFINED = ([[(0.125, 1)], [(0.125, 1)], [(0.125, 0)]], 0.25, False)
+# the first group's estimate is 0 at t=0.25 after a cause-2 failure, so
+# its Aalen variance (made negative) and its log transform both fail
+VARIANCE_BEFORE_DOMAIN = ([[(0.125, 2), (0.5, 1)], [(0.125, 1), (0.25, 0)],
+                           [(0.125, 1), (0.375, 1)]], 0.25, True)
+
+
+def negative_aalen(terms):
+    """-1 for every row with a failure by its horizon, 0 elsewhere."""
+    return np.where(terms[1].sum(axis=-1) > 0, -1.0, 0.0)
+
+
+def assert_k_groups_match_public_calls(subjects, t, aalen_negative):
+    """Each transform test of `run_battery` on three or more groups
+    equals `k_sample_test`, or both raise the same error, and each
+    group's `pointwise_ci` raises its variance's error, else its
+    estimate's domain error, else gives an interval.  With
+    `aalen_negative` every Aalen variance with a failure behind it is
+    -1.  Returns the (type name, message) of every error seen."""
+    groups = [(str(g), np.array([x for x, _ in rows]), np.array([s for _, s in rows]))
+              for g, rows in enumerate(subjects)]
+    tables = [event_table_from_arrays(ts, ss, g, (1, 2, 3)) for g, ts, ss in groups]
+    patch = {VarianceKind.AALEN: negative_aalen} if aalen_negative else {}
+    seen = set()
+    with mock.patch.dict(cifpoint.variance._ESTIMATORS, patch):
+        for o in run_battery(groups, 1, t, tests=TEST_IDS[:10]):
+            kind, variance = TransformKind(o.method), VarianceKind(o.variance)
+            if o.error is None:
+                assert k_sample_test(tables, 1, t, kind, variance) == o.result
+            else:
+                with pytest.raises(type(o.error)) as info:
+                    k_sample_test(tables, 1, t, kind, variance)
+                assert str(info.value) == str(o.error)
+                seen.add((type(o.error).__name__, str(o.error)))
+            for table in tables:
+                try:
+                    cif_variance(table, 1, t, variance)
+                    transform(float(cif_at(cif_estimate(table, 1), t)), kind)
+                except CifPointError as exc:
+                    with pytest.raises(type(exc)) as info:
+                        pointwise_ci(table, 1, t, kind, variance)
+                    assert str(info.value) == str(exc)
+                    seen.add((type(exc).__name__, str(exc)))
+                else:
+                    low, high = pointwise_ci(table, 1, t, kind, variance)
+                    assert 0.0 <= low <= high <= 1.0
+    return seen
+
+
 class TestBattery:
     @pytest.mark.parametrize("seed, n1, n2, bound, t", [
         (1, 40, 40, 2.0, 0.5),
@@ -384,6 +450,24 @@ class TestBattery:
                                              VarianceKind(variance))
         with pytest.raises(ValueError):
             run_battery(groups, 1, 0.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k_groups, horizons, st.booleans())
+    @example(*SINGULAR_AND_UNDEFINED)
+    @example(*VARIANCE_BEFORE_DOMAIN)
+    def test_more_groups_match_k_sample_test_or_its_error(self, subjects, t, aalen_negative):
+        assert_k_groups_match_public_calls(subjects, t, aalen_negative)
+
+    def test_k_group_examples_reach_every_check(self):
+        messages = (assert_k_groups_match_public_calls(*SINGULAR_AND_UNDEFINED)
+                    | assert_k_groups_match_public_calls(*VARIANCE_BEFORE_DOMAIN))
+        assert ("NotEstimable", "transform 'log' is undefined at estimate 0.0") in messages
+        assert ("ZeroVariance", "groups differ at t=0.25 but the contrast covariance is "
+                                "singular") in messages
+        # the estimate 0 at t=0.25 is outside the log's domain too, but
+        # the variance is checked first
+        assert ("NumericalError", "aalen variance is negative: -1.0") in messages
+        assert ("NotEstimable", "transform 'llog' is undefined at estimate 0.0") in messages
 
     def test_argument_validation(self):
         groups, _, _ = draw(1, 40, 40, 2.0)
