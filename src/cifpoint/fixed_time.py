@@ -9,7 +9,10 @@ the squared standardized difference to a chi-squared law:
 with V[phi(I)] = phi'(I)^2 V[I] by the delta method.  Five transforms
 are supported; the identity keeps the raw scale, the others pull the
 estimate away from the [0, 1] boundary where the normal approximation
-is poor.  A quadratic-form version handles more than two groups.
+is poor.  For K groups the statistic is the quadratic form of the
+contrasts against the first group, with K - 1 degrees of freedom, in
+closed form; X2 above is its K = 2 case.  `_wald` builds it for every
+test, the pseudo-value tests included.
 
 Each transform is one entry of the table `_SCALES`, which also gives
 `pseudo.py` its links.
@@ -19,7 +22,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 from statistics import NormalDist
 from typing import Callable, NamedTuple
 
@@ -122,7 +128,7 @@ _SCALES = {
 def _scale(p: float, kind: TransformKind) -> _Scale:
     """The entry of `kind`, refusing an estimate outside its domain."""
     scale = _SCALES[kind]
-    if p <= scale.low or p >= scale.high:
+    if not scale.low < p < scale.high:
         raise NotEstimable(f"transform {kind.value!r} is undefined at estimate {p!r}")
     return scale
 
@@ -135,13 +141,15 @@ def transform(p: float, kind: TransformKind) -> float:
 
 def transform_variance(p: float, v: float, kind: TransformKind) -> float:
     """Delta-method variance of phi(p) given Var[p] = v."""
-    if v < 0.0:
+    if not v >= 0.0:
         raise ValueError(f"variance must be >= 0, got {v!r}")
     return v / _scale(p, TransformKind(kind)).divisor(p)
 
 
 def inverse_transform(y: float, kind: TransformKind) -> float:
     """phi^{-1}(y), mapped back into [0, 1]."""
+    if math.isnan(y):
+        raise ValueError("cannot invert a transformed value of nan")
     return _SCALES[TransformKind(kind)].inverse(y)
 
 
@@ -157,7 +165,7 @@ def chi2_pvalue(x: float, df: int) -> float:
     """
     if df != int(df) or df < 1:
         raise ValueError(f"df must be an integer >= 1, got {df!r}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"statistic must be >= 0, got {x!r}")
     y = x / 2.0
     if y == 0.0:
@@ -176,8 +184,8 @@ def chi2_pvalue(x: float, df: int) -> float:
 @dataclass(frozen=True)
 class _Rows:
     """One test of K groups over R rows of data, with K - 1 degrees of
-    freedom: per row its statistic, effect (None for the quadratic
-    form) and group pieces, and the checks in the order they are made.
+    freedom: per row its statistic, effect (None beyond two groups) and
+    group pieces, and the checks in the order they are made.
     A row's first failing check excludes it; a row that fails none is
     valid, and only valid rows' numbers mean anything."""
 
@@ -247,47 +255,36 @@ def _transformed_rows(points, kind: TransformKind):
     return checks, phis, ws
 
 
-def _two_sample_rows(points, t: float, kind: TransformKind, variance: VarianceKind) -> _Rows:
-    """Two-group statistic over R rows, after the per-group checks of
-    `_transformed_rows`: a zero variance under a nonzero difference
-    fails a row."""
-    checks, phis, ws = _transformed_rows(points, kind)
-    effect = phis[0] - phis[1]
-    num = effect**2
-    den = ws[0] + ws[1]
-    zero = den == 0.0
-    checks.append(_Check(
-        ZeroVariance, zero & (num != 0.0),
-        lambda i: f"groups differ at t={t!r} but both transformed variances are zero"))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        statistic = np.where(zero, 0.0, num / den)
-    return _Rows(kind.value, variance.value, statistic, effect,
-                 tuple(e for e, _ in points), tuple(v for _, (v, _) in points), tuple(checks))
+def _wald(points, t: float, kind: TransformKind):
+    """The Wald statistic of K >= 2 groups over R rows from their
+    (estimates, (variances, checks)), with the effect phi_1 - phi_2 at
+    K = 2 (else None) and the checks of `_transformed_rows` followed by
+    one for a singular contrast covariance under unequal phis.
 
-
-def _k_sample_rows(points, t: float, kind: TransformKind, variance: VarianceKind) -> _Rows:
-    """Quadratic-form statistic of K >= 2 groups over R rows, after the
-    per-group checks of `_transformed_rows`: a singular contrast
-    covariance under nonzero contrasts fails a row.  Each valid row is
-    solved on its own."""
+    The quadratic form of the contrasts against group 1, whose
+    covariance has w_1 off the diagonal and w_1 + w_g on it, is N / D
+    with D = sum_g prod_{h != g} w_h and
+    N = sum_{g < h} (phi_g - phi_h)^2 prod_{l not in {g, h}} w_l;
+    at K = 2 it is (phi_1 - phi_2)^2 / (w_1 + w_2).  D is 0 exactly when
+    two or more w are, which is when the covariance is singular."""
     checks, phis, ws = _transformed_rows(points, kind)
-    phi, w = np.array(phis), np.array(ws)
-    failed = np.logical_or.reduce([check.fails for check in checks])
-    statistic = np.zeros(phi.shape[1])
-    singular = np.zeros(phi.shape[1], bool)
-    for i in np.flatnonzero(~failed):
-        contrasts = phi[0, i] - phi[1:, i]
-        cov = np.full((len(points) - 1, len(points) - 1), w[0, i])
-        cov[np.diag_indices_from(cov)] = w[0, i] + w[1:, i]
-        try:
-            statistic[i] = max(float(contrasts @ np.linalg.solve(cov, contrasts)), 0.0)
-        except np.linalg.LinAlgError:
-            singular[i] = np.any(contrasts != 0.0)
+    den = reduce(operator.add, [reduce(operator.mul, ws[:g] + ws[g + 1:]) for g in range(len(ws))])
+    num = reduce(operator.add, [reduce(operator.mul, ws[:g] + ws[g + 1:h] + ws[h + 1:],
+                                       (phis[g] - phis[h]) ** 2)
+                                for g, h in combinations(range(len(ws)), 2)])
+    singular = den == 0.0
     checks.append(_Check(
-        ZeroVariance, singular,
+        ZeroVariance, singular & reduce(operator.or_, [phi != phis[0] for phi in phis[1:]]),
         lambda i: f"groups differ at t={t!r} but the contrast covariance is singular"))
-    return _Rows(kind.value, variance.value, statistic, None,
-                 tuple(e for e, _ in points), tuple(v for _, (v, _) in points), tuple(checks))
+    statistic = np.divide(num, den, out=np.zeros_like(den), where=~singular)
+    return statistic, phis[0] - phis[1] if len(phis) == 2 else None, tuple(checks)
+
+
+def _test_rows(points, t: float, kind: TransformKind, variance: VarianceKind) -> _Rows:
+    """One transform test of K groups over R rows, by `_wald`."""
+    statistic, effect, checks = _wald(points, t, kind)
+    return _Rows(kind.value, variance.value, statistic, effect,
+                 tuple(e for e, _ in points), tuple(v for _, (v, _) in points), checks)
 
 
 def _table_points(tables, cause: int, t: float, variance: VarianceKind):
@@ -299,29 +296,28 @@ def _table_points(tables, cause: int, t: float, variance: VarianceKind):
 def two_sample_test(table1: EventTable, table2: EventTable, cause: int, t: float,
                     kind: TransformKind = TransformKind.LOGLOG,
                     variance: VarianceKind = VarianceKind.GAYNOR) -> FixedTimeTestResult:
-    """Chi-squared comparison of two groups' incidence of `cause` at `t`."""
-    variance = VarianceKind(variance)
-    rows = _two_sample_rows(_table_points((table1, table2), cause, t, variance),
-                            float(t), TransformKind(kind), variance)
-    return rows.result(0, (table1.group, table2.group), cause, float(t))
+    """Chi-squared comparison of two groups' incidence of `cause` at `t`:
+    `k_sample_test` on the two tables."""
+    return k_sample_test((table1, table2), cause, t, kind, variance)
 
 
 def k_sample_test(tables, cause: int, t: float,
                   kind: TransformKind = TransformKind.LOGLOG,
                   variance: VarianceKind = VarianceKind.GAYNOR) -> FixedTimeTestResult:
-    """Quadratic-form comparison of R >= 2 groups at `t`.
+    """Quadratic-form comparison of K >= 2 groups at `t`.
 
     Contrasts are taken against the first group; their covariance has
     the first group's transformed variance off the diagonal and the sum
-    of the paired transformed variances on it.  The statistic has R - 1
-    degrees of freedom, and for R = 2 it reduces to the two-sample one.
+    of the paired transformed variances on it.  The statistic has K - 1
+    degrees of freedom, and for K = 2 it is the squared difference over
+    the summed variances (see `_wald`).
     """
     tables = list(tables)
     if len(tables) < 2:
         raise ValueError("k_sample_test needs at least two groups")
     variance = VarianceKind(variance)
-    rows = _k_sample_rows(_table_points(tables, cause, t, variance),
-                          float(t), TransformKind(kind), variance)
+    rows = _test_rows(_table_points(tables, cause, t, variance),
+                      float(t), TransformKind(kind), variance)
     return rows.result(0, [tb.group for tb in tables], cause, float(t))
 
 

@@ -22,7 +22,10 @@ g(m_1) - g(m_0) and its sandwich variance is
 
 for the link g.  `pseudo_test` uses this closed form; `gee_fit` solves
 the general several-horizon model by Newton iteration.  Both links are
-transforms of `fixed_time`: logit, and cloglog(m) = llog(1 - m).
+transforms of `fixed_time`: logit, and cloglog(m) = llog(1 - m).  The
+Wald statistic is therefore `fixed_time._wald` at K = 2, with each
+group mean on its link's scale and the squared standard error of the
+mean as its variance.
 
 The leave-one-out estimates need no refit.  Write Y_j, d_j and dk_j
 for the at-risk count, the failures and the cause-k failures at the
@@ -49,9 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import NonConvergence, SeparationDetected, ZeroVariance, _Check
+from .errors import NonConvergence, SeparationDetected, _Check
 from .estimation import _aalen_johansen, _lagged, _row_knots, _take_rows
-from .fixed_time import _SCALES, FixedTimeTestResult, TransformKind, _map, _Rows
+from .fixed_time import FixedTimeTestResult, TransformKind, _Rows, _wald, transform
 
 __all__ = [
     "LinkKind",
@@ -77,13 +80,13 @@ class LinkKind(enum.Enum):
 PSEUDO_METHODS = {LinkKind.CLOGLOG: "pseudo-llog", LinkKind.LOGIT: "pseudo-logit"}
 
 
-def _link_scale(m: float, link: LinkKind):
-    """(scale, p) with g(m) = scale.phi(p) and g'(m)^2 = 1 / scale.divisor(p):
-    logit is the LOGIT scale at m, and cloglog(m) = log(-log(1 - m)) is
-    the LOGLOG scale at 1 - m."""
+def _link_scale(m, link: LinkKind):
+    """(kind, p) with g(m) the transform `kind` at p, and g'(m)^2 its
+    delta-method factor there: logit is the logit scale at m, and
+    cloglog(m) = log(-log(1 - m)) is the log(-log) scale at 1 - m."""
     if link is LinkKind.LOGIT:
-        return _SCALES[TransformKind.LOGIT], m
-    return _SCALES[TransformKind.LOGLOG], 1.0 - m
+        return TransformKind.LOGIT, m
+    return TransformKind.LOGLOG, 1.0 - m
 
 
 def _inverse_link(eta: np.ndarray, kind: LinkKind) -> np.ndarray:
@@ -244,7 +247,7 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
             )
 
     pooled = np.clip(theta.mean(axis=0), 1e-6, 1.0 - 1e-6)
-    starts = [scale.phi(p) for scale, p in (_link_scale(mean, link) for mean in pooled)]
+    starts = [transform(p, kind) for kind, p in (_link_scale(mean, link) for mean in pooled)]
     beta = np.concatenate((starts, [0.0]))
 
     def score(b):
@@ -345,22 +348,15 @@ def _group_moments(groups, labels):
     return moments, checks
 
 
-def _saturated_rows(moments, checks, link: LinkKind) -> _Rows:
+def _saturated_rows(moments, checks, t: float, link: LinkKind) -> _Rows:
     """Wald test over R rows from the closed-form saturated fit at one
-    horizon, after the separation `checks` of `_group_moments`."""
+    horizon: `_wald` of the two group means on the link's scale, with
+    the squared standard errors as their variances and the separation
+    `checks` of `_group_moments` as their variance checks."""
     (m1, s1), (m0, s0) = moments
-    valid = ~(checks[0].fails | checks[1].fails)
-    (scale, p1), (_, p0) = _link_scale(m1, link), _link_scale(m0, link)
-    effect = _map(scale.phi, p1, valid) - _map(scale.phi, p0, valid)
-    var = s1 / _map(scale.divisor, p1, valid) + s0 / _map(scale.divisor, p0, valid)
-    zero = var == 0.0
-    zero_variance = _Check(
-        ZeroVariance, zero & (effect != 0.0),
-        lambda i: f"group effect {float(effect[i])!r} has zero sandwich variance")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        statistic = np.where(zero, 0.0, effect**2 / var)
-    return _Rows(PSEUDO_METHODS[link], None, statistic, effect, (m1, m0), None,
-                 (*checks, zero_variance))
+    (kind, p1), (_, p0) = _link_scale(m1, link), _link_scale(m0, link)
+    statistic, effect, checks = _wald([(p1, (s1, checks[:1])), (p0, (s0, checks[1:]))], t, kind)
+    return _Rows(PSEUDO_METHODS[link], None, statistic, effect, (m1, m0), None, checks)
 
 
 def pseudo_test(data: Dataset, cause: int, t: float,
@@ -378,5 +374,5 @@ def pseudo_test(data: Dataset, cause: int, t: float,
     theta = pseudo_values(data, cause, [t]).values[:, 0]
     x = data.group_indicator(data.groups[0])
     rows = _saturated_rows(*_group_moments([theta[x == 1][None], theta[x == 0][None]],
-                                           data.groups), link)
+                                           data.groups), float(t), link)
     return rows.result(0, data.groups, cause, float(t))

@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,14 +55,7 @@ from .errors import (
     ZeroVariance,
 )
 from .estimation import _finite_horizon, _row_terms
-from .fixed_time import (
-    FixedTimeTestResult,
-    TransformKind,
-    _k_sample_rows,
-    _Rows,
-    _two_sample_rows,
-    chi2_pvalue,
-)
+from .fixed_time import FixedTimeTestResult, TransformKind, _Rows, _test_rows, chi2_pvalue
 from .pseudo import PSEUDO_METHODS, _group_moments, _pooled_pseudo, _saturated_rows
 from .variance import VarianceKind, _summaries
 
@@ -121,11 +115,10 @@ def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> dict[str, _Ro
     `groups` holds one (label, times, statuses) per group with (R, n_g)
     arrays; row r of every group is one data set.  Each group's
     estimate and both variances come from one pass over its sorted
-    rows.  Two groups are compared by the two-sample statistic, more by
-    the quadratic form.  The pseudo-value tests take exactly two
-    groups, pooled once for both links with the first group as x = 1.
+    rows.  Every test's statistic is `fixed_time._wald` for any number
+    of groups.  The pseudo-value tests take exactly two groups, pooled
+    once for both links with the first group as x = 1.
     """
-    builder = _two_sample_rows if len(groups) == 2 else _k_sample_rows
     summaries = moments = None
     rows = {}
     for test, kind, variance in _BATTERY:
@@ -135,9 +128,9 @@ def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> dict[str, _Ro
             if summaries is None:
                 summaries = [_summaries(_row_terms(times, statuses, cause, t))
                              for _, times, statuses in groups]
-            rows[test] = builder([(estimate, variances[variance])
-                                  for estimate, variances in summaries],
-                                 t, kind, variance)
+            rows[test] = _test_rows([(estimate, variances[variance])
+                                     for estimate, variances in summaries],
+                                    t, kind, variance)
         else:
             if moments is None:
                 (label1, times1, statuses1), (label0, times0, statuses0) = groups
@@ -146,7 +139,7 @@ def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> dict[str, _Ro
                                        int(cause), np.array([t]))[..., 0]
                 n1 = times1.shape[-1]
                 moments = _group_moments([theta[:, :n1], theta[:, n1:]], (label1, label0))
-            rows[test] = _saturated_rows(*moments, kind)
+            rows[test] = _saturated_rows(*moments, t, kind)
     return rows
 
 
@@ -154,8 +147,8 @@ def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOut
     """Run the requested tests of the battery at `t`, in TEST_IDS order.
 
     `groups` holds one (label, times, statuses) per group; the battery
-    is one row of the batched one the simulation runs, comparing two
-    groups as `two_sample_test` does and more as `k_sample_test` does.
+    is one row of the batched one the simulation runs, comparing the
+    groups as `k_sample_test` does.
     The pseudo-value tests need exactly two groups; their subjects are
     pooled in group order with the first group as x = 1.  Estimates and
     pseudo-values equal those of `two_sample_test`, `k_sample_test` and
@@ -426,7 +419,8 @@ def run_scenario(s: Scenario, workers: int = 1,
     `per_group_censoring` calibrates a separate uniform bound against
     each group's own failure-time law instead of the pooled mixture.
     Aggregation is pure counting, so any partition of the replication
-    range across workers yields the same result.
+    range across workers yields the same result; `workers` is capped at
+    the number of CPUs, since the pool starts all its processes at once.
     """
     if per_group_censoring:
         bounds = (
@@ -437,6 +431,7 @@ def run_scenario(s: Scenario, workers: int = 1,
         shared = calibrate_censoring(s.beta, s.p, (s.n1, s.n2), s.censor_fraction)
         bounds = (shared, shared)
 
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or s.reps < 2 * workers:
         parts = [_run_block((s, 0, s.reps, bounds))]
     else:

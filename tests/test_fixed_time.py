@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc, ndtri
 
@@ -12,6 +12,7 @@ from cifpoint.data import build_event_table, event_table_from_arrays
 from cifpoint.errors import NotEstimable, ZeroVariance
 from cifpoint.fixed_time import (
     TransformKind,
+    _wald,
     chi2_pvalue,
     inverse_transform,
     k_sample_test,
@@ -169,6 +170,19 @@ class TestTransforms:
 
     def test_loglog_reverses_order(self):
         assert transform(0.2, TransformKind.LOGLOG) > transform(0.4, TransformKind.LOGLOG)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nan_refused(self, kind):
+        with pytest.raises(NotEstimable):
+            transform(math.nan, kind)
+        with pytest.raises(NotEstimable):
+            transform_variance(math.nan, 0.1, kind)
+        with pytest.raises(ValueError):
+            transform_variance(0.5, math.nan, kind)
+        with pytest.raises(ValueError):
+            inverse_transform(math.nan, kind)
+        with pytest.raises(ValueError):
+            chi2_pvalue(math.nan, 1)
 
 
 class TestScaleTable:
@@ -346,6 +360,50 @@ class TestKSample:
     def test_needs_two_groups(self, table_a):
         with pytest.raises(ValueError):
             k_sample_test([table_a], 1, 3.0)
+
+
+def solved_quadratic_form(phi, w):
+    """The contrast quadratic form by a linear solve, the way it was
+    computed before its closed form."""
+    contrasts = phi[0] - phi[1:]
+    cov = np.full((len(phi) - 1,) * 2, w[0])
+    cov[np.diag_indices_from(cov)] = w[0] + w[1:]
+    return float(contrasts @ np.linalg.solve(cov, contrasts))
+
+
+# rows of K (phi, w) pairs, the same K in every row; phi repeats often
+# and w is often 0, so that singular rows, with phis equal or not, occur
+wald_rows = st.integers(2, 5).flatmap(lambda k: st.lists(
+    st.lists(st.tuples(st.sampled_from([0.0, 0.25]) | st.floats(-2.0, 2.0),
+                       st.just(0.0) | st.floats(1e-3, 10.0)), min_size=k, max_size=k),
+    min_size=1, max_size=6))
+
+
+class TestWaldClosedForm:
+    @settings(max_examples=400, deadline=None)
+    @given(wald_rows)
+    @example([[(0.25, 0.0), (0.25, 0.0), (0.25, 1.0)], [(0.25, 1.0), (0.0, 0.0), (0.25, 0.0)],
+              [(0.5, 0.0), (0.25, 2.0), (-1.0, 0.5)]])
+    @example([[(0.25, 0.0), (0.0, 0.0)], [(0.25, 0.0), (0.25, 0.0)], [(0.25, 0.0), (0.5, 2.0)]])
+    def test_matches_the_solve(self, rows):
+        # the linear scale keeps phi and w as drawn
+        phi, w = np.array(rows).transpose(2, 1, 0)
+        statistic, effect, checks = _wald([(p, (v, ())) for p, v in zip(phi, w)], 0.5,
+                                          TransformKind.LINEAR)
+        *domain, singular = checks
+        assert not any(check.fails.any() for check in domain)
+        for i, (p, v) in enumerate(zip(phi.T, w.T)):
+            if np.sum(v == 0.0) >= 2:
+                assert singular.fails[i] == np.any(p != p[0])
+                assert statistic[i] == 0.0
+                continue
+            assert not singular.fails[i]
+            if len(p) == 2:
+                assert statistic[i] == (p[0] - p[1]) ** 2 / (v[0] + v[1])
+                assert effect[i] == p[0] - p[1]
+            else:
+                assert math.isclose(statistic[i], solved_quadratic_form(p, v), rel_tol=1e-10)
+                assert effect is None
 
 
 class TestNonFiniteTime:

@@ -1,6 +1,8 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 from collections import Counter
 from unittest import mock
 
@@ -206,6 +208,33 @@ class TestRunScenario:
         parallel = run_scenario(tiny(), workers=2)
         assert serial.rejections == parallel.rejections
         assert serial.excluded == parallel.excluded
+
+    @pytest.mark.parametrize("cpus,pools", [(3, [3]), (None, [])])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, pools):
+        # the pool starts all its workers at the first submit, so a large
+        # `workers` must not reach it; the fake pool records its size and
+        # runs the blocks in this process
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, blocks):
+                return map(fn, blocks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        capped = run_scenario(tiny(), workers=64)
+        assert sizes == pools
+        serial = run_scenario(tiny())
+        assert (capped.rejections, capped.reasons) == (serial.rejections, serial.reasons)
 
     def test_seed_changes_results(self):
         a = run_scenario(tiny(reps=200))
