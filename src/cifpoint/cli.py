@@ -26,7 +26,6 @@ from .anova import anova_summarize
 from .data import build_event_table, parse_dataset
 from .errors import (
     CifPointError,
-    DegenerateRiskSet,
     InvalidRecord,
     NonConvergence,
     NotEstimable,
@@ -55,7 +54,6 @@ _NUMERICAL_ERRORS = (
     NonConvergence,
     ZeroVariance,
     SeparationDetected,
-    DegenerateRiskSet,
     NumericalError,
     RankDeficientDesign,
     UnreachableTarget,

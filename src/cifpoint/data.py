@@ -247,9 +247,17 @@ def _first_row_error(path, rows, width, ti, si, gi) -> InvalidRecord:
 
 def _checked_columns(times, statuses):
     """One group's times and statuses as float and int arrays, refusing
-    what no subject record allows."""
+    what no subject record allows.  Integer statuses are taken as they
+    are; others must hold whole numbers within the int64 range."""
     times = np.asarray(times, dtype=float)
-    statuses = np.asarray(statuses, dtype=int)
+    statuses = np.asarray(statuses)
+    if statuses.dtype.kind not in "iu":
+        values = statuses.astype(float)
+        whole = (values == np.trunc(values)) & (np.abs(values) < 2.0**63)
+        if not whole.all():
+            raise InvalidRecord(f"status must be an integer, got {float(values[~whole][0])!r}")
+        statuses = values
+    statuses = statuses.astype(int, copy=False)
     if times.ndim != 1 or times.shape != statuses.shape:
         raise InvalidRecord("times and statuses must be aligned 1-d arrays")
     if times.size == 0:

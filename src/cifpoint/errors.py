@@ -13,7 +13,11 @@ class InvalidRecord(CifPointError):
 
 
 class DegenerateRiskSet(CifPointError):
-    """A variance term requires division by zero with a nonzero numerator."""
+    """A variance term requires division by zero with a nonzero numerator.
+
+    No longer raised: on a valid event table every zero denominator of
+    both variances sits under a zero numerator.  Kept so that code
+    catching it still imports."""
 
 
 class NotEstimable(CifPointError):

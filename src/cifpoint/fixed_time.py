@@ -266,8 +266,17 @@ def _wald(points, t: float, kind: TransformKind):
     with D = sum_g prod_{h != g} w_h and
     N = sum_{g < h} (phi_g - phi_h)^2 prod_{l not in {g, h}} w_l;
     at K = 2 it is (phi_1 - phi_2)^2 / (w_1 + w_2).  D is 0 exactly when
-    two or more w are, which is when the covariance is singular."""
+    two or more w are, which is when the covariance is singular.
+
+    For K >= 3 each row's w are divided by their largest, which then
+    divides N / D, so that the products of K - 1 small variances do not
+    underflow; variances spread widely over many groups still can."""
     checks, phis, ws = _transformed_rows(points, kind)
+    scale = 1.0
+    if len(ws) > 2:
+        top = reduce(np.maximum, ws)
+        scale = np.where(top > 0.0, top, 1.0)
+        ws = [w / scale for w in ws]
     den = reduce(operator.add, [reduce(operator.mul, ws[:g] + ws[g + 1:]) for g in range(len(ws))])
     num = reduce(operator.add, [reduce(operator.mul, ws[:g] + ws[g + 1:h] + ws[h + 1:],
                                        (phis[g] - phis[h]) ** 2)
@@ -276,7 +285,7 @@ def _wald(points, t: float, kind: TransformKind):
     checks.append(_Check(
         ZeroVariance, singular & reduce(operator.or_, [phi != phis[0] for phi in phis[1:]]),
         lambda i: f"groups differ at t={t!r} but the contrast covariance is singular"))
-    statistic = np.divide(num, den, out=np.zeros_like(den), where=~singular)
+    statistic = np.divide(num, den, out=np.zeros_like(den), where=~singular) / scale
     return statistic, phis[0] - phis[1] if len(phis) == 2 else None, tuple(checks)
 
 

@@ -47,7 +47,6 @@ import numpy as np
 from .data import _checked_columns
 from .errors import (
     CifPointError,
-    DegenerateRiskSet,
     NotEstimable,
     NumericalError,
     SeparationDetected,
@@ -93,7 +92,7 @@ TEST_IDS = tuple(TEST_METHODS)
 
 # errors that exclude one test of one replication; any other error is a
 # fault and stops the run
-_EXCLUDING = (NotEstimable, ZeroVariance, DegenerateRiskSet, SeparationDetected)
+_EXCLUDING = (NotEstimable, ZeroVariance, SeparationDetected)
 
 
 @dataclass(frozen=True)
@@ -536,6 +535,9 @@ def parse_scenarios(path) -> list[Scenario]:
 _CSV_COLUMNS = (
     "n1", "n2", "shr", "time", "censoring", "p", "alpha", "reps", "seed",
     "test", "rejections", "valid", "rate", "excluded",
+    # beta itself, since log(shr) may miss it by an ulp; files written
+    # before it was added give beta as log(shr)
+    "beta",
 )
 
 
@@ -552,7 +554,7 @@ def write_results_csv(results, path) -> None:
                     s.n1, s.n2, repr(s.shr), repr(s.t_fixed), repr(s.censor_fraction),
                     repr(s.p), repr(s.alpha), s.reps, s.master_seed,
                     test, rejections[test], res.valid(test),
-                    repr(res.rate(test)), excluded[test],
+                    repr(res.rate(test)), excluded[test], repr(s.beta),
                 ])
 
 
@@ -561,14 +563,14 @@ def read_results_csv(path) -> list[ScenarioResult]:
     grouped: dict[Scenario, tuple[dict, dict]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = set(_CSV_COLUMNS) - set(reader.fieldnames or ())
+        missing = set(_CSV_COLUMNS) - {"beta"} - set(reader.fieldnames or ())
         if missing:
             raise CifPointError(f"{path}: missing columns {sorted(missing)}")
         for row in reader:
             try:
                 scenario = Scenario(
                     n1=int(row["n1"]), n2=int(row["n2"]),
-                    beta=math.log(float(row["shr"])),
+                    beta=float(row["beta"]) if "beta" in row else math.log(float(row["shr"])),
                     censor_fraction=float(row["censoring"]),
                     t_fixed=float(row["time"]), p=float(row["p"]),
                     alpha=float(row["alpha"]), reps=int(row["reps"]),
@@ -578,8 +580,13 @@ def read_results_csv(path) -> list[ScenarioResult]:
                 if test not in TEST_IDS:
                     raise CifPointError(f"{path}: unknown test id {row['test']!r}")
                 counts = (int(row["rejections"]), int(row["excluded"]))
-            except (ValueError, KeyError) as exc:
+            except (ValueError, TypeError, KeyError) as exc:
+                # TypeError: a short row's missing fields read as None
                 raise CifPointError(f"{path}: bad row {row!r}: {exc}") from None
+            if min(counts) < 0 or sum(counts) > scenario.reps:
+                raise CifPointError(
+                    f"{path}: scenario {scenario} test {test!r}: {counts[0]} rejections and "
+                    f"{counts[1]} exclusions do not fit {scenario.reps} replications")
             rejections, excluded = grouped.setdefault(scenario, ({}, {}))
             if test in rejections:
                 raise CifPointError(f"{path}: scenario {scenario} repeats test {test!r}")

@@ -20,7 +20,7 @@ import enum
 import numpy as np
 
 from .data import EventTable
-from .errors import DegenerateRiskSet, NumericalError, _Check, _first_error
+from .errors import NumericalError, _Check, _first_error
 from .estimation import _finite_horizon, _knot_terms, _lagged
 
 __all__ = [
@@ -38,14 +38,9 @@ class VarianceKind(enum.Enum):
     GAYNOR = "gaynor"
 
 
-def _guarded_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num/den termwise; a zero denominator is allowed only under a zero
-    numerator, where the term is dropped.  Under a nonzero numerator the
-    term is NaN, which marks its row degenerate."""
-    bad = den == 0.0
-    out = np.divide(num, den, out=np.zeros_like(num), where=~bad)
-    out[bad & (num != 0.0)] = np.nan
-    return out
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num/den termwise, 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 
 def _terms(table: EventTable, cause: int, t: float):
@@ -59,37 +54,35 @@ def _terms(table: EventTable, cause: int, t: float):
 
 # Both estimators work along the last axis of the knot terms, one row
 # per data set: one group's knots, or many data sets' sorted subjects at
-# once (see estimation._row_terms).  Each gives one variance per row,
-# NaN where the row is degenerate, and round-off may leave it a little
-# below 0.
+# once (see estimation._row_terms).  Each gives one finite variance per
+# row, which round-off may leave a little below 0.
 
 
 def _aalen(terms):
+    # a denominator vanishes only at a = 1 or a = d, always under a zero
+    # numerator: at a = d the survival, and with it every later jump and
+    # so `diff`, is exactly 0; at a = 1, dk (a - dk) is 0, and so is d
+    # unless a = d
     a, d, dk, s_prev, inc = terms
     cum = np.cumsum(inc, axis=-1)
     diff = cum[..., -1:] - cum
-    sq = _guarded_ratio(diff**2 * d, (a - 1.0) * (a - d))
-    binom = _guarded_ratio(s_prev**2 * dk * (a - dk), a**2 * (a - 1.0))
-    cross = _guarded_ratio(diff * s_prev * dk * (a - dk), a * (a - 1.0) * (a - d))
+    sq = _ratio(diff**2 * d, (a - 1.0) * (a - d))
+    binom = _ratio(s_prev**2 * dk * (a - dk), a**2 * (a - 1.0))
+    cross = _ratio(diff * s_prev * dk * (a - dk), a * (a - 1.0) * (a - d))
     return sq.sum(axis=-1) + binom.sum(axis=-1) - 2.0 * cross.sum(axis=-1)
 
 
 def _gaynor(terms):
     a, d, dk, _, inc = terms
-    # prefix[i] = sum over l < i of d_l / (a_l (a_l - d_l)); a saturated
-    # knot (a_l = d_l) can only be the last one, where no later increment
-    # exists to multiply it, so its ratio is dropped if that holds.
-    exhausted = a == d
-    ratio = np.divide(d, a * (a - d), out=np.zeros_like(a), where=~exhausted)
-    prefix = _lagged(np.cumsum(ratio, axis=-1), 0.0)
-    degenerate = np.any((_lagged(np.cumsum(exhausted, axis=-1), 0) > 0) & (inc != 0.0), axis=-1)
-
+    # prefix[i] = sum over l < i of d_l / (a_l (a_l - d_l)); the ratio of
+    # a saturated knot (a_l = d_l) is dropped, since every increment after
+    # it is exactly 0.
+    prefix = _lagged(np.cumsum(_ratio(d, a * (a - d)), axis=-1), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         own = np.where(dk > 0.0, inc**2 * ((a - dk) / (dk * a) + prefix), 0.0)
     later = np.flip(_lagged(np.cumsum(np.flip(inc, -1), axis=-1), 0.0), -1)
     pairs = inc * (prefix - 1.0 / a) * later
-    value = own.sum(axis=-1) + 2.0 * pairs.sum(axis=-1)
-    return np.where(degenerate, np.nan, value)
+    return own.sum(axis=-1) + 2.0 * pairs.sum(axis=-1)
 
 
 _ESTIMATORS = {VarianceKind.GAYNOR: _gaynor, VarianceKind.AALEN: _aalen}
@@ -106,21 +99,12 @@ def gaynor_variance(table: EventTable, cause: int, t: float) -> float:
 
 
 def _variance(kind: VarianceKind, terms):
-    """The `kind` variance of each row of `terms`, and the checks that
-    fail a row: a zero denominator under a nonzero numerator, then a
-    value below -_CLAMP.  Round-off negatives above that become 0.  An
-    estimator that raises fails every row with its error.
-    """
-    shape = np.shape(terms[0])[:-1]
-    try:
-        values = _ESTIMATORS[kind](terms)
-    except (DegenerateRiskSet, NumericalError) as exc:
-        return np.full(shape, np.nan), (_Check(type(exc), np.ones(shape, bool),
-                                               lambda i, message=str(exc): message),)
+    """The `kind` variance of each row of `terms`, and its one check: a
+    value below -_CLAMP fails the row.  Round-off negatives above that
+    become 0."""
+    values = _ESTIMATORS[kind](terms)
     negative = values < -_CLAMP
     return np.where(negative, np.nan, np.where(values < 0.0, 0.0, values)), (
-        _Check(DegenerateRiskSet, np.isnan(values),
-               lambda i: f"{kind.value} variance: zero denominator with nonzero numerator"),
         _Check(NumericalError, negative,
                lambda i: f"{kind.value} variance is negative: {float(values[i])!r}"),
     )

@@ -420,6 +420,19 @@ class TestSimulateAndSummarize:
         assert out == ""
         assert "repeats test 'gaynor_linear'" in err and "n1=20" in err
 
+    def test_summarize_rejects_impossible_counts(self, tmp_path, capsys):
+        # 90 rejections of 20 replications used to print as 445 points
+        scenario = cifpoint.Scenario(n1=20, n2=20, beta=0.0, censor_fraction=0.0,
+                                     t_fixed=0.5, reps=20)
+        counts = dict.fromkeys(cifpoint.TEST_IDS, 1)
+        path = tmp_path / "results.csv"
+        cifpoint.write_results_csv([cifpoint.ScenarioResult(scenario, counts, counts)], path)
+        path.write_text(path.read_text().replace(",aalen_arcs,1,", ",aalen_arcs,90,"))
+        code, out, err = run(["summarize-anova", "--input", str(path), "--model", "4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "test 'aalen_arcs'" in err and "n1=20" in err
+
     def test_summarize_missing_input(self, capsys):
         code, _, _ = run(
             ["summarize-anova", "--input", "missing.csv", "--model", "4"],

@@ -10,6 +10,7 @@ from cifpoint.data import (
     Dataset,
     EventTable,
     SubjectRecord,
+    _checked_columns,
     build_event_table,
     event_table_from_arrays,
     parse_dataset,
@@ -122,6 +123,26 @@ class TestEventTable:
                 censor_times=np.array([]),
                 size=5,
             )
+
+
+class TestArrayStatuses:
+    # statuses given as arrays used to be cast to int: 1.7 read as cause
+    # 1 and 0.4 as censored, and NaN raised a bare ValueError
+    @pytest.mark.parametrize("bad", [1.7, 0.4, -0.5, float("nan"), float("inf"), 1e30])
+    def test_non_integral_refused(self, bad):
+        statuses = [1.0, bad, 2.0]
+        with pytest.raises(InvalidRecord, match="status must be an integer"):
+            event_table_from_arrays([1.0, 2.0, 3.0], statuses)
+        with pytest.raises(InvalidRecord, match="status must be an integer"):
+            run_battery([("x", [1.0, 2.0, 3.0], statuses), ("y", [1.0, 2.0], [1, 0])], 1, 2.5)
+
+    def test_integral_floats_read_as_integers(self):
+        assert_tables_equal(event_table_from_arrays([1.0, 2.0, 3.0], [1.0, 0.0, 2.0]),
+                            event_table_from_arrays([1.0, 2.0, 3.0], [1, 0, 2]))
+
+    def test_integer_array_taken_as_is(self):
+        statuses = np.array([1, 0, 2])
+        assert _checked_columns([1.0, 2.0, 3.0], statuses)[1] is statuses
 
 
 class TestParseDataset:

@@ -385,6 +385,11 @@ class TestWaldClosedForm:
     @example([[(0.25, 0.0), (0.25, 0.0), (0.25, 1.0)], [(0.25, 1.0), (0.0, 0.0), (0.25, 0.0)],
               [(0.5, 0.0), (0.25, 2.0), (-1.0, 0.5)]])
     @example([[(0.25, 0.0), (0.0, 0.0)], [(0.25, 0.0), (0.25, 0.0)], [(0.25, 0.0), (0.5, 2.0)]])
+    # products of K - 1 small variances: 60 groups at w = 1e-6 used to
+    # give D = 0, and 3 groups at w = 1e-160 a statistic 1e-5 off
+    @example([[(0.25 * (g % 5), 1e-6) for g in range(60)]])
+    @example([[(0.0, 1e-160), (1.0, 1e-160), (2.0, 1e-160)],
+              [(0.5, 3e-160), (0.0, 1e-160), (0.25, 2e-160)]])
     def test_matches_the_solve(self, rows):
         # the linear scale keeps phi and w as drawn
         phi, w = np.array(rows).transpose(2, 1, 0)

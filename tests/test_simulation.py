@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import dataclasses
 import json
 import math
@@ -17,7 +18,6 @@ import cifpoint.variance
 from cifpoint.data import Dataset, SubjectRecord, event_table_from_arrays
 from cifpoint.errors import (
     CifPointError,
-    DegenerateRiskSet,
     NumericalError,
     UnreachableTarget,
 )
@@ -286,15 +286,6 @@ class TestRunScenario:
         hi = run_scenario(tiny(beta=math.log(2.0), n1=50, n2=50, reps=400))
         assert hi.rate("gaynor_linear") > lo.rate("gaynor_linear")
 
-    def test_degenerate_variance_excluded_not_fatal(self, monkeypatch):
-        def degenerate(terms):
-            raise DegenerateRiskSet("aalen squared term: zero denominator")
-
-        monkeypatch.setitem(cifpoint.variance._ESTIMATORS, VarianceKind.AALEN, degenerate)
-        res = run_scenario(tiny(reps=20))
-        for test in TEST_IDS:
-            assert res.excluded[test] == (20 if test.startswith("aalen_") else 0)
-
     def test_negative_variance_stops_the_run(self, monkeypatch):
         # one replication's Aalen variance below round-off is a fault,
         # not an exclusion
@@ -447,19 +438,15 @@ class TestBattery:
             seen |= assert_battery_matches_public_calls(*draw(seed, 6, 6, 1.0), 0.08)
         assert {"NotEstimable", "SeparationDetected"} <= seen
 
-    def test_degenerate_variance_excludes_only_its_tests(self, monkeypatch):
-        # a valid event table cannot reach the zero denominators (the
-        # saturation that would divide by zero leaves every later jump
-        # 0), so the Aalen estimator is made to raise here
-        def degenerate(terms):
-            raise DegenerateRiskSet("aalen squared term: zero denominator")
-
-        monkeypatch.setitem(cifpoint.variance._ESTIMATORS, VarianceKind.AALEN, degenerate)
+    def test_negative_variance_excludes_only_its_tests(self, monkeypatch):
+        # a negative Aalen variance fails the five tests that use it, and
+        # the public calls raise the same errors
+        monkeypatch.setitem(cifpoint.variance._ESTIMATORS, VarianceKind.AALEN, negative_aalen)
         groups, tables, data = draw(1, 40, 40, 2.0)
         seen = assert_battery_matches_public_calls(groups, tables, data, 0.5)
-        assert seen == {"DegenerateRiskSet"}
-        excluded = {o.test for o in run_battery(groups, 1, 0.5) if o.error}
-        assert excluded == {t for t in TEST_IDS if t.startswith("aalen_")}
+        assert seen == {"NumericalError"}
+        failed = {o.test: type(o.error) for o in run_battery(groups, 1, 0.5) if o.error}
+        assert failed == {t: NumericalError for t in TEST_IDS if t.startswith("aalen_")}
 
     def test_selected_tests_in_battery_order(self):
         groups, _, _ = draw(1, 40, 40, 2.0)
@@ -699,16 +686,54 @@ class TestResultsIo:
         back = read_results_csv(path)
         assert len(back) == 2
         for orig, got in zip(results, back):
-            # the file stores shr, so beta only survives to within one
-            # exp/log round trip
-            assert math.isclose(got.scenario.beta, orig.scenario.beta,
-                                rel_tol=0.0, abs_tol=1e-15)
-            rest = ("n1", "n2", "censor_fraction", "t_fixed", "p",
-                    "alpha", "reps", "master_seed")
-            for field in rest:
-                assert getattr(got.scenario, field) == getattr(orig.scenario, field)
+            assert got.scenario == orig.scenario
             assert got.rejections == orig.rejections
             assert got.excluded == orig.excluded
+
+    def test_beta_read_back_exactly(self, tmp_path):
+        # log(exp(-0.98)) is -0.9799999999999999: the file used to carry
+        # only shr, so the read scenario missed beta by an ulp
+        results = [run_scenario(tiny(reps=20, beta=-0.98))]
+        path = tmp_path / "res.csv"
+        write_results_csv(results, path)
+        assert read_results_csv(path) == results
+
+    def test_file_without_beta_reads_log_shr(self, tmp_path):
+        path = tmp_path / "res.csv"
+        write_results_csv([run_scenario(tiny(reps=20, beta=0.3))], path)
+        with open(path, newline="") as fh:
+            rows = [row[:-1] for row in csv.reader(fh)]
+        assert rows[0][-1] == "excluded"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        (back,) = read_results_csv(path)
+        assert back.scenario.beta == math.log(math.exp(0.3))
+
+    @pytest.mark.parametrize("column, value", [("rejections", "-3"), ("excluded", "-1"),
+                                               ("rejections", "90")])
+    def test_read_rejects_impossible_counts(self, tmp_path, column, value):
+        # used to be read as is, and summarize-anova printed the rates
+        path = tmp_path / "res.csv"
+        write_results_csv([run_scenario(tiny(reps=20))], path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[4][column] = value
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        with pytest.raises(CifPointError, match=f"n1=40.*test '{rows[4]['test']}'"):
+            read_results_csv(path)
+
+    def test_read_rejects_a_short_row(self, results, tmp_path):
+        # the missing fields read as None, which raised a TypeError
+        path = tmp_path / "res.csv"
+        write_results_csv(results[:1], path)
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:12])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CifPointError, match="bad row"):
+            read_results_csv(path)
 
     def test_json_structure(self, results):
         doc = json.loads(results_to_json(results))

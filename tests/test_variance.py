@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cifpoint.data import build_event_table, event_table_from_arrays
-from cifpoint.errors import DegenerateRiskSet, NumericalError, _first_error
-from cifpoint.estimation import _aalen_johansen
+from cifpoint.data import EventTable, build_event_table, event_table_from_arrays
+from cifpoint.errors import NumericalError, _first_error
+from cifpoint.estimation import _knot_terms, _row_terms
 from cifpoint.variance import (
     _ESTIMATORS,
     VarianceKind,
@@ -117,19 +117,6 @@ class TestGuards:
         assert str(_first_error(checks, 1)) == "aalen variance is negative: -1e-12"
         assert values[0] == 0.5 and values[2] == 0.0
 
-    def test_degenerate_row_fails_alone(self, monkeypatch):
-        # a zero denominator under a nonzero numerator marks its row
-        # only: row 1 has one at risk and, impossibly, two failures
-        a = np.array([[5.0, 3.0], [1.0, 1.0]])
-        d = np.array([[1.0, 1.0], [0.0, 2.0]])
-        dk = d.copy()
-        s_prev, _, inc = _aalen_johansen(a, d, dk)
-        aalen = _ESTIMATORS[VarianceKind.AALEN]((a, d, dk, s_prev, inc))
-        assert np.isfinite(aalen[0]) and np.isnan(aalen[1])
-        values, checks = self.rows_with_variances(monkeypatch, [0.5, np.nan])
-        assert _first_error(checks, 0) is None
-        assert isinstance(_first_error(checks, 1), DegenerateRiskSet)
-
     def test_exhausted_risk_set_ok_when_nothing_follows(self):
         # the last subject fails: a-d hits 0 at the final knot, but no
         # later increment needs that factor, so both forms stay finite
@@ -139,3 +126,55 @@ class TestGuards:
         for t in [2.5, 3.0, 9.0]:
             assert np.isfinite(aalen_variance(table, 1, t))
             assert np.isfinite(gaynor_variance(table, 1, t))
+
+
+@st.composite
+def knot_counts(draw):
+    """An `EventTable` straight from counts: strictly decreasing at-risk
+    counts from 12 down to as low as 1, failures from 1 to all at risk
+    (an exhausted knot need not be the last), split over three causes.
+    The table's checks allow a later knot to have more at risk than the
+    survivors of the one before it."""
+    a = sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=8)), reverse=True)
+    d, split = [], {1: [], 2: [], 3: []}
+    for n in a:
+        d.append(draw(st.just(n) | st.just(1) | st.integers(1, n)))
+        first = draw(st.integers(0, d[-1]))
+        second = draw(st.integers(0, d[-1] - first))
+        for k, count in zip(split, (first, second, d[-1] - first - second)):
+            split[k].append(count)
+    return EventTable(group="g", times=np.arange(1.0, len(a) + 1.0), at_risk=np.array(a),
+                      events=np.array(d), cause_events={k: np.array(v) for k, v in split.items()},
+                      censor_times=np.zeros(0), size=sum(d))
+
+
+# R data sets of n subjects each, as (R, n) times on a grid of eighths
+# and statuses censored or one of three causes; rows differ in their
+# number of knots, and tied failures often exhaust a risk set
+row_blocks = st.integers(1, 10).flatmap(lambda n: st.lists(
+    st.lists(st.tuples(st.integers(1, 6).map(lambda k: k / 8.0), st.integers(0, 3)),
+             min_size=n, max_size=n), min_size=1, max_size=5)).map(np.array)
+
+
+class TestFinite:
+    # no valid input reaches a zero denominator under a nonzero
+    # numerator: both estimators are finite on every prefix of every
+    # table and every packed row block, so a variance fails only by
+    # being negative
+
+    @settings(max_examples=300, deadline=None)
+    @given(knot_counts())
+    def test_every_table_prefix(self, table):
+        for cause in (1, 2, 3):
+            for j in range(1, table.times.size + 1):
+                terms = _knot_terms(table, cause, j)
+                for estimator in _ESTIMATORS.values():
+                    assert np.isfinite(estimator(terms)), (cause, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_blocks, st.integers(1, 3), st.integers(1, 7).map(lambda k: k / 8.0))
+    def test_every_row_block(self, block, cause, t):
+        times, statuses = block[..., 0], block[..., 1].astype(int)
+        terms = _row_terms(times, statuses, cause, t)
+        for estimator in _ESTIMATORS.values():
+            assert np.all(np.isfinite(estimator(terms)))
