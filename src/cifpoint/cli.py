@@ -171,7 +171,7 @@ def _cmd_estimate(args) -> int:
     kind = TransformKind(args.method)
     groups_payload = []
     lines = [f"cause {args.cause}, variance {args.variance}, "
-             f"{int(100 * args.level)}% CI on the {args.method} scale"]
+             f"{100 * args.level:g}% CI on the {args.method} scale"]
     for group in data.groups:
         table = build_event_table(data, group)
         curve = cif_estimate(table, args.cause)

@@ -245,6 +245,12 @@ def _first_row_error(path, rows, width, ti, si, gi) -> InvalidRecord:
     raise AssertionError("no invalid row found")
 
 
+def _check_cause(cause) -> None:
+    """Refuse a cause below 1, which no failure can have."""
+    if cause < 1:
+        raise ValueError(f"cause must be >= 1 (0 marks censoring), got {cause!r}")
+
+
 def _checked_columns(times, statuses):
     """One group's times and statuses as float and int arrays, refusing
     what no subject record allows.  Integer statuses are taken as they
@@ -276,6 +282,8 @@ def event_table_from_arrays(times, statuses, group: str = "all",
     `causes` optionally fixes the set of causes carried in the table;
     causes seen in `statuses` are always included.
     """
+    for cause in causes or ():
+        _check_cause(cause)
     times, statuses = _checked_columns(times, statuses)
     failed = statuses > 0
     knots = np.unique(times[failed])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EventTable
+from .data import EventTable, _check_cause
 
 __all__ = ["StepFunction", "CifCurve", "km_survival", "cif_estimate", "cif_at"]
 
@@ -103,20 +103,6 @@ def _finite_horizon(t) -> float:
     return t
 
 
-def _knot_terms(table: EventTable, cause: int, j: int):
-    """Counts and cause-`cause` jumps at the first `j` failure times.
-
-    Returns (a, d, d_k, S(t_{i-1}), S(t_{i-1}) * d_ki / a_i) as float
-    arrays; the jumps sum to the Aalen-Johansen estimate at t_j, and
-    both variance estimators are functions of these five arrays.
-    """
-    a = table.at_risk[:j].astype(float)
-    d = table.events[:j].astype(float)
-    dk = table.cause_events[cause][:j].astype(float)
-    s_prev, _, jumps = _aalen_johansen(a, d, dk)
-    return a, d, dk, s_prev, jumps
-
-
 def _take_rows(x: np.ndarray, index: np.ndarray) -> np.ndarray:
     """x[r, index[r, ...]] for each row r of the 2-d `x`."""
     rows, width = x.shape
@@ -170,25 +156,32 @@ def _row_knots(times: np.ndarray, statuses: np.ndarray, cause: int, t: float):
     return order, statuses, _take_rows(rank, end), _take_rows(knot, end), a, d, dk
 
 
-def _row_terms(times: np.ndarray, statuses: np.ndarray, cause: int, t: float):
-    """The five arrays of `_knot_terms` for each row of (R, n) `times`
-    and `statuses`, over the row's knots up to `t` (see `_row_knots`)."""
-    a, d, dk = _row_knots(times, statuses, cause, t)[4:]
-    s_prev, _, jumps = _aalen_johansen(a, d, dk)
-    return a, d, dk, s_prev, jumps
+def _table_counts(table: EventTable, cause: int, t: float):
+    """A table's knot counts up to `t` as one row of `_row_knots`'s
+    packed (a, d, dk): (1, j) float arrays over its first j failure
+    times, or the padding knot of `_row_knots` (one at risk, no events)
+    when there is none or the table has no cause-`cause` counts."""
+    _check_cause(cause)
+    j = int(np.searchsorted(table.times, _finite_horizon(t), side="right"))
+    dk = table.cause_events.get(cause)
+    if j == 0 or dk is None:
+        return np.ones((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))
+    return tuple(x[None, :j].astype(float) for x in (table.at_risk, table.events, dk))
 
 
 def cif_estimate(table: EventTable, cause: int) -> CifCurve:
     """Aalen-Johansen cumulative incidence of `cause` for one group.
 
     A cause never observed in the group yields an identically-zero
-    curve with no knots.
+    curve with no knots; a cause below 1 is refused.
     """
+    _check_cause(cause)
     dk = table.cause_events.get(cause)
     if dk is None or not np.any(dk > 0):
         steps = StepFunction(knots=np.zeros(0), values=np.zeros(0), before=0.0)
         return CifCurve(group=table.group, cause=cause, steps=steps)
-    values = np.cumsum(_knot_terms(table, cause, table.times.size)[4])
+    d = table.events.astype(float)
+    values = np.cumsum(_aalen_johansen(table.at_risk.astype(float), d, dk.astype(float))[2])
     steps = StepFunction(knots=table.times.copy(), values=values, before=0.0)
     return CifCurve(group=table.group, cause=cause, steps=steps)
 

@@ -33,7 +33,8 @@ import numpy as np
 
 from .data import EventTable
 from .errors import NotEstimable, ZeroVariance, _Check, _first_error
-from .variance import VarianceKind, _table_summaries
+from .estimation import _table_counts
+from .variance import VarianceKind, _summaries
 
 __all__ = [
     "TransformKind",
@@ -299,7 +300,7 @@ def _test_rows(points, t: float, kind: TransformKind, variance: VarianceKind) ->
 def _table_points(tables, cause: int, t: float, variance: VarianceKind):
     """Each table's one-row (estimates, (variances, checks)) at `t`."""
     return [(estimate, variances[variance])
-            for estimate, variances in (_table_summaries(tb, cause, t) for tb in tables)]
+            for estimate, variances in (_summaries(*_table_counts(tb, cause, t)) for tb in tables)]
 
 
 def two_sample_test(table1: EventTable, table2: EventTable, cause: int, t: float,

@@ -21,7 +21,8 @@ g(m_1) - g(m_0) and its sandwich variance is
     sum over groups of g'(m_g)^2 * sum_i (theta_i - m_g)^2 / n_g^2
 
 for the link g.  `pseudo_test` uses this closed form; `gee_fit` solves
-the general several-horizon model by Newton iteration.  Both links are
+the general model, one effect at any number of horizons, by Newton
+iteration, and is the closed form's test oracle.  Both links are
 transforms of `fixed_time`: logit, and cloglog(m) = llog(1 - m).  The
 Wald statistic is therefore `fixed_time._wald` at K = 2, with each
 group mean on its link's scale and the squared standard error of the
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _check_cause
 from .errors import NonConvergence, SeparationDetected, _Check
 from .estimation import _aalen_johansen, _lagged, _row_knots, _take_rows
 from .fixed_time import FixedTimeTestResult, TransformKind, _Rows, _wald, transform
@@ -200,6 +201,7 @@ def pseudo_values(data: Dataset, cause: int, times) -> PseudoValueMatrix:
     `times` must be strictly increasing finite positive horizons.  All groups
     are pooled for the estimate; rows align with the subjects of `data`.
     """
+    _check_cause(cause)
     taus = np.asarray(times, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
@@ -234,6 +236,8 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
         raise ValueError("x must contain only 0 and 1")
     if x.min() == x.max():
         raise ValueError("x must contain both groups")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("pseudo-values must be finite")
 
     n, m = theta.shape
     # jackknife roundoff leaves means that should be exactly 0 or 1 a

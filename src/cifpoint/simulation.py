@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import _checked_columns
+from .data import _check_cause, _checked_columns
 from .errors import (
     CifPointError,
     NotEstimable,
@@ -53,7 +53,7 @@ from .errors import (
     UnreachableTarget,
     ZeroVariance,
 )
-from .estimation import _finite_horizon, _row_terms
+from .estimation import _finite_horizon, _row_knots
 from .fixed_time import FixedTimeTestResult, TransformKind, _Rows, _test_rows, chi2_pvalue
 from .pseudo import PSEUDO_METHODS, _group_moments, _pooled_pseudo, _saturated_rows
 from .variance import VarianceKind, _summaries
@@ -125,7 +125,7 @@ def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> dict[str, _Ro
             continue
         if variance is not None:
             if summaries is None:
-                summaries = [_summaries(_row_terms(times, statuses, cause, t))
+                summaries = [_summaries(*_row_knots(times, statuses, cause, t)[4:])
                              for _, times, statuses in groups]
             rows[test] = _test_rows([(estimate, variances[variance])
                                      for estimate, variances in summaries],
@@ -161,8 +161,7 @@ def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOut
         raise ValueError("the battery needs at least two groups")
     if len(groups) != 2 and any(TEST_METHODS[test][1] is None for test in tests):
         raise ValueError("the pseudo-value tests need exactly two groups")
-    if cause < 1:
-        raise ValueError(f"cause must be >= 1 (0 marks censoring), got {cause!r}")
+    _check_cause(cause)
     t = _finite_horizon(t)
     labels = [label for label, _, _ in groups]
     columns = [(label, *(x[None] for x in _checked_columns(times, statuses)))
@@ -483,13 +482,16 @@ def parse_scenarios(path) -> list[Scenario]:
         except ValueError:
             raise CifPointError(f"{path}: key {key!r}: bad value {tok.strip()!r}") from None
 
+    def listed(key):
+        return [tok.strip() for tok in raw.get(key, "").split(",") if tok.strip()]
+
     def values(key, default, kind=float):
         if key not in raw:
             return default
-        return [number(key, tok, kind) for tok in raw[key].split(",") if tok.strip()]
+        return [number(key, tok, kind) for tok in listed(key)]
 
     sizes = []
-    for tok in values("sizes", [], str):
+    for tok in listed("sizes"):
         parts = tok.split("/")
         if len(parts) != 2:
             raise CifPointError(f"{path}: bad size pair {tok!r}, expected n1/n2")
@@ -515,14 +517,17 @@ def parse_scenarios(path) -> list[Scenario]:
             choices[key] = [{name: number(key, raw[key], kind)}]
             scalars.update(choices[key][0])
 
-    # each value checked on its own, so that an error names its key
+    # each value checked on its own, so that an error names its key; a
+    # repeated value would run the same scenario twice
     base = Scenario(n1=2, n2=2, beta=0.0, censor_fraction=0.0, t_fixed=1.0)
     for key, options in choices.items():
-        for fields in options:
+        for i, fields in enumerate(options):
             try:
                 replace(base, **fields)
             except ValueError as exc:
                 raise CifPointError(f"{path}: key {key!r}: {exc}") from None
+            if fields in options[:i]:
+                raise CifPointError(f"{path}: key {key!r}: repeated value {listed(key)[i]!r}")
     return [
         Scenario(**size, **beta, **t, **cen, **scalars)
         for beta in choices[beta_key]

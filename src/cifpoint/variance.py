@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import EventTable
 from .errors import NumericalError, _Check, _first_error
-from .estimation import _finite_horizon, _knot_terms, _lagged
+from .estimation import _aalen_johansen, _lagged, _table_counts
 
 __all__ = [
     "VarianceKind",
@@ -43,19 +43,10 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 
-def _terms(table: EventTable, cause: int, t: float):
-    """Knot terms through the last failure time at or before `t`, or
-    None when the estimate is 0 there with nothing to vary."""
-    j = int(np.searchsorted(table.times, _finite_horizon(t), side="right"))
-    if j == 0 or cause not in table.cause_events:
-        return None
-    return _knot_terms(table, cause, j)
-
-
-# Both estimators work along the last axis of the knot terms, one row
-# per data set: one group's knots, or many data sets' sorted subjects at
-# once (see estimation._row_terms).  Each gives one finite variance per
-# row, which round-off may leave a little below 0.
+# Both estimators work along the last axis of the knot terms (a, d, dk,
+# S(t_{j-1}), jumps) that `_summaries` builds from packed knot counts,
+# one row per data set.  Each gives one finite variance per row, which
+# round-off may leave a little below 0.
 
 
 def _aalen(terms):
@@ -110,25 +101,20 @@ def _variance(kind: VarianceKind, terms):
     )
 
 
-def _summaries(terms):
-    """The incidence at the end of `terms` and each variance as
-    (values, checks), row by row."""
-    return (np.cumsum(terms[4], axis=-1)[..., -1],
-            {kind: _variance(kind, terms) for kind in VarianceKind})
-
-
-def _table_summaries(table: EventTable, cause: int, t: float):
-    """`_summaries` of one table up to `t`, as one row."""
-    terms = _terms(table, cause, t)
-    if terms is None:
-        return np.zeros(1), dict.fromkeys(VarianceKind, (np.zeros(1), ()))
-    return _summaries([x[None] for x in terms])
+def _summaries(a, d, dk):
+    """The incidence at the last knot and each variance as (values,
+    checks), row by row, from packed knot counts: one data set per row
+    of `a`, `d` and `dk`, as `estimation._row_knots` and
+    `estimation._table_counts` give them."""
+    s_prev, _, jumps = _aalen_johansen(a, d, dk)
+    return (np.cumsum(jumps, axis=-1)[..., -1],
+            {kind: _variance(kind, (a, d, dk, s_prev, jumps)) for kind in VarianceKind})
 
 
 def cif_variance(table: EventTable, cause: int, t: float,
                  kind: VarianceKind = VarianceKind.GAYNOR) -> float:
     """Dispatch to the requested variance estimator."""
-    values, checks = _table_summaries(table, cause, t)[1][VarianceKind(kind)]
+    values, checks = _summaries(*_table_counts(table, cause, t))[1][VarianceKind(kind)]
     error = _first_error(checks, 0)
     if error is not None:
         raise error

@@ -7,9 +7,16 @@ the summary-model ordering of the twelve tests, and a best-effort
 real-data significance pattern.  The Monte Carlo criteria run at
 10000 replications with a fixed seed; the grid criterion runs the
 full 40-scenario null grid at 1000 replications.
+
+The rejection and exclusion counts of those 44 scenarios, and of a few
+small cells that exclude for every reason, are pinned in
+data/acceptance_counts.json.  A change that moves a count rewrites the
+file with `PYTHONPATH=src python tests/test_acceptance.py` and explains
+each move.
 """
 
 import dataclasses
+import json
 import math
 import os
 import pathlib
@@ -61,16 +68,40 @@ def null_scenario(n1, n2, cen=0.0, reps=10000, beta=0.0):
                     t_fixed=0.5, reps=reps, master_seed=SEED)
 
 
+NULL_200 = null_scenario(200, 200)
+NULL_50 = null_scenario(50, 50)
+POWER_EVEN = null_scenario(50, 50, beta=math.log(2.0))
+POWER_UNEVEN = null_scenario(50, 100, cen=0.30, beta=math.log(1.5))
+# the null grid of criterion 7
+GRID = [Scenario(n1=n1, n2=n2, beta=0.0, censor_fraction=cen, t_fixed=t_fixed,
+                 reps=1000, master_seed=SEED)
+        for n1, n2 in [(50, 50), (150, 150), (200, 200), (50, 100), (100, 200)]
+        for t_fixed in (0.5, 1.0)
+        for cen in (0.0, 0.15, 0.30, 0.45)]
+# small cells whose tests are excluded for each of the three reasons
+EXCLUDING_CELLS = [Scenario(n1=n1, n2=n2, beta=0.0, censor_fraction=cen, t_fixed=t_fixed,
+                            reps=500, master_seed=7)
+                   for n1, n2, t_fixed, cen in [(5, 5, 3.0, 0.45), (5, 5, 0.1, 0.0),
+                                                (25, 25, 0.1, 0.45), (50, 100, 3.0, 0.45)]]
+COUNTS_FILE = pathlib.Path(__file__).parent / "data" / "acceptance_counts.json"
+
+
+def counts(result):
+    """A result's scenario and counts as the counts file holds them."""
+    return {"scenario": dataclasses.asdict(result.scenario), "rejections": result.rejections,
+            "excluded": result.excluded, "reasons": result.reasons}
+
+
 @pytest.fixture(scope="module")
 def null_200():
     start = time.monotonic()
-    result = run_scenario(null_scenario(200, 200))
+    result = run_scenario(NULL_200)
     return result, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
 def null_50():
-    return run_scenario(null_scenario(50, 50))
+    return run_scenario(NULL_50)
 
 
 class TestCriterion1NullCalibration:
@@ -101,12 +132,12 @@ class TestCriterion2SmallSampleNull:
 
 @pytest.fixture(scope="module")
 def power_even():
-    return run_scenario(null_scenario(50, 50, beta=math.log(2.0)))
+    return run_scenario(POWER_EVEN)
 
 
 @pytest.fixture(scope="module")
 def power_uneven():
-    return run_scenario(null_scenario(50, 100, cen=0.30, beta=math.log(1.5)))
+    return run_scenario(POWER_UNEVEN)
 
 
 class TestCriterion3Power:
@@ -297,22 +328,19 @@ BENCHMARK_MODEL4 = {
 
 
 @pytest.fixture(scope="module")
-def marginals():
-    sizes = [(50, 50), (150, 150), (200, 200), (50, 100), (100, 200)]
-    results = []
-    for n1, n2 in sizes:
-        for t_fixed in (0.5, 1.0):
-            for cen in (0.0, 0.15, 0.30, 0.45):
-                s = Scenario(n1=n1, n2=n2, beta=0.0, censor_fraction=cen,
-                             t_fixed=t_fixed, reps=1000, master_seed=SEED)
-                results.append(run_scenario(s))
-    table = anova_summarize(results, response="type1", model=4)
+def null_grid():
+    return [run_scenario(s) for s in GRID]
+
+
+@pytest.fixture(scope="module")
+def marginals(null_grid):
+    table = anova_summarize(null_grid, response="type1", model=4)
     # in the balanced grid each test's marginal deviation is its
     # cell-mean coefficient plus the grid-average of the additive
     # adjustments, the same constant for all twelve tests
     coefs = table.effects("TEST")
     adjustments = []
-    for res in results:
+    for res in null_grid:
         s = res.scenario
         shift = 0.0
         for factor, label in (("NUM1_NUM2", f"{s.n1}/{s.n2}"),
@@ -341,6 +369,17 @@ class TestCriterion7AnovaOrdering:
         ref = np.array([BENCHMARK_MODEL4[t] for t in TEST_IDS])
         r = float(np.corrcoef(mine, ref)[0, 1])
         assert r >= 0.85, f"deviation-pattern correlation {r:.3f}"
+
+
+class TestPinnedCounts:
+    def test_counts_match_the_file(self, null_200, null_50, power_even, power_uneven,
+                                   null_grid):
+        results = [null_200[0], null_50, power_even, power_uneven, *null_grid,
+                   *map(run_scenario, EXCLUDING_CELLS)]
+        pinned = json.loads(COUNTS_FILE.read_text())
+        assert len(pinned) == len(results)
+        for result, expected in zip(results, pinned):
+            assert counts(result) == expected
 
 
 EBMT_ENV = "CIFPOINT_EBMT_CSV"
@@ -379,3 +418,8 @@ class TestCriterion8RegistryPattern:
             assert p_values[day] < 0.05, (
                 f"expected significance at {day:g} days, p={p_values[day]:.4f}"
             )
+
+
+if __name__ == "__main__":
+    cells = [NULL_200, NULL_50, POWER_EVEN, POWER_UNEVEN, *GRID, *EXCLUDING_CELLS]
+    COUNTS_FILE.write_text(json.dumps([counts(run_scenario(s)) for s in cells], indent=1) + "\n")

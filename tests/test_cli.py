@@ -143,6 +143,15 @@ class TestEstimate:
         assert "--level" in err
         assert out == ""
 
+    @pytest.mark.parametrize("level, header", [("0.29", "29% CI"), ("0.95", "95% CI"),
+                                               ("0.999", "99.9% CI")])
+    def test_level_in_header(self, data_csv, level, header, capsys):
+        # 100 * 0.29 is 28.999999999999996, which int() printed as 28%
+        code, out, _ = run(
+            ["estimate", "--input", str(data_csv), "--group-col", "arm",
+             "--cause", "1", "--times", "3", "--level", level], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == f"cause 1, variance gaynor, {header} on the llog scale"
 
     @pytest.mark.parametrize("method", ["llog", "logit"])
     def test_estimate_a_rounding_below_one_gets_the_whole_interval(self, tmp_path, method,

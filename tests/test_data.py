@@ -16,7 +16,11 @@ from cifpoint.data import (
     parse_dataset,
 )
 from cifpoint.errors import InvalidRecord
+from cifpoint.estimation import cif_estimate
+from cifpoint.fixed_time import TransformKind, k_sample_test, pointwise_ci, two_sample_test
+from cifpoint.pseudo import pseudo_test, pseudo_values
 from cifpoint.simulation import run_battery
+from cifpoint.variance import cif_variance
 
 from conftest import group_columns, make_dataset
 
@@ -143,6 +147,38 @@ class TestArrayStatuses:
     def test_integer_array_taken_as_is(self):
         statuses = np.array([1, 0, 2])
         assert _checked_columns([1.0, 2.0, 3.0], statuses)[1] is statuses
+
+
+# every public call that takes a cause, given the cause `k` on two
+# four-subject groups
+CAUSE_CALLS = {
+    "two_sample_test": lambda t1, t2, data, k: two_sample_test(t1, t2, k, 3.0,
+                                                               TransformKind.LINEAR),
+    "k_sample_test": lambda t1, t2, data, k: k_sample_test((t1, t2), k, 3.0,
+                                                           TransformKind.LINEAR),
+    "cif_variance": lambda t1, t2, data, k: cif_variance(t1, k, 3.0),
+    "pointwise_ci": lambda t1, t2, data, k: pointwise_ci(t1, k, 3.0, TransformKind.LINEAR),
+    "cif_estimate": lambda t1, t2, data, k: cif_estimate(t1, k),
+    "pseudo_values": lambda t1, t2, data, k: pseudo_values(data, k, [2.0]),
+    "pseudo_test": lambda t1, t2, data, k: pseudo_test(data, k, 2.0),
+    "run_battery": lambda t1, t2, data, k: run_battery(group_columns(data), k, 3.0),
+    "event_table_from_arrays": lambda t1, t2, data, k: event_table_from_arrays(
+        [1.0, 2.0], [1, 0], causes=(1, k)),
+}
+
+
+class TestCauseBelowOne:
+    # status 0 marks censoring, so no failure has a cause below 1; all
+    # but run_battery used to answer such a cause with zeros
+    @pytest.mark.parametrize("cause", [0, -1])
+    @pytest.mark.parametrize("call", CAUSE_CALLS.values(), ids=CAUSE_CALLS.keys())
+    def test_refused(self, call, cause):
+        data = make_dataset([1.0, 2.0, 3.0, 4.0] * 2, [1, 0, 1, 2, 2, 1, 0, 1],
+                            ["a"] * 4 + ["b"] * 4)
+        tables = [build_event_table(data, g) for g in data.groups]
+        with pytest.raises(ValueError, match=rf"cause must be >= 1 \(0 marks censoring\), "
+                                             rf"got {cause}$"):
+            call(*tables, data, cause)
 
 
 class TestParseDataset:

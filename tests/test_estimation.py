@@ -2,11 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cifpoint.data import build_event_table, event_table_from_arrays
-from cifpoint.estimation import StepFunction, cif_at, cif_estimate, km_survival
+from cifpoint.estimation import (
+    StepFunction,
+    _row_knots,
+    _table_counts,
+    cif_at,
+    cif_estimate,
+    km_survival,
+)
 
-from conftest import make_dataset, random_dataset
+from conftest import horizons, make_dataset, random_dataset, subject_columns
 
 TOL = 1e-12
 
@@ -104,3 +113,24 @@ class TestCifEstimate:
     def test_cif_at_helper(self, table_a):
         curve = cif_estimate(table_a, 1)
         assert cif_at(curve, 3.0) == curve.at(3.0)
+
+
+class TestPackedCounts:
+    # the two producers of packed knot counts, an event table's prefix
+    # and a block of subjects' rows, agree bit for bit on one data set.
+    # The table carries `cause` through `causes`, so a cause no subject
+    # has gives zero counts at the knots in both.
+
+    @settings(max_examples=200, deadline=None)
+    @given(subject_columns(groups=("g",)), st.integers(1, 4), horizons)
+    @example([[1.0, 1.0, 1.0, 2.0, 2.0], [1, 2, 0, 3, 1], ["g"] * 5], 1, 2.0)
+    @example([[1.0, 1.0, 3.0], [2, 1, 1], ["g"] * 3], 2, 0.5)
+    @example([[1.0, 1.0, 3.0], [2, 2, 0], ["g"] * 3], 4, 3.0)
+    def test_table_prefix_is_one_row(self, columns, cause, t):
+        times, statuses = np.array(columns[0]), np.array(columns[1])
+        table = event_table_from_arrays(times, statuses, causes=(cause,))
+        counts = _table_counts(table, cause, t)
+        rows = _row_knots(times[None], statuses[None], cause, t)[4:]
+        for x, y in zip(counts, rows):
+            assert x.shape == y.shape and x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes()

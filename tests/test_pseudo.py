@@ -227,6 +227,15 @@ class TestGeeFit:
         expected = math.log(p1 / (1 - p1)) - math.log(p0 / (1 - p0))
         assert abs(fit.group_effect - expected) <= 1e-8
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pseudo_values_refused(self, bad):
+        # NaN used to raise NotEstimable from the logit and inf
+        # SeparationDetected
+        theta = np.array([0.9, bad, 0.7, 0.2, 0.3, 0.1])
+        x = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="^pseudo-values must be finite$"):
+            gee_fit(theta, x)
+
     def test_x_validation(self, gee_dataset):
         pv = pseudo_values(gee_dataset, 1, [1.0])
         with pytest.raises(ValueError):

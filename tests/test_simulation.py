@@ -674,6 +674,22 @@ class TestScenarioFile:
         with pytest.raises(CifPointError, match="n1/n2"):
             parse_scenarios(path)
 
+    @pytest.mark.parametrize("line, key, value", [
+        ("sizes = 5/5, 5/5", "sizes", "5/5"),
+        ("times = 0.5, .5", "times", ".5"),
+        ("shr = 2, 2.0", "shr", "2.0"),
+        ("censoring = 0.1, 0.3, 0.10", "censoring", "0.10"),
+    ])
+    def test_repeated_value(self, tmp_path, line, key, value):
+        # the grid used to expand into identical scenarios, whose results
+        # file read_results_csv then refused as repeating a test
+        path = tmp_path / "grid.cfg"
+        lines = {"sizes": "sizes = 5/5", "times": "times = 0.5", key: line}
+        path.write_text("\n".join(lines.values()) + "\n")
+        with pytest.raises(CifPointError) as info:
+            parse_scenarios(path)
+        assert str(info.value) == f"{path}: key {key!r}: repeated value {value!r}"
+
 
 class TestResultsIo:
     @pytest.fixture

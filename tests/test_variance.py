@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cifpoint.data import EventTable, build_event_table, event_table_from_arrays
-from cifpoint.errors import NumericalError, _first_error
-from cifpoint.estimation import _knot_terms, _row_terms
+from cifpoint.errors import NotEstimable, NumericalError, _first_error
+from cifpoint.estimation import _aalen_johansen, _row_knots, _table_counts
+from cifpoint.fixed_time import TransformKind, k_sample_test, pointwise_ci
 from cifpoint.variance import (
     _ESTIMATORS,
     VarianceKind,
+    _summaries,
     _variance,
     aalen_variance,
     cif_variance,
@@ -156,6 +158,13 @@ row_blocks = st.integers(1, 10).flatmap(lambda n: st.lists(
              min_size=n, max_size=n), min_size=1, max_size=5)).map(np.array)
 
 
+def knot_terms(a, d, dk):
+    """The estimators' terms from packed knot counts, as `_summaries`
+    builds them."""
+    s_prev, _, jumps = _aalen_johansen(a, d, dk)
+    return a, d, dk, s_prev, jumps
+
+
 class TestFinite:
     # no valid input reaches a zero denominator under a nonzero
     # numerator: both estimators are finite on every prefix of every
@@ -167,14 +176,40 @@ class TestFinite:
     def test_every_table_prefix(self, table):
         for cause in (1, 2, 3):
             for j in range(1, table.times.size + 1):
-                terms = _knot_terms(table, cause, j)
+                terms = knot_terms(*_table_counts(table, cause, table.times[j - 1]))
                 for estimator in _ESTIMATORS.values():
-                    assert np.isfinite(estimator(terms)), (cause, j)
+                    assert np.all(np.isfinite(estimator(terms))), (cause, j)
 
     @settings(max_examples=300, deadline=None)
     @given(row_blocks, st.integers(1, 3), st.integers(1, 7).map(lambda k: k / 8.0))
     def test_every_row_block(self, block, cause, t):
         times, statuses = block[..., 0], block[..., 1].astype(int)
-        terms = _row_terms(times, statuses, cause, t)
+        terms = knot_terms(*_row_knots(times, statuses, cause, t)[4:])
         for estimator in _ESTIMATORS.values():
             assert np.all(np.isfinite(estimator(terms)))
+
+
+class TestNothingToVary:
+    # no knot up to t, or a cause the table does not carry: the counts
+    # are one padding knot, whose estimate and variances are exactly 0
+    # with no failing check
+
+    @pytest.mark.parametrize("cause, t", [(1, 0.5), (9, 3.0)],
+                             ids=["empty-prefix", "absent-cause"])
+    def test_zero_estimate_and_variances(self, table_a, table_b, cause, t):
+        estimate, variances = _summaries(*_table_counts(table_a, cause, t))
+        assert estimate.tolist() == [0.0]
+        for kind in VarianceKind:
+            values, checks = variances[kind]
+            assert values.tolist() == [0.0]
+            assert _first_error(checks, 0) is None
+            v = cif_variance(table_a, cause, t, kind)
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0
+            assert pointwise_ci(table_a, cause, t, TransformKind.LINEAR, kind) == (0.0, 0.0)
+            res = k_sample_test((table_a, table_b), cause, t, TransformKind.LINEAR, kind)
+            assert (res.statistic, res.p_value) == (0.0, 1.0)
+            assert [(g.estimate, g.variance) for g in res.groups] == [(0.0, 0.0)] * 2
+            with pytest.raises(NotEstimable, match="undefined at estimate 0.0"):
+                k_sample_test((table_a, table_b), cause, t, TransformKind.LOGLOG, kind)
+            with pytest.raises(NotEstimable, match="undefined at estimate 0.0"):
+                pointwise_ci(table_a, cause, t, TransformKind.LOGIT, kind)
