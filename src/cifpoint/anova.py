@@ -11,8 +11,9 @@ rate (minus the nominal level, for the null case), the models are
 
 where TEST has the twelve battery members as levels, NUM the group
 size pairs, TIME the fixed times, and CEN the censoring fractions.
-Dummy coding drops each factor's first level, so cell-mean estimates
-are anchored at the remaining factors' reference levels.
+A factor's levels come in order of first appearance in the grid, and
+dummy coding drops the first, so cell-mean estimates are anchored at
+the remaining factors' reference levels.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ from .simulation import TEST_IDS
 
 __all__ = ["Coefficient", "AnovaTable", "ols_no_intercept", "anova_summarize"]
 
+# the label of a scenario's level of each factor besides TEST; the one
+# place where these labels are formatted
+_FACTORS = {
+    "NUM1_NUM2": lambda s: f"{s.n1}/{s.n2}",
+    "TIME": lambda s: f"{s.t_fixed:g}",
+    "CEN": lambda s: f"{s.censor_fraction:g}",
+}
 _INTERACTIONS = {1: "NUM1_NUM2", 2: "TIME", 3: "CEN", 4: None}
 _RESPONSES = ("type1", "power")
 
@@ -117,34 +125,20 @@ def ols_no_intercept(design, y):
     return coef
 
 
-def _level_labels(results) -> dict[str, list[str]]:
-    labels: dict[str, list[str]] = {"NUM1_NUM2": [], "TIME": [], "CEN": []}
-    for res in results:
-        s = res.scenario
-        for factor, label in (
-            ("NUM1_NUM2", f"{s.n1}/{s.n2}"),
-            ("TIME", f"{s.t_fixed:g}"),
-            ("CEN", f"{s.censor_fraction:g}"),
-        ):
-            if label not in labels[factor]:
-                labels[factor].append(label)
-    return labels
-
-
 @functools.lru_cache(maxsize=64)
 def _design_columns(model: int, levels: tuple[tuple[str, ...], ...]) -> tuple[tuple[str, str], ...]:
-    """(factor, level) of each design column of `model`, given the
-    levels of NUM1_NUM2, TIME and CEN in order of first appearance."""
-    labels = dict(zip(("NUM1_NUM2", "TIME", "CEN"), levels))
+    """(factor, level) of each design column of `model`, given each
+    factor's levels in _FACTORS order, in order of first appearance."""
+    labels = dict(zip(_FACTORS, levels))
     interaction = _INTERACTIONS[model]
     if interaction is None:
         columns = [("TEST", test) for test in TEST_IDS]
     else:
         columns = [(f"TEST:{interaction}", f"{test}:{lvl}")
                    for test in TEST_IDS for lvl in labels[interaction]]
-    for factor in ("NUM1_NUM2", "TIME", "CEN"):
+    for factor, lvls in labels.items():
         if factor != interaction:
-            columns.extend((factor, lvl) for lvl in labels[factor][1:])
+            columns.extend((factor, lvl) for lvl in lvls[1:])
     return tuple(columns)
 
 
@@ -162,42 +156,28 @@ def anova_summarize(results, response: str = "type1", model: int = 4) -> AnovaTa
     if model not in _INTERACTIONS:
         raise ValueError(f"model must be 1, 2, 3 or 4, got {model!r}")
 
-    labels = _level_labels(results)
-    rows = []
-    for res in results:
-        s = res.scenario
-        for test in TEST_IDS:
-            if res.valid(test) == 0:
-                raise CifPointError(
-                    f"test {test} has no valid replications in scenario {s}"
-                )
-            percent = 100.0 * res.rate(test)
-            rows.append({
-                "TEST": test,
-                "NUM1_NUM2": f"{s.n1}/{s.n2}",
-                "TIME": f"{s.t_fixed:g}",
-                "CEN": f"{s.censor_fraction:g}",
-                "y": percent - 100.0 * s.alpha if response == "type1" else percent,
-            })
-
-    interaction = _INTERACTIONS[model]
-    columns = _design_columns(model, tuple(tuple(labels[f]) for f in ("NUM1_NUM2", "TIME", "CEN")))
-
-    design = np.zeros((len(rows), len(columns)))
-    y = np.array([row["y"] for row in rows])
+    labels = [tuple(label(res.scenario) for label in _FACTORS.values()) for res in results]
+    columns = _design_columns(model, tuple(tuple(dict.fromkeys(lvls)) for lvls in zip(*labels)))
     index = {key: j for j, key in enumerate(columns)}
-    for i, row in enumerate(rows):
-        if interaction is None:
-            design[i, index[("TEST", row["TEST"])]] = 1.0
-        else:
-            cell = f"{row['TEST']}:{row[interaction]}"
-            design[i, index[(f"TEST:{interaction}", cell)]] = 1.0
-        for factor in ("NUM1_NUM2", "TIME", "CEN"):
-            if factor == interaction:
-                continue
-            key = (factor, row[factor])
-            if key in index:
-                design[i, index[key]] = 1.0
+    interaction = _INTERACTIONS[model]
+    test_factor = "TEST" if interaction is None else f"TEST:{interaction}"
+
+    design = np.zeros((len(results) * len(TEST_IDS), len(columns)))
+    y = np.empty(design.shape[0])
+    for r, (res, scenario_labels) in enumerate(zip(results, labels)):
+        s = res.scenario
+        level = dict(zip(_FACTORS, scenario_labels))
+        # the dummies outside the cell, shared by the scenario's rows; a
+        # reference level and the cell's own factor name no column
+        start = r * len(TEST_IDS)
+        design[start:start + len(TEST_IDS), [index[key] for key in level.items() if key in index]] = 1.0
+        suffix = "" if interaction is None else f":{level[interaction]}"
+        for i, test in enumerate(TEST_IDS, start=start):
+            if res.valid(test) == 0:
+                raise CifPointError(f"test {test} has no valid replications in scenario {s}")
+            percent = 100.0 * res.rate(test)
+            y[i] = percent - 100.0 * s.alpha if response == "type1" else percent
+            design[i, index[(test_factor, test + suffix)]] = 1.0
 
     try:
         coef = ols_no_intercept(design, y)

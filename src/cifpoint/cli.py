@@ -380,7 +380,7 @@ def run_cli(argv=None) -> int:
     except _UsageError as exc:
         print(f"cifpoint: {exc}", file=sys.stderr)
         return 1
-    except (InvalidRecord, FileNotFoundError, PermissionError) as exc:
+    except (InvalidRecord, OSError, UnicodeDecodeError) as exc:
         print(f"cifpoint: data error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

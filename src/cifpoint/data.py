@@ -246,7 +246,10 @@ def _first_row_error(path, rows, width, ti, si, gi) -> InvalidRecord:
 
 
 def _check_cause(cause) -> None:
-    """Refuse a cause below 1, which no failure can have."""
+    """Refuse a cause that is not a whole number of at least 1, which no
+    failure can have."""
+    if not float(cause).is_integer():
+        raise ValueError(f"cause must be a whole number, got {cause!r}")
     if cause < 1:
         raise ValueError(f"cause must be >= 1 (0 marks censoring), got {cause!r}")
 

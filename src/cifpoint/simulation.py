@@ -483,7 +483,10 @@ def parse_scenarios(path) -> list[Scenario]:
             raise CifPointError(f"{path}: key {key!r}: bad value {tok.strip()!r}") from None
 
     def listed(key):
-        return [tok.strip() for tok in raw.get(key, "").split(",") if tok.strip()]
+        tokens = [tok.strip() for tok in raw[key].split(",") if tok.strip()]
+        if not tokens:
+            raise CifPointError(f"{path}: key {key!r}: no values")
+        return tokens
 
     def values(key, default, kind=float):
         if key not in raw:
@@ -596,6 +599,8 @@ def read_results_csv(path) -> list[ScenarioResult]:
             if test in rejections:
                 raise CifPointError(f"{path}: scenario {scenario} repeats test {test!r}")
             rejections[test], excluded[test] = counts
+    if not grouped:
+        raise CifPointError(f"{path}: no results")
     results = []
     for scenario, (rejections, excluded) in grouped.items():
         absent = [t for t in TEST_IDS if t not in rejections]

@@ -1,9 +1,22 @@
+"""Tests of the linear-model summaries.
+
+The coefficients of models 1-4 under both responses on a fixed grid of
+seeded counts are pinned in data/anova_coefficients.json.  A change
+that moves a coefficient rewrites the file with
+`PYTHONPATH=src python tests/test_anova.py` and explains each move.
+"""
+
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from cifpoint.anova import AnovaTable, anova_summarize, ols_no_intercept
 from cifpoint.errors import CifPointError, RankDeficientDesign
 from cifpoint.simulation import TEST_IDS, Scenario, ScenarioResult
+
+COEFFICIENTS_FILE = pathlib.Path(__file__).parent / "data" / "anova_coefficients.json"
 
 
 def fake_result(n1, n2, t, cen, rates, reps=1000, excluded=None):
@@ -27,6 +40,31 @@ def additive_grid():
             rates = {test: base[test] + se + te for test in base}
             results.append(fake_result(n1, n2, t, 0.0, rates))
     return results
+
+
+def seeded_grid():
+    """2 size pairs x 3 times x 3 censoring levels with seeded counts
+    that differ across tests and cells."""
+    rng = np.random.default_rng(20181121)
+    results = []
+    for n1, n2 in ((25, 25), (50, 100)):
+        for t in (0.1, 0.5, 1.5):
+            for cen in (0.0, 0.25, 0.45):
+                s = Scenario(n1=n1, n2=n2, beta=0.0, censor_fraction=cen, t_fixed=t,
+                             reps=1000, master_seed=1)
+                excluded = {test: int(rng.integers(0, 60)) for test in TEST_IDS}
+                rejections = {test: int(rng.integers(0, 1000 - excluded[test]))
+                              for test in TEST_IDS}
+                results.append(ScenarioResult(s, rejections, excluded))
+    return results
+
+
+def coefficient_table(results):
+    """Every coefficient of models 1-4 under both responses, with each
+    estimate as float.hex so that a moved bit shows."""
+    return {f"{response} {model}": [[c.factor, c.level, float.hex(c.estimate)]
+                                    for c in anova_summarize(results, response, model).coefficients]
+            for response in ("type1", "power") for model in (1, 2, 3, 4)}
 
 
 class TestOls:
@@ -124,6 +162,10 @@ class TestOls:
 
 
 class TestSummarize:
+    def test_pinned_coefficients(self):
+        pinned = json.loads(COEFFICIENTS_FILE.read_text())
+        assert coefficient_table(seeded_grid()) == pinned
+
     def test_single_scenario_cell_means(self):
         rates = {test: 0.04 + 0.002 * i for i, test in enumerate(TEST_IDS)}
         table = anova_summarize([fake_result(50, 50, 0.5, 0.0, rates)])
@@ -212,3 +254,7 @@ class TestSummarize:
             anova_summarize([res], response="level")
         with pytest.raises(ValueError):
             anova_summarize([res], model=5)
+
+
+if __name__ == "__main__":
+    COEFFICIENTS_FILE.write_text(json.dumps(coefficient_table(seeded_grid()), indent=1) + "\n")

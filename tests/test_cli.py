@@ -42,6 +42,15 @@ def grid_cfg(tmp_path):
     return path
 
 
+def results_csv(path):
+    """A results file of one 20/20 scenario with 1 rejection and 1
+    exclusion of each test."""
+    scenario = cifpoint.Scenario(n1=20, n2=20, beta=0.0, censor_fraction=0.0, t_fixed=0.5, reps=20)
+    counts = dict.fromkeys(cifpoint.TEST_IDS, 1)
+    cifpoint.write_results_csv([cifpoint.ScenarioResult(scenario, counts, counts)], path)
+    return path
+
+
 def run(args, capsys):
     code = run_cli(args)
     captured = capsys.readouterr()
@@ -414,11 +423,7 @@ class TestSimulateAndSummarize:
 
     def test_summarize_rejects_a_repeated_test(self, tmp_path, capsys):
         # the later row used to win silently
-        scenario = cifpoint.Scenario(n1=20, n2=20, beta=0.0, censor_fraction=0.0,
-                                     t_fixed=0.5, reps=20)
-        counts = dict.fromkeys(cifpoint.TEST_IDS, 1)
-        path = tmp_path / "results.csv"
-        cifpoint.write_results_csv([cifpoint.ScenarioResult(scenario, counts, counts)], path)
+        path = results_csv(tmp_path / "results.csv")
         lines = path.read_text().splitlines()
         (repeat,) = [line for line in lines if ",gaynor_linear," in line]
         lines.append(repeat.replace(",gaynor_linear,1,", ",gaynor_linear,7,"))
@@ -431,16 +436,20 @@ class TestSimulateAndSummarize:
 
     def test_summarize_rejects_impossible_counts(self, tmp_path, capsys):
         # 90 rejections of 20 replications used to print as 445 points
-        scenario = cifpoint.Scenario(n1=20, n2=20, beta=0.0, censor_fraction=0.0,
-                                     t_fixed=0.5, reps=20)
-        counts = dict.fromkeys(cifpoint.TEST_IDS, 1)
-        path = tmp_path / "results.csv"
-        cifpoint.write_results_csv([cifpoint.ScenarioResult(scenario, counts, counts)], path)
+        path = results_csv(tmp_path / "results.csv")
         path.write_text(path.read_text().replace(",aalen_arcs,1,", ",aalen_arcs,90,"))
         code, out, err = run(["summarize-anova", "--input", str(path), "--model", "4"], capsys)
         assert code == 2
         assert out == ""
         assert "test 'aalen_arcs'" in err and "n1=20" in err
+
+    def test_summarize_rejects_a_file_without_results(self, tmp_path, capsys):
+        # it used to end in a traceback with exit 1
+        path = tmp_path / "results.csv"
+        cifpoint.write_results_csv([], path)
+        code, out, err = run(["summarize-anova", "--input", str(path), "--model", "4"], capsys)
+        assert code == 2
+        assert out == "" and err == f"cifpoint: data error: {path}: no results\n"
 
     def test_summarize_missing_input(self, capsys):
         code, _, _ = run(
@@ -496,6 +505,45 @@ class TestPlotData:
         assert "cause 5" in err and "causes present: 1, 2" in err
         assert out == ""
         assert not dest.exists()
+
+
+# each command line reads or writes the file given as {bad}
+FILE_ARGS = {
+    "estimate --input": ["estimate", "--input", "{bad}", "--cause", "1", "--times", "1"],
+    "test --input": ["test", "--input", "{bad}", "--group-col", "arm", "--cause", "1",
+                     "--time", "3"],
+    "simulate --scenario": ["simulate", "--scenario", "{bad}", "--out", "{tmp}/out.csv"],
+    "summarize-anova --input": ["summarize-anova", "--input", "{bad}", "--model", "4"],
+    "plot-data --input": ["plot-data", "--input", "{bad}", "--out", "{tmp}/curves.csv"],
+    "estimate --out": ["estimate", "--input", "{data}", "--cause", "1", "--times", "1",
+                       "--out", "{bad}"],
+    "test --out": ["test", "--input", "{data}", "--group-col", "arm", "--cause", "1",
+                   "--time", "3", "--out", "{bad}"],
+    "simulate --out": ["simulate", "--scenario", "{grid}", "--reps", "2", "--out", "{bad}"],
+    "summarize-anova --out": ["summarize-anova", "--input", "{results}", "--model", "4",
+                              "--out", "{bad}"],
+    "plot-data --out": ["plot-data", "--input", "{data}", "--out", "{bad}"],
+}
+
+
+class TestUnreadableFile:
+    # a directory or a file that is not UTF-8 used to end in a traceback
+    # with exit 1; an output file is only ever a directory here
+    @pytest.mark.parametrize("kind, name", [
+        *(("directory", name) for name in FILE_ARGS),
+        *(("not utf-8", name) for name in FILE_ARGS if name.endswith(("--input", "--scenario"))),
+    ])
+    def test_is_data_error(self, kind, name, data_csv, grid_cfg, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"time,status\n1.0,1\n\xe9\xff,0\n")
+        paths = {"bad": bad, "tmp": tmp_path, "data": data_csv, "grid": grid_cfg,
+                 "results": results_csv(tmp_path / "results.csv")}
+        code, _, err = run([arg.format(**paths) for arg in FILE_ARGS[name]], capsys)
+        assert code == 2
+        assert "cifpoint: data error: " in err and "Traceback" not in err
 
 
 class TestTopLevel:

@@ -181,6 +181,20 @@ class TestCauseBelowOne:
             call(*tables, data, cause)
 
 
+class TestCauseNotWhole:
+    # a cause of 1.5 used to get estimates of 0 from the table functions
+    # and cause 1 from the pseudo-value ones; a NaN cause answered 0 or
+    # failed converting to an integer
+    @pytest.mark.parametrize("cause", [1.5, float("nan")])
+    @pytest.mark.parametrize("call", CAUSE_CALLS.values(), ids=CAUSE_CALLS.keys())
+    def test_refused(self, call, cause):
+        data = make_dataset([1.0, 2.0, 3.0, 4.0] * 2, [1, 0, 1, 2, 2, 1, 0, 1],
+                            ["a"] * 4 + ["b"] * 4)
+        tables = [build_event_table(data, g) for g in data.groups]
+        with pytest.raises(ValueError, match=rf"cause must be a whole number, got {cause}$"):
+            call(*tables, data, cause)
+
+
 class TestParseDataset:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "d.csv"

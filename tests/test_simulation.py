@@ -690,6 +690,18 @@ class TestScenarioFile:
             parse_scenarios(path)
         assert str(info.value) == f"{path}: key {key!r}: repeated value {value!r}"
 
+    @pytest.mark.parametrize("line", ["sizes =", "times =", "censoring =", "shr =", "beta = ,"])
+    def test_key_without_values(self, tmp_path, line):
+        # the grid used to expand into no scenarios, and simulate wrote a
+        # results file of only a header
+        key = line.split(" = ")[0].strip(" =")
+        path = tmp_path / "grid.cfg"
+        lines = {"sizes": "sizes = 5/5", "times": "times = 0.5", key: line}
+        path.write_text("\n".join(lines.values()) + "\n")
+        with pytest.raises(CifPointError) as info:
+            parse_scenarios(path)
+        assert str(info.value) == f"{path}: key {key!r}: no values"
+
 
 class TestResultsIo:
     @pytest.fixture
@@ -772,6 +784,14 @@ class TestResultsIo:
         assert back.reasons == {}
         # the reasons take no part in equality
         assert back == res
+
+    def test_read_rejects_a_file_without_results(self, tmp_path):
+        # summarize-anova used to fail on it with a ValueError
+        path = tmp_path / "res.csv"
+        write_results_csv([], path)
+        with pytest.raises(CifPointError) as info:
+            read_results_csv(path)
+        assert str(info.value) == f"{path}: no results"
 
     def test_read_rejects_incomplete(self, results, tmp_path):
         path = tmp_path / "res.csv"
