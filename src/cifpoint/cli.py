@@ -299,6 +299,9 @@ def _cmd_simulate(args) -> int:
             scenarios = [replace(s, **patch) for s in scenarios]
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
+    # an --out that cannot be written fails before the first scenario
+    # runs; a file already there keeps its contents until the end
+    open(args.out, "a").close()
     results = []
     for i, s in enumerate(scenarios, start=1):
         print(

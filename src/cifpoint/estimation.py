@@ -117,7 +117,8 @@ def _row_knots(times: np.ndarray, statuses: np.ndarray, cause: int, t: float):
     Each row is sorted once.  Its knots' counts are packed in time order
     into (R, K) arrays for the most knots K of any row; a row with fewer
     ends in entries with one at risk and no events, whose factor
-    (1 - 0) / 1 = 1 and zero jump change no sum.
+    (1 - 0) / 1 = 1 and zero jump change no product and, as every sum
+    runs in knot order, no sum: a row's numbers do not depend on K.
 
     Returns (order, statuses, rank, own, a, d, dk): the sorting
     permutation and the sorted statuses; for each sorted subject the

@@ -298,9 +298,10 @@ def _test_rows(points, t: float, kind: TransformKind, variance: VarianceKind) ->
 
 
 def _table_points(tables, cause: int, t: float, variance: VarianceKind):
-    """Each table's one-row (estimates, (variances, checks)) at `t`."""
-    return [(estimate, variances[variance])
-            for estimate, variances in (_summaries(*_table_counts(tb, cause, t)) for tb in tables)]
+    """Each table's one-row (estimates, (variances, checks)) at `t`,
+    with only the `variance` estimator computed."""
+    return [(estimate, variances[variance]) for estimate, variances in
+            (_summaries(*_table_counts(tb, cause, t), (variance,)) for tb in tables)]
 
 
 def two_sample_test(table1: EventTable, table2: EventTable, cause: int, t: float,

@@ -29,9 +29,11 @@ each exclusion reason as a mask over the rows) is array arithmetic
 over the block.  A block holds at most _BLOCK_CELLS subjects in all,
 R (n1 + n2) <= 2**18, which bounds its arrays to a few megabytes
 whatever the scenario; the replication range is cut into such blocks
-and the counts summed, so the counts do not depend on where it is
-cut.  `run_battery` is the same engine at R = 1, for any number of
-groups; a test's exclusion is its row's first failing check.
+and the counts summed.  Every number of a row equals that of the
+public test on the row's data set bit for bit, whatever the block's
+size, so the counts do not depend on where the range is cut.
+`run_battery` is the same engine at R = 1, for any number of groups; a
+test's exclusion is its row's first failing check.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -149,10 +152,9 @@ def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOut
     is one row of the batched one the simulation runs, comparing the
     groups as `k_sample_test` does.
     The pseudo-value tests need exactly two groups; their subjects are
-    pooled in group order with the first group as x = 1.  Estimates and
-    pseudo-values equal those of `two_sample_test`, `k_sample_test` and
-    `pseudo_test` bit for bit, and variances and statistics to
-    round-off.
+    pooled in group order with the first group as x = 1.  Every result
+    and error equals that of `two_sample_test`, `k_sample_test` or
+    `pseudo_test` bit for bit.
     """
     unknown = set(tests) - set(TEST_IDS)
     if unknown:
@@ -192,6 +194,10 @@ class Scenario:
     master_seed: int = 20180612
 
     def __post_init__(self):
+        for name in ("n1", "n2", "reps", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (math.isfinite(self.t_fixed) and self.t_fixed > 0.0):
             raise ValueError(f"t_fixed must be finite and positive, got {self.t_fixed!r}")
         if not math.isfinite(self.beta):
@@ -416,9 +422,11 @@ def run_scenario(s: Scenario, workers: int = 1,
 
     `per_group_censoring` calibrates a separate uniform bound against
     each group's own failure-time law instead of the pooled mixture.
-    Aggregation is pure counting, so any partition of the replication
-    range across workers yields the same result; `workers` is capped at
-    the number of CPUs, since the pool starts all its processes at once.
+    Each replication's outcomes are those of its own public calls bit
+    for bit, whatever block it runs in, and aggregation is pure
+    counting, so any partition of the replication range across blocks
+    and workers yields the same result; `workers` is capped at the
+    number of CPUs, since the pool starts all its processes at once.
     """
     if per_group_censoring:
         bounds = (

@@ -46,7 +46,8 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 # Both estimators work along the last axis of the knot terms (a, d, dk,
 # S(t_{j-1}), jumps) that `_summaries` builds from packed knot counts,
 # one row per data set.  Each gives one finite variance per row, which
-# round-off may leave a little below 0.
+# round-off may leave a little below 0.  Every sum runs in knot order,
+# one total per term, so a row's trailing padding knots add exact zeros.
 
 
 def _aalen(terms):
@@ -60,7 +61,8 @@ def _aalen(terms):
     sq = _ratio(diff**2 * d, (a - 1.0) * (a - d))
     binom = _ratio(s_prev**2 * dk * (a - dk), a**2 * (a - 1.0))
     cross = _ratio(diff * s_prev * dk * (a - dk), a * (a - 1.0) * (a - d))
-    return sq.sum(axis=-1) + binom.sum(axis=-1) - 2.0 * cross.sum(axis=-1)
+    sq, binom, cross = (np.cumsum(x, axis=-1)[..., -1] for x in (sq, binom, cross))
+    return sq + binom - 2.0 * cross
 
 
 def _gaynor(terms):
@@ -73,7 +75,8 @@ def _gaynor(terms):
         own = np.where(dk > 0.0, inc**2 * ((a - dk) / (dk * a) + prefix), 0.0)
     later = np.flip(_lagged(np.cumsum(np.flip(inc, -1), axis=-1), 0.0), -1)
     pairs = inc * (prefix - 1.0 / a) * later
-    return own.sum(axis=-1) + 2.0 * pairs.sum(axis=-1)
+    own, pairs = (np.cumsum(x, axis=-1)[..., -1] for x in (own, pairs))
+    return own + 2.0 * pairs
 
 
 _ESTIMATORS = {VarianceKind.GAYNOR: _gaynor, VarianceKind.AALEN: _aalen}
@@ -101,20 +104,21 @@ def _variance(kind: VarianceKind, terms):
     )
 
 
-def _summaries(a, d, dk):
-    """The incidence at the last knot and each variance as (values,
-    checks), row by row, from packed knot counts: one data set per row
-    of `a`, `d` and `dk`, as `estimation._row_knots` and
-    `estimation._table_counts` give them."""
+def _summaries(a, d, dk, kinds=tuple(VarianceKind)):
+    """The incidence at the last knot and each of the `kinds` of
+    variance as (values, checks), row by row, from packed knot counts:
+    one data set per row of `a`, `d` and `dk`, as
+    `estimation._row_knots` and `estimation._table_counts` give them."""
     s_prev, _, jumps = _aalen_johansen(a, d, dk)
     return (np.cumsum(jumps, axis=-1)[..., -1],
-            {kind: _variance(kind, (a, d, dk, s_prev, jumps)) for kind in VarianceKind})
+            {kind: _variance(kind, (a, d, dk, s_prev, jumps)) for kind in kinds})
 
 
 def cif_variance(table: EventTable, cause: int, t: float,
                  kind: VarianceKind = VarianceKind.GAYNOR) -> float:
     """Dispatch to the requested variance estimator."""
-    values, checks = _summaries(*_table_counts(table, cause, t))[1][VarianceKind(kind)]
+    kind = VarianceKind(kind)
+    values, checks = _summaries(*_table_counts(table, cause, t), (kind,))[1][kind]
     error = _first_error(checks, 0)
     if error is not None:
         raise error

@@ -528,15 +528,19 @@ FILE_ARGS = {
 
 class TestUnreadableFile:
     # a directory or a file that is not UTF-8 used to end in a traceback
-    # with exit 1; an output file is only ever a directory here
+    # with exit 1; an output file is a directory or in a missing folder
+    # here, and simulate refuses it before it runs a scenario
     @pytest.mark.parametrize("kind, name", [
         *(("directory", name) for name in FILE_ARGS),
         *(("not utf-8", name) for name in FILE_ARGS if name.endswith(("--input", "--scenario"))),
+        *(("missing folder", name) for name in FILE_ARGS if name.endswith("--out")),
     ])
     def test_is_data_error(self, kind, name, data_csv, grid_cfg, tmp_path, capsys):
         bad = tmp_path / "bad"
         if kind == "directory":
             bad.mkdir()
+        elif kind == "missing folder":
+            bad = tmp_path / "missing" / "out"
         else:
             bad.write_bytes(b"time,status\n1.0,1\n\xe9\xff,0\n")
         paths = {"bad": bad, "tmp": tmp_path, "data": data_csv, "grid": grid_cfg,
@@ -544,6 +548,7 @@ class TestUnreadableFile:
         code, _, err = run([arg.format(**paths) for arg in FILE_ARGS[name]], capsys)
         assert code == 2
         assert "cifpoint: data error: " in err and "Traceback" not in err
+        assert "[1/" not in err
 
 
 class TestTopLevel:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cifpoint.data import EventTable, build_event_table, event_table_from_arrays
 from cifpoint.errors import NotEstimable, NumericalError, _first_error
@@ -213,3 +214,59 @@ class TestNothingToVary:
                 k_sample_test((table_a, table_b), cause, t, TransformKind.LOGLOG, kind)
             with pytest.raises(NotEstimable, match="undefined at estimate 0.0"):
                 pointwise_ci(table_a, cause, t, TransformKind.LOGIT, kind)
+
+
+# R >= 2 data sets of n subjects each, one subject a code 0..95 for a
+# time on a grid of eighths up to 3 (code // 4) and a status censored or
+# one of three causes (code % 4): up to 24 knots a row, so that rows
+# padded to the block's widest run past eight knots, with tied failures
+# of mixed causes
+tied_blocks = st.tuples(st.integers(2, 4), st.integers(16, 32)).flatmap(
+    lambda shape: hnp.arrays(np.int64, shape, elements=st.integers(0, 95), fill=st.nothing()))
+
+
+def bits(x):
+    """The float64 bit patterns of `x`, which tell -0.0 from 0.0 and
+    match a NaN with itself."""
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+class TestBlockRows:
+    # a block pads each row with knots of one at risk and no events,
+    # which add exact zeros to sums run in knot order: each row's
+    # estimate, variances and checks are those of its own counts, bit
+    # for bit, however many knots the block's other rows have
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_blocks, st.integers(1, 3), st.integers(1, 25).map(lambda k: k / 8.0))
+    def test_each_row_equals_its_own_counts(self, block, cause, t):
+        times, statuses = (block // 4 + 1) / 8.0, block % 4
+        estimate, variances = _summaries(*_row_knots(times, statuses, cause, t)[4:])
+        for r in range(times.shape[0]):
+            own_estimate, own = _summaries(*_row_knots(times[r:r + 1], statuses[r:r + 1],
+                                                       cause, t)[4:])
+            assert bits(estimate[r]) == bits(own_estimate[0])
+            for kind in VarianceKind:
+                (values, checks), (own_values, own_checks) = variances[kind], own[kind]
+                assert bits(values[r]) == bits(own_values[0]), (kind, r)
+                assert str(_first_error(checks, r)) == str(_first_error(own_checks, 0))
+
+
+class TestOneEstimator:
+    # a table function computes only the estimator it returns: the
+    # other one made to fail changes nothing
+
+    @pytest.mark.parametrize("kind", list(VarianceKind))
+    def test_other_estimator_never_runs(self, monkeypatch, table_a, table_b, kind):
+        def calls():
+            return (cif_variance(table_a, 1, 3.0, kind),
+                    pointwise_ci(table_a, 1, 3.0, TransformKind.LOGLOG, kind),
+                    k_sample_test((table_a, table_b), 1, 3.0, TransformKind.LOG, kind))
+
+        def fail(terms):
+            raise AssertionError("the other estimator ran")
+
+        want = calls()
+        other, = set(VarianceKind) - {kind}
+        monkeypatch.setitem(_ESTIMATORS, other, fail)
+        assert calls() == want
