@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -36,7 +37,7 @@ from .errors import (
     ZeroVariance,
 )
 from .estimation import cif_estimate
-from .fixed_time import TransformKind, pointwise_ci
+from .fixed_time import TransformKind, _interval, _table_points
 from .simulation import (
     TEST_IDS,
     TEST_METHODS,
@@ -47,7 +48,7 @@ from .simulation import (
     run_scenario,
     write_results_csv,
 )
-from .variance import VarianceKind, cif_variance
+from .variance import VarianceKind
 
 _NUMERICAL_ERRORS = (
     NotEstimable,
@@ -179,14 +180,13 @@ def _cmd_estimate(args) -> int:
         lines.append(f"group {group} (n={table.size})")
         for t in times:
             est = curve.at(t)
-            var = cif_variance(table, args.cause, t, variance)
+            (point,) = _table_points((table,), args.cause, t, variance)
             try:
-                low, high = pointwise_ci(table, args.cause, t, kind, variance, args.level)
-                ci = [low, high]
-                ci_text = f"[{low:.3f}, {high:.3f}]"
+                ci = _interval(point, kind, args.level)
             except NotEstimable:
                 ci = None
-                ci_text = "[not estimable]"
+            var = float(point[1][0][0])
+            ci_text = "[not estimable]" if ci is None else "[{:.3f}, {:.3f}]".format(*ci)
             rows.append({"time": t, "estimate": est, "variance": var, "ci": ci})
             lines.append(f"  t={t:g}: estimate {est:.3f}  variance {var:.6f}  {ci_text}")
         steps = curve.steps
@@ -300,18 +300,25 @@ def _cmd_simulate(args) -> int:
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
     # an --out that cannot be written fails before the first scenario
-    # runs; a file already there keeps its contents until the end
+    # runs; a file already there keeps its contents until the end, and
+    # one this run creates is removed if the run fails
+    created = not os.path.exists(args.out)
     open(args.out, "a").close()
-    results = []
-    for i, s in enumerate(scenarios, start=1):
-        print(
-            f"[{i}/{len(scenarios)}] n={s.n1}/{s.n2} t={s.t_fixed:g} "
-            f"cens={s.censor_fraction:g} shr={s.shr:g} reps={s.reps}",
-            file=sys.stderr,
-        )
-        results.append(run_scenario(s, workers=args.workers,
-                                    per_group_censoring=args.per_group_censoring))
-    write_results_csv(results, args.out)
+    try:
+        results = []
+        for i, s in enumerate(scenarios, start=1):
+            print(
+                f"[{i}/{len(scenarios)}] n={s.n1}/{s.n2} t={s.t_fixed:g} "
+                f"cens={s.censor_fraction:g} shr={s.shr:g} reps={s.reps}",
+                file=sys.stderr,
+            )
+            results.append(run_scenario(s, workers=args.workers,
+                                        per_group_censoring=args.per_group_censoring))
+        write_results_csv(results, args.out)
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     if args.json:
         print(results_to_json(results))
     else:

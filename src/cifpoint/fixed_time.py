@@ -14,8 +14,8 @@ contrasts against the first group, with K - 1 degrees of freedom, in
 closed form; X2 above is its K = 2 case.  `_wald` builds it for every
 test, the pseudo-value tests included.
 
-Each transform is one entry of the table `_SCALES`, which also gives
-`pseudo.py` its links.
+Each transform is one entry of the table `_SCALES`, in numpy (the
+same doubles at any shape), which also gives `pseudo.py` its links.
 """
 
 from __future__ import annotations
@@ -87,43 +87,38 @@ class FixedTimeTestResult:
     effect: float | None = None
 
 
-def _exp(y: float) -> float:
-    """math.exp, overflowing to inf as the inverses' limits need."""
-    try:
-        return math.exp(y)
-    except OverflowError:
-        return math.inf
-
-
 class _Scale(NamedTuple):
-    """One transform: phi on the open domain (low, high), the divisor d
-    with Var[phi(p)] = Var[p] / d(p) by the delta method, and phi^{-1}
-    into [0, 1], which takes its limit 0 or 1 where exp overflows."""
+    """One transform, in numpy: phi on the open domain (low, high), the
+    divisor d with Var[phi(p)] = Var[p] / d(p) by the delta method, and
+    phi^{-1} into [0, 1].  numpy gives the same doubles for an np.float64
+    as for each entry of an array, so a block row equals its scalar call
+    bit for bit; squares are `np.square`, as `x ** 2` on an np.float64
+    calls libm's pow.  Where exp overflows phi^{-1} takes its limit 0 or
+    1, and where d underflows to 0 the variance is inf, under `_limits`."""
 
     low: float
     high: float
-    phi: Callable[[float], float]
-    divisor: Callable[[float], float]
-    inverse: Callable[[float], float]
+    phi: Callable[[np.ndarray], np.ndarray]
+    divisor: Callable[[np.ndarray], np.ndarray]
+    inverse: Callable[[np.ndarray], np.ndarray]
 
 
 _SCALES = {
     TransformKind.LINEAR: _Scale(
-        -math.inf, math.inf, float, lambda p: 1.0,
-        lambda y: min(1.0, max(0.0, float(y)))),
+        -np.inf, np.inf, lambda p: p, lambda p: 1.0, lambda y: np.clip(y, 0.0, 1.0)),
     TransformKind.LOG: _Scale(
-        0.0, math.inf, math.log, lambda p: p**2,
-        lambda y: min(1.0, _exp(y))),
+        0.0, np.inf, np.log, np.square, lambda y: np.minimum(1.0, np.exp(y))),
     TransformKind.LOGLOG: _Scale(
-        0.0, 1.0, lambda p: math.log(-math.log(p)), lambda p: (p * math.log(p)) ** 2,
-        lambda y: math.exp(-_exp(y))),
+        0.0, 1.0, lambda p: np.log(-np.log(p)), lambda p: np.square(p * np.log(p)),
+        lambda y: np.exp(-np.exp(y))),
     TransformKind.ARCSINE_SQRT: _Scale(
-        0.0, 1.0, lambda p: math.asin(math.sqrt(p)), lambda p: 4.0 * p * (1.0 - p),
-        lambda y: math.sin(min(math.pi / 2.0, max(0.0, y))) ** 2),
+        0.0, 1.0, lambda p: np.arcsin(np.sqrt(p)), lambda p: 4.0 * p * (1.0 - p),
+        lambda y: np.square(np.sin(np.clip(y, 0.0, np.pi / 2.0)))),
     TransformKind.LOGIT: _Scale(
-        0.0, 1.0, lambda p: math.log(p / (1.0 - p)), lambda p: (p * (1.0 - p)) ** 2,
-        lambda y: 1.0 / (1.0 + _exp(-y))),
+        0.0, 1.0, lambda p: np.log(p / (1.0 - p)), lambda p: np.square(p * (1.0 - p)),
+        lambda y: 1.0 / (1.0 + np.exp(-y))),
 }
+_limits = np.errstate(over="ignore", divide="ignore")
 
 
 def _scale(p: float, kind: TransformKind) -> _Scale:
@@ -137,21 +132,23 @@ def _scale(p: float, kind: TransformKind) -> _Scale:
 def transform(p: float, kind: TransformKind) -> float:
     """phi(p).  All transforms except the identity and the log are
     undefined on the boundary of [0, 1]; the log is defined at 1."""
-    return _scale(p, TransformKind(kind)).phi(p)
+    return float(_scale(p, TransformKind(kind)).phi(np.float64(p)))
 
 
+@_limits
 def transform_variance(p: float, v: float, kind: TransformKind) -> float:
     """Delta-method variance of phi(p) given Var[p] = v."""
     if not v >= 0.0:
         raise ValueError(f"variance must be >= 0, got {v!r}")
-    return v / _scale(p, TransformKind(kind)).divisor(p)
+    return float(v / _scale(p, TransformKind(kind)).divisor(np.float64(p)))
 
 
+@_limits
 def inverse_transform(y: float, kind: TransformKind) -> float:
     """phi^{-1}(y), mapped back into [0, 1]."""
     if math.isnan(y):
         raise ValueError("cannot invert a transformed value of nan")
-    return _SCALES[TransformKind(kind)].inverse(y)
+    return float(_SCALES[TransformKind(kind)].inverse(np.float64(y)))
 
 
 def chi2_pvalue(x: float, df: int) -> float:
@@ -228,15 +225,7 @@ class _Rows:
         )
 
 
-def _map(f: Callable[[float], float], x: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """The scalar `f` on the entries of `x` selected by `where`, NaN
-    elsewhere.  `_SCALES` is evaluated through `math` in every path, so
-    that a row's numbers do not depend on how many rows there are."""
-    out = np.full(x.shape, np.nan)
-    out[where] = [f(v) for v in x[where].tolist()]
-    return out
-
-
+@_limits
 def _transformed_rows(points, kind: TransformKind):
     """Each group's phi and delta-method variance over R rows from its
     (estimates, (variances, checks)), NaN where the estimate is outside
@@ -251,8 +240,9 @@ def _transformed_rows(points, kind: TransformKind):
         checks.append(_Check(
             NotEstimable, ~inside,
             lambda i, e=estimate: f"transform {kind.value!r} is undefined at estimate {float(e[i])!r}"))
-        phis.append(_map(scale.phi, estimate, inside))
-        ws.append(var / _map(scale.divisor, estimate, inside))
+        p = np.where(inside, estimate, 0.5)
+        phis.append(np.where(inside, scale.phi(p), np.nan))
+        ws.append(np.where(inside, var / scale.divisor(p), np.nan))
     return checks, phis, ws
 
 
@@ -340,16 +330,18 @@ def pointwise_ci(table: EventTable, cause: int, t: float,
     mapped back to the probability scale and intersected with [0, 1]."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level!r}")
-    kind = TransformKind(kind)
-    checks, (phi,), (w,) = _transformed_rows(
-        _table_points((table,), cause, t, VarianceKind(variance)), kind)
+    (point,) = _table_points((table,), cause, t, VarianceKind(variance))
+    return _interval(point, TransformKind(kind), level)
+
+
+@_limits
+def _interval(point, kind: TransformKind, level: float) -> tuple[float, float]:
+    """`pointwise_ci` of one `_table_points` row; raises its first failing check."""
+    checks, (phi,), (w,) = _transformed_rows((point,), kind)
     error = _first_error(checks, 0)
     if error is not None:
         raise error
-    phi, w = float(phi[0]), float(w[0])
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = z * math.sqrt(w)
-    ends = sorted(
-        (inverse_transform(phi - half, kind), inverse_transform(phi + half, kind))
-    )
-    return (max(0.0, ends[0]), min(1.0, ends[1]))
+    half = NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(w[0])
+    low, high = np.sort(_SCALES[kind].inverse(phi[0] + np.array([-half, half])))
+    return (max(0.0, float(low)), min(1.0, float(high)))
+

@@ -94,6 +94,41 @@ class TestEstimate:
         group_x = payload["groups"][0]
         assert abs(group_x["estimates"][0]["estimate"] - 7 / 15) < 1e-12
 
+    def test_one_table_pass_per_group_and_time(self, data_csv, monkeypatch, capsys):
+        # each time's variance and interval used to run the recursion and
+        # the variance sum twice
+        calls = []
+        summaries = cifpoint.variance._summaries
+
+        def counted(*args):
+            calls.append(args)
+            return summaries(*args)
+
+        for module in (cifpoint.variance, cifpoint.fixed_time):
+            monkeypatch.setattr(module, "_summaries", counted)
+        code, _, _ = run(["estimate", "--input", str(data_csv), "--group-col", "arm",
+                          "--cause", "1", "--times", "0.5,1,3"], capsys)
+        assert code == 0
+        assert len(calls) == 2 * 3
+
+    @pytest.mark.parametrize("method", ["linear", "llog", "logit"])
+    def test_rows_match_the_public_calls(self, data_csv, method, capsys):
+        code, out, _ = run(["estimate", "--input", str(data_csv), "--group-col", "arm",
+                            "--cause", "1", "--times", "0.5,1,3,4", "--method", method,
+                            "--variance", "aalen", "--level", "0.9", "--json"], capsys)
+        assert code == 0
+        data = parse_dataset(data_csv, "time", "status", "arm")
+        for entry in json.loads(out)["groups"]:
+            table = build_event_table(data, entry["group"])
+            for row in entry["estimates"]:
+                t = row["time"]
+                assert row["variance"] == cifpoint.cif_variance(table, 1, t, "aalen")
+                try:
+                    ci = list(cifpoint.pointwise_ci(table, 1, t, method, "aalen", 0.9))
+                except cifpoint.NotEstimable:
+                    ci = None
+                assert row["ci"] == ci
+
     def test_missing_times_is_usage_error(self, data_csv, capsys):
         code, _, err = run(
             ["estimate", "--input", str(data_csv), "--cause", "1"], capsys)
@@ -399,6 +434,21 @@ class TestSimulateAndSummarize:
         assert code == 2
         assert str(path) in err and f"key {key!r}" in err
         assert out == "" and not dest.exists()
+
+    def test_failed_run_removes_the_file_it_created(self, tmp_path, capsys):
+        # an unreachable censoring target used to leave an empty CSV,
+        # which summarize-anova then refused for missing columns
+        path = tmp_path / "grid.cfg"
+        path.write_text("sizes = 30/30\ntimes = 0.5\ncensoring = 1e-30\nreps = 40\nseed = 11\n")
+        dest = tmp_path / "out.csv"
+        argv = ["simulate", "--scenario", str(path), "--out", str(dest)]
+        code, out, err = run(argv, capsys)
+        assert code == 3 and "UnreachableTarget" in out + err
+        assert not dest.exists()
+        # a file that was there before the run keeps its contents
+        dest.write_text("kept\n")
+        code, _, _ = run(argv, capsys)
+        assert code == 3 and dest.read_text() == "kept\n"
 
     def test_bad_override_is_usage_error(self, grid_cfg, tmp_path, capsys):
         code, out, err = run(["simulate", "--scenario", str(grid_cfg), "--reps", "0",

@@ -1,6 +1,8 @@
 import math
 import struct
 import sys
+import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from scipy.special import gammaincc, ndtri
 from cifpoint.data import build_event_table, event_table_from_arrays
 from cifpoint.errors import NotEstimable, ZeroVariance
 from cifpoint.fixed_time import (
+    _SCALES,
     TransformKind,
+    _transformed_rows,
     _wald,
     chi2_pvalue,
     inverse_transform,
@@ -29,67 +33,125 @@ TOL = 1e-12
 KINDS = list(TransformKind)
 
 
-# The five-way if-chains that the scale table replaced, kept as the
-# reference it must match bit for bit.
+class Ops(NamedTuple):
+    """The elementary functions an if-chain is written in, and the type
+    of number it evaluates them on."""
+
+    number: Callable
+    log: Callable
+    sqrt: Callable
+    asin: Callable
+    exp: Callable
+    sin: Callable
+    square: Callable
+    clip: Callable
+    minimum: Callable
+
+
+NUMPY = Ops(np.float64, np.log, np.sqrt, np.arcsin, np.exp, np.sin, np.square, np.clip, np.minimum)
+MATH = Ops(float, math.log, math.sqrt, math.asin, math.exp, math.sin, lambda x: x**2,
+           lambda y, low, high: min(high, max(low, y)), min)
+
+
+# The five-way if-chains that the scale table replaced.  On numpy's
+# functions and an np.float64, as the table is evaluated, they are the
+# reference it must match bit for bit; on math's, as they were first
+# written, a second reference it must match to within rounding.
 def chain_domain(p, kind):
     if p <= 0.0 or p >= 1.0:
         raise NotEstimable(f"transform {kind.value!r} is undefined at estimate {p!r}")
 
 
-def chain_transform(p, kind):
+def chain_transform(p, kind, ops=NUMPY):
     if kind is TransformKind.LINEAR:
-        return float(p)
+        return ops.number(p)
     if kind is TransformKind.LOG:
         if p <= 0.0:
             raise NotEstimable(f"transform 'log' is undefined at estimate {p!r}")
-        return math.log(p)
+        return ops.log(ops.number(p))
     chain_domain(p, kind)
+    p = ops.number(p)
     if kind is TransformKind.LOGLOG:
-        return math.log(-math.log(p))
+        return ops.log(-ops.log(p))
     if kind is TransformKind.ARCSINE_SQRT:
-        return math.asin(math.sqrt(p))
-    return math.log(p / (1.0 - p))
+        return ops.asin(ops.sqrt(p))
+    return ops.log(p / (1.0 - p))
 
 
-def chain_transform_variance(p, v, kind):
+def chain_transform_variance(p, v, kind, ops=NUMPY):
     if v < 0.0:
         raise ValueError(f"variance must be >= 0, got {v!r}")
     if kind is TransformKind.LINEAR:
-        return float(v)
+        return ops.number(v)
     if kind is TransformKind.LOG:
         if p <= 0.0:
             raise NotEstimable(f"transform 'log' is undefined at estimate {p!r}")
-        return v / p**2
+        return v / ops.square(ops.number(p))
     chain_domain(p, kind)
+    p = ops.number(p)
     if kind is TransformKind.LOGLOG:
-        return v / (p * math.log(p)) ** 2
+        return v / ops.square(p * ops.log(p))
     if kind is TransformKind.ARCSINE_SQRT:
         return v / (4.0 * p * (1.0 - p))
-    return v / (p * (1.0 - p)) ** 2
+    return v / ops.square(p * (1.0 - p))
 
 
-def chain_inverse_transform(y, kind):
+def chain_inverse_transform(y, kind, ops=NUMPY):
+    y = ops.number(y)
     if kind is TransformKind.LINEAR:
-        return min(1.0, max(0.0, float(y)))
+        return ops.clip(y, 0.0, 1.0)
     if kind is TransformKind.LOG:
-        return min(1.0, math.exp(y))
+        return ops.minimum(1.0, ops.exp(y))
     if kind is TransformKind.LOGLOG:
-        return math.exp(-math.exp(y))
+        return ops.exp(-ops.exp(y))
     if kind is TransformKind.ARCSINE_SQRT:
-        return math.sin(min(math.pi / 2.0, max(0.0, y))) ** 2
-    return 1.0 / (1.0 + math.exp(-y))
-
-
-# where math.exp overflowed, the chain raised; the table gives the limit
-OVERFLOW_LIMITS = {TransformKind.LOG: 1.0, TransformKind.LOGLOG: 0.0, TransformKind.LOGIT: 0.0}
+        return ops.square(ops.sin(ops.clip(y, 0.0, math.pi / 2.0)))
+    return 1.0 / (1.0 + ops.exp(-y))
 
 
 def outcome(fn, *args):
-    """The bits of fn's value, or the type and message of its error."""
+    """The bits of fn's value, or the type and message of its error.
+    numpy's exp overflowing and a divisor underflowing give inf, as in
+    the package; math's raise."""
     try:
-        return struct.pack("<d", fn(*args))
+        with np.errstate(over="ignore", divide="ignore"):
+            return struct.pack("<d", fn(*args))
     except (NotEstimable, ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
+
+
+EPS = sys.float_info.epsilon
+# numpy's and math's log, exp, asin and sin are each taken to be within
+# 2 ulp of the true value, so at one argument the two differ by at most
+# ULPS * EPS relative.  Each bound below follows that through a
+# transform's formula; a correctly rounded step on arguments that
+# already differ can add EPS.
+ULPS = 4.0
+
+
+def phi_bound(phi):
+    # log(-log p): the inner log's relative difference passes through
+    # the outer log as an absolute one of the same size
+    return ULPS * EPS * (1.0 + abs(phi))
+
+
+def variance_bound(w):
+    # only the log(-log) divisor (p log p)^2 holds a log: its relative
+    # difference, one more for the product, doubled by the square, and
+    # one each for the square and the quotient
+    return (2.0 * (ULPS + 1.0) + 2.0) * EPS * abs(w)
+
+
+def inverse_bound(kind, y, want):
+    # exp(-exp(y)): the inner exp's relative difference becomes an
+    # absolute one of e^y times its size in the outer exponent; sin(c)^2
+    # doubles sin's and rounds once, which bounds the others too
+    if kind is TransformKind.LOGLOG:
+        rel = ULPS * (1.0 + math.exp(y))
+    else:
+        rel = 2.0 * ULPS + 1.0
+    # a result below the normal range rounds to a multiple of 2^-1074
+    return rel * EPS * want + 2.0**-1074
 
 
 def boundary_draws(seed):
@@ -195,10 +257,30 @@ class TestScaleTable:
             assert (outcome(transform_variance, p, v, kind)
                     == outcome(chain_transform_variance, p, v, kind))
         for y in ys:
-            want = outcome(chain_inverse_transform, y, kind)
-            if want[0] is OverflowError:
-                want = struct.pack("<d", OVERFLOW_LIMITS[kind])
-            assert outcome(inverse_transform, y, kind) == want
+            assert outcome(inverse_transform, y, kind) == outcome(chain_inverse_transform, y, kind)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_the_math_chains_within_rounding(self, kind, seed):
+        # where math.exp overflows or a divisor underflows, math raises
+        # and the table gives the limit the test above pins
+        ps, vs, ys = boundary_draws(seed)
+
+        def check(got, want, bound):
+            if isinstance(want, tuple):
+                assert got == want or issubclass(want[0], ArithmeticError)
+            elif got != want:
+                got, want = struct.unpack("<d", got)[0], struct.unpack("<d", want)[0]
+                assert abs(got - want) <= bound(want)
+
+        for p, v in zip(ps, vs):
+            check(outcome(transform, p, kind), outcome(chain_transform, p, kind, MATH),
+                  phi_bound)
+            check(outcome(transform_variance, p, v, kind),
+                  outcome(chain_transform_variance, p, v, kind, MATH), variance_bound)
+        for y in ys:
+            check(outcome(inverse_transform, y, kind), outcome(chain_inverse_transform, y, kind, MATH),
+                  lambda want: inverse_bound(kind, y, want))
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(KINDS))
@@ -212,6 +294,41 @@ class TestScaleTable:
         times, statuses = zip(*(map(float, row.split(",")) for row in NEAR_ONE_ROWS))
         table = event_table_from_arrays(times, statuses, "g")
         assert pointwise_ci(table, 1, 5.0, kind) == (0.0, 1.0)
+
+
+class TestBlocksEqualScalarCalls:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(0, 9), st.integers(1, 3))
+    def test_phi_variance_and_inverse(self, seed, length, offset, stride):
+        # a block of `length` boundary draws (near 0, near 1, subnormal,
+        # outside [0, 1]) at `offset` into a larger array
+        rng = np.random.default_rng(seed)
+        ps, vs, ys = (rng.choice(draws, offset + stride * length)[offset::stride]
+                      for draws in boundary_draws(seed % 4))
+        vs = np.abs(vs)
+        for kind in KINDS:
+            _, (phi,), (w,) = _transformed_rows([(ps, (vs, ()))], kind)
+            with np.errstate(over="ignore"):
+                inverse = _SCALES[kind].inverse(ys)
+            for p, v, block in zip(ps.tolist(), vs.tolist(), zip(phi, w)):
+                try:
+                    want = (transform(p, kind), transform_variance(p, v, kind))
+                except NotEstimable:
+                    assert np.isnan(block).all()
+                    continue
+                assert struct.pack("<2d", *block) == struct.pack("<2d", *want)
+            for y, got in zip(ys.tolist(), inverse):
+                assert struct.pack("<d", got) == struct.pack("<d", inverse_transform(y, kind))
+
+    def test_underflowing_divisor_gives_inf(self):
+        # 1e-200 ** 2 underflows to 0: the scalar call used to raise
+        # ZeroDivisionError, and the block to warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert transform_variance(1e-200, 0.01, TransformKind.LOG) == math.inf
+            _, _, (w,) = _transformed_rows([(np.array([1e-200]), (np.array([0.01]), ()))],
+                                           TransformKind.LOG)
+        assert w[0] == math.inf
 
 
 class TestChiSquare:

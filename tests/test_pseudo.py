@@ -57,11 +57,13 @@ def indicator_dataset(n1, k1, n0, k0):
 
 
 # the link functions that the LOGIT and LOGLOG scales replaced, kept as
-# the reference
+# the reference: the links on the numpy functions the scales use, and
+# their slopes
 def parent_link(x, link):
+    x = np.float64(x)
     if link is LinkKind.LOGIT:
-        return math.log(x / (1.0 - x))
-    return math.log(-math.log(1.0 - x))
+        return np.log(x / (1.0 - x))
+    return np.log(-np.log(1.0 - x))
 
 
 def parent_link_slope(x, link):
@@ -71,9 +73,7 @@ def parent_link_slope(x, link):
 
 
 def saturated_effect(m1, m0, link):
-    g = {LinkKind.LOGIT: lambda q: math.log(q / (1 - q)),
-         LinkKind.CLOGLOG: lambda q: math.log(-math.log(1 - q))}[link]
-    return g(m1) - g(m0)
+    return parent_link(m1, link) - parent_link(m0, link)
 
 
 def assert_matches_brute_force(times, statuses, cause, taus):
