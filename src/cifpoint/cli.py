@@ -136,13 +136,19 @@ def _check_time(t: float) -> float:
 
 
 def _parse_times(text: str) -> list[float]:
+    """The times of a comma list, each finite and positive; a repeated
+    time, which would print the same rows twice, is refused."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
-        times = [float(tok) for tok in text.split(",") if tok.strip()]
+        times = [float(tok) for tok in tokens]
     except ValueError:
         raise _UsageError(f"bad time list {text!r}") from None
     if not times:
         raise _UsageError("empty time list")
-    return [_check_time(t) for t in times]
+    for i, t in enumerate(map(_check_time, times)):
+        if t in times[:i]:
+            raise _UsageError(f"repeated time {tokens[i]!r} in --times")
+    return times
 
 
 def _load(args):

@@ -24,7 +24,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from statistics import NormalDist
 from typing import Callable, NamedTuple
@@ -94,13 +94,18 @@ class _Scale(NamedTuple):
     as for each entry of an array, so a block row equals its scalar call
     bit for bit; squares are `np.square`, as `x ** 2` on an np.float64
     calls libm's pow.  Where exp overflows phi^{-1} takes its limit 0 or
-    1, and where d underflows to 0 the variance is inf, under `_limits`."""
+    1, and where d underflows to 0 a positive variance is inf and a zero
+    one stays 0, under `_limits`."""
 
     low: float
     high: float
     phi: Callable[[np.ndarray], np.ndarray]
     divisor: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
+
+    def variance(self, p, v):
+        """Var[phi(p)] = v / d(p), and v itself where v is 0."""
+        return np.divide(v, self.divisor(p), out=np.array(v, dtype=np.float64), where=v != 0.0)
 
 
 _SCALES = {
@@ -140,7 +145,7 @@ def transform_variance(p: float, v: float, kind: TransformKind) -> float:
     """Delta-method variance of phi(p) given Var[p] = v."""
     if not v >= 0.0:
         raise ValueError(f"variance must be >= 0, got {v!r}")
-    return float(v / _scale(p, TransformKind(kind)).divisor(np.float64(p)))
+    return float(_scale(p, TransformKind(kind)).variance(np.float64(p), v))
 
 
 @_limits
@@ -177,6 +182,24 @@ def chi2_pvalue(x: float, df: int) -> float:
         tail += math.exp(a * log_y - y - math.lgamma(a + 1.0))
         a += 1.0
     return tail
+
+
+@cache
+def _chi2_critical(alpha: float) -> float:
+    """The smallest double x* with `chi2_pvalue(x*, 1) < alpha`, so that
+    a statistic x >= 0 is rejected at level alpha exactly when x >= x*.
+
+    Found by bisection over the doubles of [0, inf], whose bit patterns
+    read as integers are in the same order as their values; the p-value
+    is 1 at 0 and 0 at inf, so this holds for 0 < alpha <= 1."""
+    lo, hi = 0, int(np.float64(np.inf).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if chi2_pvalue(float(np.int64(mid).view(np.float64)), 1) < alpha:
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
 
 
 @dataclass(frozen=True)
@@ -242,7 +265,7 @@ def _transformed_rows(points, kind: TransformKind):
             lambda i, e=estimate: f"transform {kind.value!r} is undefined at estimate {float(e[i])!r}"))
         p = np.where(inside, estimate, 0.5)
         phis.append(np.where(inside, scale.phi(p), np.nan))
-        ws.append(np.where(inside, var / scale.divisor(p), np.nan))
+        ws.append(np.where(inside, scale.variance(p, var), np.nan))
     return checks, phis, ws
 
 

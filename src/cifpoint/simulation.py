@@ -19,7 +19,9 @@ takes each group's (label, times, statuses) and nothing else.
 
 Replications use independent counter-based streams keyed by the master
 seed and the replication index, so results are reproducible bit for
-bit regardless of execution order or parallelism.
+bit regardless of execution order or parallelism.  A block draws them
+from one Philox generator, re-keyed before each replication to the
+fresh state of its key.
 
 The battery runs on a block of replications at once: each group's
 times and statuses are (R, n_g) arrays, one replication per row, and
@@ -33,7 +35,10 @@ and the counts summed.  Every number of a row equals that of the
 public test on the row's data set bit for bit, whatever the block's
 size, so the counts do not depend on where the range is cut.
 `run_battery` is the same engine at R = 1, for any number of groups; a
-test's exclusion is its row's first failing check.
+test's exclusion is its row's first failing check.  A valid row is
+rejected when its statistic reaches `fixed_time._chi2_critical(alpha)`,
+the smallest double whose p-value is below alpha, which is the
+p-value's own decision; the p-values `run_battery` reports are exact.
 """
 
 from __future__ import annotations
@@ -57,7 +62,14 @@ from .errors import (
     ZeroVariance,
 )
 from .estimation import _finite_horizon, _row_knots
-from .fixed_time import FixedTimeTestResult, TransformKind, _Rows, _test_rows, chi2_pvalue
+from .fixed_time import (
+    FixedTimeTestResult,
+    TransformKind,
+    _chi2_critical,
+    _Rows,
+    _test_rows,
+    chi2_pvalue,
+)
 from .pseudo import PSEUDO_METHODS, _group_moments, _pooled_pseudo, _saturated_rows
 from .variance import VarianceKind, _summaries
 
@@ -325,12 +337,19 @@ def sample_group(n: int, beta: float, z: int, p: float, rng: np.random.Generator
 
 def _sample_block(s: Scenario, first: int, stop: int, bounds):
     """Replications `first` to `stop` as the battery's two groups of
-    (R, n_g) rows.  Each replication's stream gives both groups'
-    uniforms in one draw, the same doubles as one `sample_group` call
-    per group."""
+    (R, n_g) rows.  Each replication's stream, `Philox` keyed by
+    (master seed, replication), gives both groups' uniforms in one draw,
+    the same doubles as one `sample_group` call per group."""
     u = np.empty((stop - first, s.n1 + s.n2, 3))
+    # one generator, re-keyed per replication: the fresh state (counter
+    # 0, empty buffer) with the key's second word set to the replication
+    bits = np.random.Philox(key=[s.master_seed, first])
+    stream = np.random.Generator(bits)
+    state = bits.state
     for row, rep in enumerate(range(first, stop)):
-        np.random.Generator(np.random.Philox(key=[s.master_seed, rep])).random(out=u[row])
+        state["state"]["key"][1] = rep
+        bits.state = state
+        stream.random(out=u[row])
     return [("1", *_draw(u[:, :s.n1], s.beta, 0, s.p, bounds[0])),
             ("2", *_draw(u[:, s.n1:], s.beta, 1, s.p, bounds[1]))]
 
@@ -398,6 +417,7 @@ def _run_block(args) -> tuple[dict, dict]:
     replications `start` to `stop`, computed a block of rows at a
     time."""
     s, start, stop, bounds = args
+    critical = _chi2_critical(s.alpha)
     rejections = dict.fromkeys(TEST_IDS, 0)
     reasons = {test: dict.fromkeys(_EXCLUDING, 0) for test in TEST_IDS}
     step = max(1, _BLOCK_CELLS // (s.n1 + s.n2))
@@ -405,14 +425,18 @@ def _run_block(args) -> tuple[dict, dict]:
         groups = _sample_block(s, first, min(first + step, stop), bounds)
         for test, rows in _battery_rows(groups, 1, s.t_fixed).items():
             failure = rows.first_failure()
-            for k, check in enumerate(rows.checks):
-                hit = np.flatnonzero(failure == k)
-                if hit.size:
+            hits = np.bincount(failure + 1, minlength=len(rows.checks) + 1)[1:].tolist()
+            for k, (check, n) in enumerate(zip(rows.checks, hits)):
+                if n:
                     if check.error not in _EXCLUDING:
-                        raise check.error(check.message(int(hit[0])))
-                    reasons[test][check.error] += hit.size
-            rejections[test] += sum(chi2_pvalue(x, 1) < s.alpha
-                                    for x in rows.statistic[failure < 0].tolist())
+                        raise check.error(check.message(int(np.argmax(failure == k))))
+                    reasons[test][check.error] += n
+            statistic = rows.statistic[failure < 0]
+            outside = ~(statistic >= 0.0)
+            if outside.any():
+                # the ValueError chi2_pvalue raises for its first such value
+                chi2_pvalue(float(statistic[np.argmax(outside)]), 1)
+            rejections[test] += int(np.count_nonzero(statistic >= critical))
     return rejections, reasons
 
 

@@ -155,6 +155,15 @@ class TestEstimate:
         assert "finite and positive" in err
         assert out == ""
 
+    @pytest.mark.parametrize("times, value", [("2,2", "2"), ("1,3,1.0", "1.0")])
+    def test_repeated_time_is_usage_error(self, data_csv, times, value, capsys):
+        code, out, err = run(
+            ["estimate", "--input", str(data_csv), "--group-col", "arm",
+             "--cause", "1", "--times", times], capsys)
+        assert code == 1
+        assert f"repeated time {value!r}" in err
+        assert out == ""
+
     @pytest.mark.parametrize("row", ["2.0,1", "2.0,1,", "2.0,1,y,9"])
     def test_malformed_row_is_data_error(self, tmp_path, row, capsys):
         # a short row, an empty group and an extra field
@@ -287,6 +296,15 @@ class TestTest:
              "--cause", "1", *flag], capsys)
         assert code == 1
         assert "finite and positive" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("times, value", [("2,2", "2"), ("1,3,1.0", "1.0")])
+    def test_repeated_time_is_usage_error(self, data_csv, times, value, capsys):
+        code, out, err = run(
+            ["test", "--input", str(data_csv), "--group-col", "arm",
+             "--cause", "1", "--times", times, "--method", "all"], capsys)
+        assert code == 1
+        assert f"repeated time {value!r}" in err
         assert out == ""
 
     @pytest.mark.parametrize("method", ["all", "pseudo-llog", "pseudo-logit"])

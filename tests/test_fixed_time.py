@@ -15,6 +15,7 @@ from cifpoint.errors import NotEstimable, ZeroVariance
 from cifpoint.fixed_time import (
     _SCALES,
     TransformKind,
+    _chi2_critical,
     _transformed_rows,
     _wald,
     chi2_pvalue,
@@ -330,6 +331,19 @@ class TestBlocksEqualScalarCalls:
                                            TransformKind.LOG)
         assert w[0] == math.inf
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_variance_stays_zero(self, kind):
+        # at p = 1e-200 every divisor but the identity's and the arcsine's
+        # underflows to 0, where 0 / 0 used to give nan
+        ps = np.array([1e-200, 1e-200, 0.3, 0.3])
+        vs = np.array([0.0, 0.01, 0.0, 0.01])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = [transform_variance(p, v, kind) for p, v in zip(ps.tolist(), vs.tolist())]
+            _, _, (w,) = _transformed_rows([(ps, (vs, ()))], kind)
+        assert scalar[0] == 0.0 and scalar[2] == 0.0
+        assert struct.pack("<4d", *w) == struct.pack("<4d", *scalar)
+
 
 class TestChiSquare:
     def test_frozen_point(self):
@@ -366,6 +380,33 @@ class TestChiSquare:
     def test_bad_df(self, df):
         with pytest.raises(ValueError):
             chi2_pvalue(1.0, df)
+
+
+def rejected(x, alpha):
+    """The decision the simulation makes from the cached critical value."""
+    return x >= _chi2_critical(alpha)
+
+
+class TestChi2Critical:
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    def test_decision_on_the_ulps_around_it(self, alpha):
+        critical = _chi2_critical(alpha)
+        bits = struct.unpack("<q", struct.pack("<d", critical))[0]
+        for step in range(-1000, 1001):
+            x = struct.unpack("<d", struct.pack("<q", bits + step))[0]
+            assert rejected(x, alpha) == (chi2_pvalue(x, 1) < alpha), step
+        assert chi2_pvalue(critical, 1) < alpha <= chi2_pvalue(math.nextafter(critical, 0.0), 1)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.floats(0.0, 20.0), st.floats(0.0, math.inf),
+                     st.sampled_from([0.0, 5e-324, math.inf])),
+           st.one_of(st.sampled_from([0.01, 0.05, 0.1]), st.floats(1e-300, 1.0)))
+    def test_decision_on_drawn_pairs(self, x, alpha):
+        assert rejected(x, alpha) == (chi2_pvalue(x, 1) < alpha)
+
+    def test_near_the_textbook_values(self):
+        assert _chi2_critical(0.05) == pytest.approx(3.841458820694124, rel=1e-12)
+        assert _chi2_critical(0.01) == pytest.approx(6.634896601021214, rel=1e-12)
 
 
 class TestTwoSample:
@@ -507,6 +548,10 @@ class TestWaldClosedForm:
     @example([[(0.25 * (g % 5), 1e-6) for g in range(60)]])
     @example([[(0.0, 1e-160), (1.0, 1e-160), (2.0, 1e-160)],
               [(0.5, 3e-160), (0.0, 1e-160), (0.25, 2e-160)]])
+    # a statistic of 1.1e-316, below the normal doubles, where the two
+    # differ by 6e-6 relative
+    @example([[(0.0, 0.0), (0.0, 1.0), (0.0, 1.0), (0.0, 0.03125),
+               (1.0481708156337418e-158, 1.0)]])
     def test_matches_the_solve(self, rows):
         # the linear scale keeps phi and w as drawn
         phi, w = np.array(rows).transpose(2, 1, 0)
@@ -524,7 +569,8 @@ class TestWaldClosedForm:
                 assert statistic[i] == (p[0] - p[1]) ** 2 / (v[0] + v[1])
                 assert effect[i] == p[0] - p[1]
             else:
-                assert math.isclose(statistic[i], solved_quadratic_form(p, v), rel_tol=1e-10)
+                assert math.isclose(statistic[i], solved_quadratic_form(p, v), rel_tol=1e-10,
+                                    abs_tol=1e-10 * sys.float_info.min)
                 assert effect is None
 
 

@@ -572,6 +572,46 @@ class TestEngine:
                 assert np.array_equal(times[row], want_times)
                 assert np.array_equal(statuses[row], want_statuses)
 
+    @pytest.mark.parametrize("start, seed", [(0, 99), (7, 2**63 - 1), (2**40, 5)])
+    def test_block_streams_equal_one_stream_per_replication(self, monkeypatch, start, seed):
+        # the engine re-keys one generator per block; the oracle is a
+        # fresh Philox(key=[seed, rep]) per replication, over blocks of
+        # three replications cut from a range that starts at `start`
+        s = tiny(n1=4, n2=5, beta=0.2, reps=20, master_seed=seed)
+        monkeypatch.setattr(cifpoint.simulation, "_BLOCK_CELLS", 3 * (s.n1 + s.n2))
+        blocks = []
+
+        def recording(*args):
+            blocks.append((*args[1:3], _sample_block(*args)))
+            return blocks[-1][2]
+
+        monkeypatch.setattr(cifpoint.simulation, "_sample_block", recording)
+        _run_block((s, start, start + 10, (1.0, 1.0)))
+        assert [block[:2] for block in blocks] == [
+            (start + a, start + min(a + 3, 10)) for a in range(0, 10, 3)]
+        for first, stop, groups in blocks:
+            for row, rep in enumerate(range(first, stop)):
+                rng = np.random.Generator(np.random.Philox(key=[seed, rep]))
+                for (_, times, statuses), (n, z) in zip(groups, ((4, 0), (5, 1))):
+                    want_times, want_statuses = sample_group(n, 0.2, z, 0.66, rng, 1.0)
+                    assert np.array_equal(times[row], want_times)
+                    assert np.array_equal(statuses[row], want_statuses)
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    def test_valid_row_outside_the_chi2_domain_raises(self, monkeypatch, value):
+        # rejection compares statistics with a cached critical value; a
+        # valid row's statistic that chi2_pvalue refuses still stops the run
+        def corrupted(*args):
+            rows = _battery_rows(*args)
+            rows["aalen_arcs"].statistic[3] = value
+            return rows
+
+        s = tiny(reps=10)
+        assert run_scenario(s).excluded["aalen_arcs"] == 0
+        monkeypatch.setattr(cifpoint.simulation, "_battery_rows", corrupted)
+        with pytest.raises(ValueError, match=f"statistic must be >= 0, got {value!r}"):
+            _run_block((s, 0, s.reps, (math.inf, math.inf)))
+
     def test_any_split_gives_the_same_counts(self, monkeypatch):
         s = tiny(n1=6, n2=6, t_fixed=0.08, reps=40)
         bounds = (1.0, 1.0)
