@@ -136,7 +136,7 @@ class EventTable:
     censor_times : ndarray
         Observed times of the censored subjects, ascending.
     size : int
-        Number of subjects in the group.
+        Number of subjects in the group, at least 1.
     """
 
     group: str
@@ -166,6 +166,8 @@ class EventTable:
             raise InvalidRecord("cause-specific counts must sum to the all-cause count")
         if int(d.sum()) + self.censor_times.size != self.size:
             raise InvalidRecord("failures plus censorings must equal the group size")
+        if self.size < 1:
+            raise InvalidRecord("group has no records")
 
     @classmethod
     def _from_counts(cls, **fields) -> EventTable:

@@ -114,17 +114,17 @@ def _row_knots(times: np.ndarray, statuses: np.ndarray, cause: int, t: float):
     """The knots of each row of (R, n) `times` and `statuses`, one data
     set per row: its distinct failure times at or before `t`.
 
-    Each row is sorted once.  Its knots' counts are packed in time order
-    into (R, K) arrays for the most knots K of any row; a row with fewer
-    ends in entries with one at risk and no events, whose factor
-    (1 - 0) / 1 = 1 and zero jump change no product and, as every sum
-    runs in knot order, no sum: a row's numbers do not depend on K.
+    Each row is sorted once.  Its counts are packed in time order into
+    (R, K + 1) arrays, K the most knots of any row, after the empty knot
+    0 (all n at risk, no events), which also pads a row with fewer knots.
+    Its factor 1 and zero jump change no product and, as every sum runs
+    in knot order, no sum: a row's numbers do not depend on K.
 
     Returns (order, statuses, rank, own, a, d, dk): the sorting
     permutation and the sorted statuses; for each sorted subject the
-    number of knots at or before its time and whether the last of them
-    is at its time; and each knot's at-risk, failure and cause-`cause`
-    failure counts as float arrays.
+    index of the last knot at or before its time (0 for knot 0) and
+    whether that knot is at its time; and each knot's at-risk, failure
+    and cause-`cause` failure counts as float arrays.
     """
     rows, n = times.shape
     order = np.argsort(times, axis=-1)
@@ -148,9 +148,9 @@ def _row_knots(times: np.ndarray, statuses: np.ndarray, cause: int, t: float):
     knot = tail & (times <= t) & (failures > 0)
     rank = np.cumsum(knot, axis=-1)
     row, col = np.nonzero(knot)
-    slot = (row, rank[row, col] - 1)
-    shape = (rows, max(1, int(rank[:, -1].max())))
-    a, d, dk = np.ones(shape), np.zeros(shape), np.zeros(shape)
+    slot = (row, rank[row, col])
+    shape = (rows, int(rank[:, -1].max()) + 1)
+    a, d, dk = np.full(shape, float(n)), np.zeros(shape), np.zeros(shape)
     a[slot] = n - start[row, col]
     d[slot] = failures[row, col]
     dk[slot] = block_sums(statuses == cause)[row, col]
@@ -159,15 +159,13 @@ def _row_knots(times: np.ndarray, statuses: np.ndarray, cause: int, t: float):
 
 def _table_counts(table: EventTable, cause: int, t: float):
     """A table's knot counts up to `t` as one row of `_row_knots`'s
-    packed (a, d, dk): (1, j) float arrays over its first j failure
-    times, or the padding knot of `_row_knots` (one at risk, no events)
-    when there is none or the table has no cause-`cause` counts."""
+    packed (a, d, dk), the empty knot first: (1, j + 1) float arrays for
+    j failure times.  A cause the table lacks has no failures."""
     _check_cause(cause)
     j = int(np.searchsorted(table.times, _finite_horizon(t), side="right"))
-    dk = table.cause_events.get(cause)
-    if j == 0 or dk is None:
-        return np.ones((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))
-    return tuple(x[None, :j].astype(float) for x in (table.at_risk, table.events, dk))
+    dk = table.cause_events.get(cause, np.zeros(j))
+    return tuple(np.concatenate(([first], x[:j]))[None].astype(float)
+                 for first, x in ((table.size, table.at_risk), (0, table.events), (0, dk)))
 
 
 def cif_estimate(table: EventTable, cause: int) -> CifCurve:

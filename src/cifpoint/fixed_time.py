@@ -293,7 +293,7 @@ def _wald(points, t: float, kind: TransformKind):
         ws = [w / scale for w in ws]
     den = reduce(operator.add, [reduce(operator.mul, ws[:g] + ws[g + 1:]) for g in range(len(ws))])
     num = reduce(operator.add, [reduce(operator.mul, ws[:g] + ws[g + 1:h] + ws[h + 1:],
-                                       (phis[g] - phis[h]) ** 2)
+                                       np.square(phis[g] - phis[h]))
                                 for g, h in combinations(range(len(ws)), 2)])
     singular = den == 0.0
     checks.append(_Check(

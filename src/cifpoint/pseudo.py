@@ -145,25 +145,22 @@ def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
     pooled sample per row, at the horizons `taus`, as an (R, N, H) array
     in the subjects' order."""
     rows, n = times.shape
-    # the knots are each row's failure times up to the last horizon (see
-    # estimation._row_knots) after knot 0, a placeholder with everyone at
-    # risk and no events, so that each subject and each horizon has a
-    # last knot at or before it
+    # the knots are each row's failure times up to the last horizon after
+    # the empty knot 0 (see estimation._row_knots), so that each subject
+    # and each horizon has a last knot at or before it
     order, statuses, last, own, a, d, dk = _row_knots(times, statuses, cause, taus.max())
-    at_risk, events, cause_events = (np.concatenate((np.full((rows, 1), first), x), axis=-1)
-                                     for x, first in ((a, float(n)), (d, 0.0), (dk, 0.0)))
 
     # full sample: survival just after, and incidence up to, each knot
-    _, surv, jumps = _aalen_johansen(at_risk, events, cause_events)
+    _, surv, jumps = _aalen_johansen(a, d, dk)
     inc = np.cumsum(jumps, axis=-1)
 
     # the same with one subject fewer at risk, as seen by a subject still
     # at risk at every knot so far; entry j covers the knots before j.  A
     # lone subject at risk can only be one failing at the last knot, and
     # taking out its own event leaves nothing there to divide.
-    fewer = at_risk - 1.0
+    fewer = a - 1.0
     fewer[fewer == 0.0] = 1.0
-    surv_fewer, _, jumps_fewer = _aalen_johansen(fewer, events, cause_events)
+    surv_fewer, _, jumps_fewer = _aalen_johansen(fewer, d, dk)
     inc_fewer = _lagged(np.cumsum(jumps_fewer, axis=-1), 0.0)
 
     # (subject, horizon) grid: j is the last knot at or before both the
@@ -179,11 +176,11 @@ def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
         return _take_rows(values, j)
 
     own = ((statuses > 0) & own)[..., None] & (j == last[..., None])
-    d = at(events) - own
-    dk = at(cause_events) - (own & (statuses == cause)[..., None])
+    d_i = at(d) - own
+    dk_i = at(dk) - (own & (statuses == cause)[..., None])
     fewer_j, surv_fewer_j = at(fewer), at(surv_fewer)
-    inc_i = at(inc_fewer) + surv_fewer_j * dk / fewer_j
-    surv_i = surv_fewer_j * ((fewer_j - d) / fewer_j)
+    inc_i = at(inc_fewer) + surv_fewer_j * dk_i / fewer_j
+    surv_i = surv_fewer_j * ((fewer_j - d_i) / fewer_j)
 
     # past knot j the leave-one-out curve is the full-sample tail rescaled
     # by the ratio of the two survivals at j, which is positive there

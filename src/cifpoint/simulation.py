@@ -210,6 +210,7 @@ class Scenario:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.t_fixed) and self.t_fixed > 0.0):
             raise ValueError(f"t_fixed must be finite and positive, got {self.t_fixed!r}")
         if not math.isfinite(self.beta):
@@ -343,7 +344,7 @@ def _sample_block(s: Scenario, first: int, stop: int, bounds):
     u = np.empty((stop - first, s.n1 + s.n2, 3))
     # one generator, re-keyed per replication: the fresh state (counter
     # 0, empty buffer) with the key's second word set to the replication
-    bits = np.random.Philox(key=[s.master_seed, first])
+    bits = np.random.Philox(key=np.array([s.master_seed, first], dtype=np.uint64))
     stream = np.random.Generator(bits)
     state = bits.state
     for row, rep in enumerate(range(first, stop)):

@@ -47,7 +47,7 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 # S(t_{j-1}), jumps) that `_summaries` builds from packed knot counts,
 # one row per data set.  Each gives one finite variance per row, which
 # round-off may leave a little below 0.  Every sum runs in knot order,
-# one total per term, so a row's trailing padding knots add exact zeros.
+# one total per term, so a row's empty knots add exact zeros.
 
 
 def _aalen(terms):

@@ -116,6 +116,14 @@ class TestEventTable:
                 size=5,
             )
 
+    def test_empty_table_refused(self):
+        # a table of no subjects has no incidence: its knot 0 would have
+        # nobody at risk, and its variance used to read 0
+        empty = np.zeros(0)
+        with pytest.raises(InvalidRecord, match="group has no records"):
+            EventTable(group="g", times=empty, at_risk=empty.astype(int),
+                       events=empty.astype(int), cause_events={}, censor_times=empty, size=0)
+
     def test_cause_sum_must_match(self):
         with pytest.raises(InvalidRecord):
             EventTable(

@@ -117,20 +117,45 @@ class TestCifEstimate:
 
 class TestPackedCounts:
     # the two producers of packed knot counts, an event table's prefix
-    # and a block of subjects' rows, agree bit for bit on one data set.
-    # The table carries `cause` through `causes`, so a cause no subject
-    # has gives zero counts at the knots in both.
+    # and a block of subjects' rows, agree bit for bit on one data set,
+    # whether or not the table carries `cause`: a cause no subject has
+    # gives zero counts at the knots in both
 
     @settings(max_examples=200, deadline=None)
     @given(subject_columns(groups=("g",)), st.integers(1, 4), horizons)
     @example([[1.0, 1.0, 1.0, 2.0, 2.0], [1, 2, 0, 3, 1], ["g"] * 5], 1, 2.0)
     @example([[1.0, 1.0, 3.0], [2, 1, 1], ["g"] * 3], 2, 0.5)
     @example([[1.0, 1.0, 3.0], [2, 2, 0], ["g"] * 3], 4, 3.0)
+    # a table without cause 3 used to give (1, 1) arrays, its one row (1, 2)
+    @example([[1.0, 1.0, 2.0, 3.0], [1, 2, 1, 0], ["g"] * 4], 3, 2.5)
     def test_table_prefix_is_one_row(self, columns, cause, t):
         times, statuses = np.array(columns[0]), np.array(columns[1])
-        table = event_table_from_arrays(times, statuses, causes=(cause,))
-        counts = _table_counts(table, cause, t)
         rows = _row_knots(times[None], statuses[None], cause, t)[4:]
-        for x, y in zip(counts, rows):
-            assert x.shape == y.shape and x.dtype == y.dtype
-            assert x.tobytes() == y.tobytes()
+        for causes in ((cause,), None):
+            counts = _table_counts(event_table_from_arrays(times, statuses, causes=causes),
+                                   cause, t)
+            for x, y in zip(counts, rows):
+                assert x.shape == y.shape and x.dtype == y.dtype
+                assert x.tobytes() == y.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(subject_columns(groups=("g",)), min_size=1, max_size=4),
+           st.integers(1, 3), horizons)
+    def test_empty_knots_frame_each_row(self, data_sets, cause, t):
+        # a block of data sets of n subjects each: column 0 and every
+        # slot past a row's last knot are the empty knot, all n at risk
+        # and no events, and each subject's rank indexes its last knot
+        n = min(len(times) for times, _, _ in data_sets)
+        times = np.array([columns[0][:n] for columns in data_sets])
+        statuses = np.array([columns[1][:n] for columns in data_sets])
+        order, _, rank, own, a, d, dk = _row_knots(times, statuses, cause, t)
+        for r in range(times.shape[0]):
+            knots = np.unique(times[r][(statuses[r] > 0) & (times[r] <= t)])
+            empty = np.r_[0, np.arange(knots.size + 1, a.shape[1])]
+            assert a[r, empty].tolist() == [float(n)] * empty.size
+            assert d[r, empty].tolist() == dk[r, empty].tolist() == [0.0] * empty.size
+            assert np.all(d[r, 1:knots.size + 1] > 0)
+            sorted_times = times[r][order[r]]
+            assert rank[r].tolist() == np.searchsorted(knots, sorted_times, "right").tolist()
+            assert own[r].tolist() == [bool(k) and knots[k - 1] == x
+                                       for k, x in zip(rank[r], sorted_times)]

@@ -552,6 +552,8 @@ class TestWaldClosedForm:
     # differ by 6e-6 relative
     @example([[(0.0, 0.0), (0.0, 1.0), (0.0, 1.0), (0.0, 0.03125),
                (1.0481708156337418e-158, 1.0)]])
+    # the square of 1.9978598567531591 by pow is one ulp above x * x
+    @example([[(1.9978598567531591, 0.0), (0.0, 1.0)]])
     def test_matches_the_solve(self, rows):
         # the linear scale keeps phi and w as drawn
         phi, w = np.array(rows).transpose(2, 1, 0)
@@ -566,7 +568,7 @@ class TestWaldClosedForm:
                 continue
             assert not singular.fails[i]
             if len(p) == 2:
-                assert statistic[i] == (p[0] - p[1]) ** 2 / (v[0] + v[1])
+                assert statistic[i] == np.square(p[0] - p[1]) / (v[0] + v[1])
                 assert effect[i] == p[0] - p[1]
             else:
                 assert math.isclose(statistic[i], solved_quadratic_form(p, v), rel_tol=1e-10,

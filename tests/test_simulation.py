@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -195,7 +196,11 @@ class TestScenario:
         for bad in (2.5, 3.0, True, "3"):
             with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
                 tiny(**{name: bad})
-        assert getattr(tiny(**{name: np.int64(3)}), name) == 3
+        # numpy integers are stored as int: results_to_json used to raise
+        # "Object of type int64 is not JSON serializable" on them
+        s = tiny(**{name: np.int64(3)})
+        assert type(getattr(s, name)) is int and s == tiny(**{name: 3})
+        results_to_json([run_scenario(s)])
 
 
 class TestRunScenario:
@@ -571,6 +576,26 @@ class TestEngine:
                 want_times, want_statuses = sample_group(n, 0.4, z, 0.66, rng, bound)
                 assert np.array_equal(times[row], want_times)
                 assert np.array_equal(statuses[row], want_statuses)
+
+    def test_seeds_past_2_63_keep_their_own_streams(self):
+        # a list key went through float64: seeds 2**63 and 2**63 + 1
+        # shared one stream, and 2**64 - 1 ran as seed 0 with a warning
+        seeds = (0, 2**63, 2**63 + 1, 2**64 - 1)
+        draws = set()
+        for seed in seeds:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                groups = _sample_block(tiny(n1=4, n2=5, reps=3, master_seed=seed), 0, 3,
+                                       (1.0, 1.0))
+            for rep in range(3):
+                key = np.array([seed, rep], dtype=np.uint64)
+                rng = np.random.Generator(np.random.Philox(key=key))
+                for (_, times, statuses), (n, z) in zip(groups, ((4, 0), (5, 1))):
+                    want_times, want_statuses = sample_group(n, 0.0, z, 0.66, rng, 1.0)
+                    assert np.array_equal(times[rep], want_times)
+                    assert np.array_equal(statuses[rep], want_statuses)
+            draws.add(np.concatenate([times for _, times, _ in groups], axis=-1).tobytes())
+        assert len(draws) == len(seeds)
 
     @pytest.mark.parametrize("start, seed", [(0, 99), (7, 2**63 - 1), (2**40, 5)])
     def test_block_streams_equal_one_stream_per_replication(self, monkeypatch, start, seed):

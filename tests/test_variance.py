@@ -192,8 +192,8 @@ class TestFinite:
 
 class TestNothingToVary:
     # no knot up to t, or a cause the table does not carry: the counts
-    # are one padding knot, whose estimate and variances are exactly 0
-    # with no failing check
+    # have no cause-k failure after the empty knot, so the estimate and
+    # variances are exactly 0 with no failing check
 
     @pytest.mark.parametrize("cause, t", [(1, 0.5), (9, 3.0)],
                              ids=["empty-prefix", "absent-cause"])
@@ -232,7 +232,7 @@ def bits(x):
 
 
 class TestBlockRows:
-    # a block pads each row with knots of one at risk and no events,
+    # a block pads each row with empty knots, all at risk and no events,
     # which add exact zeros to sums run in knot order: each row's
     # estimate, variances and checks are those of its own counts, bit
     # for bit, however many knots the block's other rows have
