@@ -9,6 +9,8 @@ harness, which measures size and power of the tests and summarizes the
 resulting rates with linear models.
 """
 
+import importlib
+
 from .data import (
     Dataset,
     EventTable,
@@ -26,12 +28,16 @@ from .errors import (
     NumericalError,
     RankDeficientDesign,
     SeparationDetected,
+    UnreachableTarget,
     ZeroVariance,
 )
 from .estimation import CifCurve, StepFunction, cif_at, cif_estimate, km_survival
 from .fixed_time import (
+    TEST_IDS,
+    TEST_METHODS,
     FixedTimeTestResult,
     GroupSummary,
+    LinkKind,
     TransformKind,
     chi2_pvalue,
     inverse_transform,
@@ -41,27 +47,34 @@ from .fixed_time import (
     transform_variance,
     two_sample_test,
 )
-from .anova import AnovaTable, Coefficient, anova_summarize, ols_no_intercept
-from .errors import UnreachableTarget
-from .pseudo import GeeFit, LinkKind, PseudoValueMatrix, gee_fit, pseudo_test, pseudo_values
-from .simulation import (
-    TEST_IDS,
-    TEST_METHODS,
-    BatteryOutcome,
-    Scenario,
-    ScenarioResult,
-    analytic_cif,
-    analytic_survival,
-    calibrate_censoring,
-    parse_scenarios,
-    read_results_csv,
-    results_to_json,
-    run_battery,
-    run_scenario,
-    sample_group,
-    write_results_csv,
-)
 from .variance import VarianceKind, aalen_variance, cif_variance, gaynor_variance
+
+# names of the simulation, pseudo-value and ANOVA layers, imported on
+# first use (PEP 562) so that a command which never runs them does not
+# pay for loading them
+_LAZY = {
+    **dict.fromkeys(("GeeFit", "PseudoValueMatrix", "gee_fit", "pseudo_test", "pseudo_values"),
+                    "pseudo"),
+    **dict.fromkeys(("BatteryOutcome", "Scenario", "ScenarioResult", "analytic_cif",
+                     "analytic_survival", "calibrate_censoring", "parse_scenarios",
+                     "read_results_csv", "results_to_json", "run_battery", "run_scenario",
+                     "sample_group", "write_results_csv"), "simulation"),
+    **dict.fromkeys(("AnovaTable", "Coefficient", "anova_summarize", "ols_no_intercept"),
+                    "anova"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -9,6 +9,9 @@ whole battery), `simulate` (replicate a scenario grid to CSV/JSON),
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
 failure.  JSON output keeps full double precision; tables round to
 three decimals.
+
+Each command imports the layers it runs when it runs, so `estimate`
+and `plot-data` never load the simulation, pseudo-value or ANOVA code.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .anova import anova_summarize
 from .data import build_event_table, parse_dataset
 from .errors import (
     CifPointError,
@@ -37,17 +39,7 @@ from .errors import (
     ZeroVariance,
 )
 from .estimation import cif_estimate
-from .fixed_time import TransformKind, _interval, _table_points
-from .simulation import (
-    TEST_IDS,
-    TEST_METHODS,
-    parse_scenarios,
-    read_results_csv,
-    results_to_json,
-    run_battery,
-    run_scenario,
-    write_results_csv,
-)
+from .fixed_time import TEST_IDS, TEST_METHODS, TransformKind, _interval, _table_points
 from .variance import VarianceKind
 
 _NUMERICAL_ERRORS = (
@@ -236,6 +228,8 @@ def _result_payload(res) -> dict:
 
 
 def _cmd_test(args) -> int:
+    from .simulation import run_battery
+
     times = [_check_time(args.time)] if args.time is not None else _parse_times(args.times)
     data = _load(args)
     if len(data.groups) < 2:
@@ -290,12 +284,14 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from dataclasses import replace
+
+    from .simulation import parse_scenarios, results_to_json, run_scenario, write_results_csv
+
     if args.workers < 1:
         raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     scenarios = parse_scenarios(args.scenario)
     if args.reps is not None or args.seed is not None:
-        from dataclasses import replace
-
         patch = {}
         if args.reps is not None:
             patch["reps"] = args.reps
@@ -333,6 +329,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_summarize_anova(args) -> int:
+    from .anova import anova_summarize
+    from .simulation import read_results_csv
+
     results = read_results_csv(args.input)
     table = anova_summarize(results, response=args.response, model=args.model)
     payload = {

@@ -10,7 +10,9 @@ and event counts at each of them.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +88,15 @@ class Dataset:
     def _fill(self, times, statuses, labels) -> None:
         if not len(labels):
             raise InvalidRecord("dataset has no records")
-        index: dict[str, int] = {}
-        codes = np.fromiter((index.setdefault(g, len(index)) for g in labels),
-                            dtype=int, count=len(labels))
+        groups = tuple(dict.fromkeys(labels))
+        index = {g: i for i, g in enumerate(groups)}
+        codes = np.fromiter(map(index.__getitem__, labels), dtype=int, count=len(labels))
         statuses = np.asarray(statuses, dtype=int)
         for name, value in (("times", np.asarray(times, dtype=float)),
                             ("statuses", statuses), ("codes", codes)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "groups", tuple(index))
+        object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "causes",
                            tuple(int(k) for k in np.unique(statuses[statuses > 0])))
 
@@ -166,6 +168,8 @@ class EventTable:
             raise InvalidRecord("cause-specific counts must sum to the all-cause count")
         if int(d.sum()) + self.censor_times.size != self.size:
             raise InvalidRecord("failures plus censorings must equal the group size")
+        if t.size and a[0] > self.size:
+            raise InvalidRecord("at-risk counts must not exceed the group size")
         if self.size < 1:
             raise InvalidRecord("group has no records")
 
@@ -182,42 +186,84 @@ def parse_dataset(path, time_col: str, status_col: str, group_col: str | None = 
     """Read a CSV with one row per subject into a :class:`Dataset`.
 
     `group_col=None` puts every subject in a single group named "all".
-    Blank lines are skipped.  Raises :class:`InvalidRecord` naming the
-    offending row (the header is row 1) on bad input: a row with more
-    or fewer fields than the header, a time or status that does not
-    parse or that a :class:`SubjectRecord` rejects, or an empty group.
+    The file is UTF-8, with or without a byte-order mark.  Blank lines
+    are skipped.  Raises :class:`InvalidRecord` naming the offending row
+    (the header is row 1) on bad input: a row with more or fewer fields
+    than the header, a time or status that does not parse or that a
+    :class:`SubjectRecord` rejects, or an empty group.
+
+    The header is read by `csv.reader`; the body is split into fields
+    by numpy's C tokenizer in one pass, with the same quoting and line
+    ends, and each column is converted by one call that applies
+    Python's `float` and `int` to its strings.  Only a file that fails
+    is read again row by row, to name its first bad row.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InvalidRecord(f"{path}: empty file")
-        # a repeated name means its last column, as in csv.DictReader
-        position = {name: i for i, name in enumerate(header)}
-        for col in filter(None, (time_col, status_col, group_col)):
-            if col not in position:
-                raise InvalidRecord(f"{path}: missing column {col!r}")
-        rows = [row for row in reader if row]
-    if not rows:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    body = io.StringIO(text, newline="")
+    try:
+        header = next(csv.reader(body), None)
+    except csv.Error as exc:
+        raise InvalidRecord(f"{path}:1: {exc}") from None
+    if header is None:
+        raise InvalidRecord(f"{path}: empty file")
+    # a repeated name means its last column, as in csv.DictReader
+    position = {name: i for i, name in enumerate(header)}
+    for col in filter(None, (time_col, status_col, group_col)):
+        if col not in position:
+            raise InvalidRecord(f"{path}: missing column {col!r}")
+    fields = _tokenize(body)
+    if fields is not None and not len(fields):
         raise InvalidRecord(f"{path}: dataset has no records")
     layout = (len(header), position[time_col], position[status_col], position.get(group_col))
-    columns = _columns(rows, *layout)
+    columns = None if fields is None else _columns(fields, *layout)
     if columns is None:
+        rows = _csv_rows(path, text) if fields is None else fields.tolist()
         raise _first_row_error(path, rows, *layout)
     return Dataset._from_columns(*columns)
 
 
-def _columns(rows, width, ti, si, gi):
-    """(times, statuses, labels) converted column by column, or None
+def _tokenize(body):
+    """The fields of the non-blank rows of `body` as an (n, width)
+    array of str, split as `csv.reader` splits them, or None when the
+    rows differ in width."""
+    try:
+        with warnings.catch_warnings():
+            # a body without rows is answered by the caller
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(body, delimiter=",", quotechar='"', comments=None,
+                              dtype=object, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _csv_rows(path, text):
+    """The non-blank rows of `text` after the header as `csv.reader`
+    splits them, refusing a field it cannot read by naming its row."""
+    rows = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        next(reader)
+        for row in reader:
+            if row:
+                rows.append(row)
+    except csv.Error as exc:
+        raise InvalidRecord(f"{path}:{len(rows) + 2}: {exc}") from None
+    return rows
+
+
+def _columns(fields, width, ti, si, gi):
+    """(times, statuses, labels) converted a column at a time, or None
     when any row is invalid."""
-    if any(len(row) != width for row in rows):
+    if fields.shape[1] != width:
         return None
     try:
-        times = np.array([float(row[ti]) for row in rows])
-        statuses = np.fromiter((int(row[si]) for row in rows), dtype=int, count=len(rows))
+        # an object array of str casts through float() and int()
+        times = fields[:, ti].astype(float)
+        statuses = fields[:, si].astype(np.int64)
     except (ValueError, OverflowError):
         return None
-    labels = ["all"] * len(rows) if gi is None else [row[gi] for row in rows]
+    labels = ["all"] * len(fields) if gi is None else fields[:, gi].tolist()
     if not (np.all(np.isfinite(times) & (times > 0.0) & (statuses >= 0)) and all(labels)):
         return None
     return times, statuses, labels

@@ -16,6 +16,9 @@ test, the pseudo-value tests included.
 
 Each transform is one entry of the table `_SCALES`, in numpy (the
 same doubles at any shape), which also gives `pseudo.py` its links.
+`TEST_METHODS` names the twelve tests of the battery that
+`simulation.run_battery` runs: each transform with each variance
+estimator, then the two pseudo-value links.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ from .estimation import _table_counts
 from .variance import VarianceKind, _summaries
 
 __all__ = [
+    "TEST_IDS",
+    "TEST_METHODS",
+    "LinkKind",
     "TransformKind",
     "GroupSummary",
     "FixedTimeTestResult",
@@ -56,6 +62,31 @@ class TransformKind(enum.Enum):
     LOGLOG = "llog"
     ARCSINE_SQRT = "arcs"
     LOGIT = "logit"
+
+
+class LinkKind(enum.Enum):
+    """Link of a pseudo-value regression."""
+
+    LOGIT = "logit"
+    CLOGLOG = "cloglog"
+
+
+# method label of each pseudo-value test, in battery order
+PSEUDO_METHODS = {LinkKind.CLOGLOG: "pseudo-llog", LinkKind.LOGIT: "pseudo-logit"}
+
+# the battery in order: each test id with its transform and variance
+# estimator, or with its link and no variance for a pseudo-value test
+_BATTERY = (
+    *((f"{v.value}_{k.value}", k, v)
+      for v in (VarianceKind.GAYNOR, VarianceKind.AALEN) for k in TransformKind),
+    *((label.replace("-", "_"), link, None) for link, label in PSEUDO_METHODS.items()),
+)
+# test id -> (method, variance) as FixedTimeTestResult and the CLI name them
+TEST_METHODS = {
+    test: (PSEUDO_METHODS[kind], None) if variance is None else (kind.value, variance.value)
+    for test, kind, variance in _BATTERY
+}
+TEST_IDS = tuple(TEST_METHODS)
 
 
 @dataclass(frozen=True)

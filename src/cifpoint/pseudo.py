@@ -47,7 +47,6 @@ failure times, against O(N K) for N separate refits.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,15 @@ import numpy as np
 from .data import Dataset, _check_cause
 from .errors import NonConvergence, SeparationDetected, _Check
 from .estimation import _aalen_johansen, _lagged, _row_knots, _take_rows
-from .fixed_time import FixedTimeTestResult, TransformKind, _Rows, _wald, transform
+from .fixed_time import (
+    PSEUDO_METHODS,
+    FixedTimeTestResult,
+    LinkKind,
+    TransformKind,
+    _Rows,
+    _wald,
+    transform,
+)
 
 __all__ = [
     "LinkKind",
@@ -70,15 +77,6 @@ __all__ = [
 _GEE_TOL = 1e-10
 _GEE_STEP_TOL = 1e-8
 _GEE_MAX_ITER = 50
-
-
-class LinkKind(enum.Enum):
-    LOGIT = "logit"
-    CLOGLOG = "cloglog"
-
-
-# method label of each pseudo-value test, in battery order
-PSEUDO_METHODS = {LinkKind.CLOGLOG: "pseudo-llog", LinkKind.LOGIT: "pseudo-logit"}
 
 
 def _link_scale(m, link: LinkKind):

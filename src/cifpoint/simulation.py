@@ -63,15 +63,17 @@ from .errors import (
 )
 from .estimation import _finite_horizon, _row_knots
 from .fixed_time import (
+    _BATTERY,
+    TEST_IDS,
+    TEST_METHODS,
     FixedTimeTestResult,
-    TransformKind,
     _chi2_critical,
     _Rows,
     _test_rows,
     chi2_pvalue,
 )
-from .pseudo import PSEUDO_METHODS, _group_moments, _pooled_pseudo, _saturated_rows
-from .variance import VarianceKind, _summaries
+from .pseudo import _group_moments, _pooled_pseudo, _saturated_rows
+from .variance import _summaries
 
 __all__ = [
     "TEST_IDS",
@@ -90,20 +92,6 @@ __all__ = [
     "read_results_csv",
     "results_to_json",
 ]
-
-# the battery in order: each test id with its transform and variance
-# estimator, or with its link and no variance for a pseudo-value test
-_BATTERY = (
-    *((f"{v.value}_{k.value}", k, v)
-      for v in (VarianceKind.GAYNOR, VarianceKind.AALEN) for k in TransformKind),
-    *((label.replace("-", "_"), link, None) for link, label in PSEUDO_METHODS.items()),
-)
-# test id -> (method, variance) as FixedTimeTestResult and the CLI name them
-TEST_METHODS = {
-    test: (PSEUDO_METHODS[kind], None) if variance is None else (kind.value, variance.value)
-    for test, kind, variance in _BATTERY
-}
-TEST_IDS = tuple(TEST_METHODS)
 
 # errors that exclude one test of one replication; any other error is a
 # fault and stops the run

@@ -51,6 +51,18 @@ def results_csv(path):
     return path
 
 
+def fresh_process(code):
+    """The last line a new interpreter prints running `code`, with the
+    package under test on its path."""
+    src = pathlib.Path(cifpoint.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.splitlines()[-1]
+
+
 def run(args, capsys):
     code = run_cli(args)
     captured = capsys.readouterr()
@@ -186,6 +198,16 @@ class TestEstimate:
         assert code == 2
         assert "no-rows.csv" in err and "no records" in err
         assert out == ""
+
+    def test_utf8_bom_is_read(self, data_csv, tmp_path, capsys):
+        # a BOM (Excel's "CSV UTF-8") used to make the header read
+        # '\ufefftime' and the file fail with missing column 'time'
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + data_csv.read_bytes())
+        argv = ["estimate", "--group-col", "arm", "--cause", "1", "--times", "1,3", "--json"]
+        outputs = [run([*argv, "--input", str(path)], capsys) for path in (data_csv, bom)]
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("level", ["1.5", "0", "1", "nan"])
     def test_bad_level_is_usage_error(self, data_csv, level, capsys):
@@ -481,7 +503,7 @@ class TestSimulateAndSummarize:
         def refuse(*args, **kwargs):
             raise AssertionError("run_scenario called")
 
-        monkeypatch.setattr(cifpoint.cli, "run_scenario", refuse)
+        monkeypatch.setattr("cifpoint.simulation.run_scenario", refuse)
         dest = tmp_path / "out.csv"
         code, out, err = run(["simulate", "--scenario", str(grid_cfg), "--workers", workers,
                               "--out", str(dest)], capsys)
@@ -619,6 +641,36 @@ class TestUnreadableFile:
         assert "[1/" not in err
 
 
+class TestLongField:
+    # a field past csv's limit of 131072 characters used to end in a
+    # traceback with exit 1, the usage-error code
+    LABEL = "g" * 140_000
+
+    def test_long_label_parses(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text(f"time,status,arm\n1.0,1,{self.LABEL}\n2.0,0,{self.LABEL}\n3.0,2,b\n")
+        code, out, err = run(["estimate", "--input", str(path), "--group-col", "arm",
+                              "--cause", "1", "--times", "1", "--json"], capsys)
+        assert code == 0, err
+        assert [g["group"] for g in json.loads(out)["groups"]] == [self.LABEL, "b"]
+
+    @pytest.mark.parametrize("rows, where", [
+        # a bad status after the long field is named as such
+        ("1.0,1,{label}\n2.0,x,b\n", "long.csv:3: bad status 'x'"),
+        # rows of unequal width are split again by csv, which stops at
+        # the long field
+        ("1.0,1,{label}\n2.0,1\n", "long.csv:2: field larger than field limit"),
+    ])
+    def test_bad_file_names_a_row(self, tmp_path, rows, where, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("time,status,arm\n" + rows.format(label=self.LABEL))
+        code, out, err = run(["estimate", "--input", str(path), "--group-col", "arm",
+                              "--cause", "1", "--times", "1"], capsys)
+        assert code == 2
+        assert "cifpoint: data error: " in err and where in err and "Traceback" not in err
+        assert out == ""
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
         assert run_cli([]) == 1
@@ -642,13 +694,31 @@ class TestTopLevel:
             f"assert run_cli({['summarize-anova', '--input', results, '--model', '4']!r}) == 0\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
         )
-        src = pathlib.Path(cifpoint.__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert fresh_process(code) == "[]"
+
+    def test_estimate_imports_only_what_it_runs(self, data_csv):
+        # the simulation, pseudo-value and ANOVA layers cost an estimate
+        # process ~25 ms of import it never uses
+        argv = ["estimate", "--input", str(data_csv), "--group-col", "arm", "--cause", "1",
+                "--times", "1,3"]
+        code = (
+            "import json, sys\n"
+            "from cifpoint.cli import run_cli\n"
+            f"assert run_cli({argv!r}) == 0\n"
+            "print(json.dumps([m for m in sys.modules if m.partition('.')[0] == 'cifpoint']))\n"
+        )
+        loaded = set(json.loads(fresh_process(code)))
+        assert "cifpoint.data" in loaded
+        assert not loaded & {"cifpoint.simulation", "cifpoint.pseudo", "cifpoint.anova"}
+
+    def test_every_exported_name_resolves(self):
+        star = {}
+        exec("from cifpoint import *", star)
+        for name in cifpoint.__all__:
+            assert star[name] is getattr(cifpoint, name), name
+        assert set(cifpoint.__all__) <= set(dir(cifpoint))
+        with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+            cifpoint.frobnicate
 
     def test_console_script_installed(self):
         proc = subprocess.run(

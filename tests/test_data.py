@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cifpoint.data import (
@@ -11,6 +11,7 @@ from cifpoint.data import (
     EventTable,
     SubjectRecord,
     _checked_columns,
+    _first_row_error,
     build_event_table,
     event_table_from_arrays,
     parse_dataset,
@@ -123,6 +124,14 @@ class TestEventTable:
         with pytest.raises(InvalidRecord, match="group has no records"):
             EventTable(group="g", times=empty, at_risk=empty.astype(int),
                        events=empty.astype(int), cause_events={}, censor_times=empty, size=0)
+
+    def test_at_risk_beyond_the_group_refused(self):
+        # a one-subject group with 12 at risk used to be accepted, and
+        # its cause-1 incidence read 1/12
+        with pytest.raises(InvalidRecord, match="at-risk counts must not exceed the group size"):
+            EventTable(group="g", times=np.array([1.0]), at_risk=np.array([12]),
+                       events=np.array([1]), cause_events={1: np.array([1])},
+                       censor_times=np.array([]), size=1)
 
     def test_cause_sum_must_match(self):
         with pytest.raises(InvalidRecord):
@@ -291,6 +300,119 @@ class TestParseDataset:
             # rebuilding the records validates every value again
             assert len(data.records) == sum(row != [""] for row in rows)
             assert "" not in data.groups
+
+
+def reference_parse(path, time_col, status_col, group_col):
+    """The slow reader `parse_dataset` must agree with: `csv.reader`,
+    then `float` and `int` row by row, then `_first_row_error`.  Gives
+    (times, statuses, codes, groups, causes) as lists and tuples."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise InvalidRecord(f"{path}: empty file")
+        position = {name: i for i, name in enumerate(header)}
+        for col in filter(None, (time_col, status_col, group_col)):
+            if col not in position:
+                raise InvalidRecord(f"{path}: missing column {col!r}")
+        rows = [row for row in reader if row]
+    if not rows:
+        raise InvalidRecord(f"{path}: dataset has no records")
+    layout = (len(header), position[time_col], position[status_col], position.get(group_col))
+    width, ti, si, gi = layout
+    try:
+        times, statuses, labels = [], [], []
+        for row in rows:
+            if len(row) != width:
+                raise ValueError
+            times.append(float(row[ti]))
+            statuses.append(int(row[si]))
+            labels.append("all" if gi is None else row[gi])
+            SubjectRecord(times[-1], statuses[-1], labels[-1])
+            if not labels[-1]:
+                raise ValueError
+    except (ValueError, InvalidRecord):
+        raise _first_row_error(path, rows, *layout) from None
+    groups = tuple(dict.fromkeys(labels))
+    return (times, statuses, [groups.index(g) for g in labels], groups,
+            tuple(sorted({s for s in statuses if s > 0})))
+
+
+# cells of a generated CSV, by column: values each column takes, in
+# Python's own spellings (underscores, other digits, spaces), and values
+# no column takes
+VALID = {
+    "time": ("1.5", "2", "1_0", "\u0661\u0662", " 3", "3 ", "\t4", "1e-3"),
+    "status": ("0", "1", "2", "\u0661", "1_0", " 2", str(2**63 - 1)),
+    "group": ("a", "b", " a", "é", 'q"uote', "com,ma", "new\nline", "cr\rend", "crlf\r\nend",
+              '"'),
+}
+VALID["note"] = VALID["group"] + ("",)
+INVALID = ("inf", "nan", "1e400", "0", "-1", "x", "", "1.0", str(2**63), str(2**64 + 1))
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, time_col, status_col, group_col): a header of two or
+    three named columns and maybe an extra one, then rows of mostly the
+    header's width and mostly valid cells, each cell quoted when it must
+    be and sometimes when it need not be, or written raw; lines end in
+    LF, CRLF or a lone CR, and blank or whitespace-only lines fall
+    between them."""
+    names = draw(st.permutations(["time", "status", "group", "note"][:draw(st.integers(2, 4))]))
+    group_col = "group" if "group" in names else None
+
+    def cell(value):
+        how = draw(st.sampled_from(("plain",) * 6 + ("quoted",) * 3 + ("raw",)))
+        if how == "raw" or (how == "plain" and not any(c in value for c in ',"\r\n')):
+            return value
+        return '"' + value.replace('"', '""') + '"'
+
+    def value(name):
+        return draw(st.sampled_from(VALID[name] if draw(st.integers(0, 24)) else INVALID))
+
+    lines = [",".join(map(cell, names))]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("row",) * 12 + ("blank",) * 3 + ("space", "short", "long")))
+        if kind in ("blank", "space"):
+            lines.append("" if kind == "blank" else draw(st.sampled_from((" ", "\t"))))
+            continue
+        width = len(names) + {"row": 0, "short": -1, "long": 1}[kind]
+        lines.append(",".join(cell(value(name)) for name in (names + ["note"])[:width]))
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text, "time", "status", group_col
+
+
+class TestIngestOracle:
+    # one tokenizer pass and a bulk conversion per column must read
+    # exactly what csv.reader and per-row float()/int() read
+    @settings(max_examples=400, deadline=None)
+    @given(csv_texts())
+    @example(("time,status,group\n", "time", "status", "group"))
+    @example(("\ufefftime,status,group\r\n1,1,a,\r\n", "time", "status", "group"))
+    @example((f"time,status\n1,{2**63}\n", "time", "status", None))
+    @example(('time,status,group\r"2",1,"a\r\nb"\r \r1_0,\u0661,""""\r', "time", "status",
+              "group"))
+    def test_agrees_with_the_row_reader(self, tmp_path_factory, case):
+        text, *cols = case
+        path = tmp_path_factory.mktemp("oracle") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = reference_parse(path, *cols)
+        except InvalidRecord as exc:
+            with pytest.raises(InvalidRecord) as info:
+                parse_dataset(path, *cols)
+            assert str(info.value) == str(exc)
+        else:
+            data = parse_dataset(path, *cols)
+            assert (data.times.tolist(), data.statuses.tolist(), data.codes.tolist(),
+                    data.groups, data.causes) == expected
 
 
 def write_rows(path, times, statuses, labels):

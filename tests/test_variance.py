@@ -137,7 +137,9 @@ def knot_counts(draw):
     counts from 12 down to as low as 1, failures from 1 to all at risk
     (an exhausted knot need not be the last), split over three causes.
     The table's checks allow a later knot to have more at risk than the
-    survivors of the one before it."""
+    survivors of the one before it.  The group holds the first knot's
+    risk set or all the failures, whichever is more, and the rest of it
+    is censored at the last knot."""
     a = sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=8)), reverse=True)
     d, split = [], {1: [], 2: [], 3: []}
     for n in a:
@@ -148,7 +150,8 @@ def knot_counts(draw):
             split[k].append(count)
     return EventTable(group="g", times=np.arange(1.0, len(a) + 1.0), at_risk=np.array(a),
                       events=np.array(d), cause_events={k: np.array(v) for k, v in split.items()},
-                      censor_times=np.zeros(0), size=sum(d))
+                      censor_times=np.full(max(a[0] - sum(d), 0), float(len(a))),
+                      size=max(a[0], sum(d)))
 
 
 # R data sets of n subjects each, as (R, n) times on a grid of eighths
