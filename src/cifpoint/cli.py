@@ -39,7 +39,7 @@ from .errors import (
     ZeroVariance,
 )
 from .estimation import cif_estimate
-from .fixed_time import TEST_IDS, TEST_METHODS, TransformKind, _interval, _table_points
+from .fixed_time import TEST_IDS, TEST_METHODS, TransformKind, _interval, _table_summaries
 from .variance import VarianceKind
 
 _NUMERICAL_ERRORS = (
@@ -156,7 +156,7 @@ def _load(args):
 def _emit(payload: dict, args, human: str) -> None:
     text = json.dumps(payload, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text if args.json else human)
 
@@ -178,12 +178,12 @@ def _cmd_estimate(args) -> int:
         lines.append(f"group {group} (n={table.size})")
         for t in times:
             est = curve.at(t)
-            (point,) = _table_points((table,), args.cause, t, variance)
+            ((estimate, variances),) = _table_summaries((table,), args.cause, t, variance)
             try:
-                ci = _interval(point, kind, args.level)
+                ci = _interval(estimate, *variances[variance], kind, args.level)
             except NotEstimable:
                 ci = None
-            var = float(point[1][0][0])
+            var = float(variances[variance][0][0])
             ci_text = "[not estimable]" if ci is None else "[{:.3f}, {:.3f}]".format(*ci)
             rows.append({"time": t, "estimate": est, "variance": var, "ci": ci})
             lines.append(f"  t={t:g}: estimate {est:.3f}  variance {var:.6f}  {ci_text}")
@@ -291,21 +291,17 @@ def _cmd_simulate(args) -> int:
     if args.workers < 1:
         raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     scenarios = parse_scenarios(args.scenario)
-    if args.reps is not None or args.seed is not None:
-        patch = {}
-        if args.reps is not None:
-            patch["reps"] = args.reps
-        if args.seed is not None:
-            patch["master_seed"] = args.seed
-        try:
-            scenarios = [replace(s, **patch) for s in scenarios]
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+    patch = {key: value for key, value in (("reps", args.reps), ("master_seed", args.seed))
+             if value is not None}
+    try:
+        scenarios = [replace(s, **patch) for s in scenarios]
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     # an --out that cannot be written fails before the first scenario
     # runs; a file already there keeps its contents until the end, and
     # one this run creates is removed if the run fails
     created = not os.path.exists(args.out)
-    open(args.out, "a").close()
+    open(args.out, "a", encoding="utf-8").close()
     try:
         results = []
         for i, s in enumerate(scenarios, start=1):
@@ -358,7 +354,7 @@ def _cmd_summarize_anova(args) -> int:
 def _cmd_plot_data(args) -> int:
     data = _load(args)
     causes = [args.cause] if args.cause is not None else list(data.causes)
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group", "cause", "time", "estimate"])
         for group in data.groups:

@@ -11,14 +11,16 @@ are supported; the identity keeps the raw scale, the others pull the
 estimate away from the [0, 1] boundary where the normal approximation
 is poor.  For K groups the statistic is the quadratic form of the
 contrasts against the first group, with K - 1 degrees of freedom, in
-closed form; X2 above is its K = 2 case.  `_wald` builds it for every
-test, the pseudo-value tests included.
+closed form; X2 above is its K = 2 case, and `_wald` builds it for
+every test from groups already on one scale.
 
 Each transform is one entry of the table `_SCALES`, in numpy (the
 same doubles at any shape), which also gives `pseudo.py` its links.
 `TEST_METHODS` names the twelve tests of the battery that
 `simulation.run_battery` runs: each transform with each variance
-estimator, then the two pseudo-value links.
+estimator, then the two pseudo-value links.  Two builders make them:
+`_transform_tests` here and `pseudo._pseudo_tests`, each putting a
+group's estimates on each scale once (`_scaled`) for all its tests.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ TEST_METHODS = {
     for test, kind, variance in _BATTERY
 }
 TEST_IDS = tuple(TEST_METHODS)
+# (transform or link, variance or None) -> test id
+_TESTS = {(kind, variance): test for test, kind, variance in _BATTERY}
 
 
 @dataclass(frozen=True)
@@ -280,31 +284,25 @@ class _Rows:
 
 
 @_limits
-def _transformed_rows(points, kind: TransformKind):
-    """Each group's phi and delta-method variance over R rows from its
-    (estimates, (variances, checks)), NaN where the estimate is outside
-    the transform's domain, and the checks in the order they are made:
-    each group's variance checks before its estimate's domain, group by
-    group."""
+def _scaled(kind: TransformKind, estimate, variances):
+    """One group's R estimates on the `kind` scale: their domain check,
+    phi, and the delta-method variances of phi for the V `variances` as
+    a (V, R) array, with phi and the divisor evaluated once; phi and the
+    variances are NaN where the estimate is outside the open domain."""
     scale = _SCALES[kind]
-    checks, phis, ws = [], [], []
-    for estimate, (var, var_checks) in points:
-        inside = (estimate > scale.low) & (estimate < scale.high)
-        checks.extend(var_checks)
-        checks.append(_Check(
-            NotEstimable, ~inside,
-            lambda i, e=estimate: f"transform {kind.value!r} is undefined at estimate {float(e[i])!r}"))
-        p = np.where(inside, estimate, 0.5)
-        phis.append(np.where(inside, scale.phi(p), np.nan))
-        ws.append(np.where(inside, scale.variance(p, var), np.nan))
-    return checks, phis, ws
+    inside = (estimate > scale.low) & (estimate < scale.high)
+    p = np.where(inside, estimate, 0.5)
+    check = _Check(NotEstimable, ~inside, lambda i: (
+        f"transform {kind.value!r} is undefined at estimate {float(estimate[i])!r}"))
+    return (check, np.where(inside, scale.phi(p), np.nan),
+            np.where(inside, scale.variance(p, np.array(variances)), np.nan))
 
 
-def _wald(points, t: float, kind: TransformKind):
-    """The Wald statistic of K >= 2 groups over R rows from their
-    (estimates, (variances, checks)), with the effect phi_1 - phi_2 at
-    K = 2 (else None) and the checks of `_transformed_rows` followed by
-    one for a singular contrast covariance under unequal phis.
+def _wald(groups, t: float):
+    """The Wald statistic of K >= 2 groups over R rows from each group's
+    (checks, phi, w) on one scale, with the effect phi_1 - phi_2 at
+    K = 2 (else None) and the groups' checks, group by group, followed
+    by one for a singular contrast covariance under unequal phis.
 
     The quadratic form of the contrasts against group 1, whose
     covariance has w_1 off the diagonal and w_1 + w_g on it, is N / D
@@ -316,7 +314,8 @@ def _wald(points, t: float, kind: TransformKind):
     For K >= 3 each row's w are divided by their largest, which then
     divides N / D, so that the products of K - 1 small variances do not
     underflow; variances spread widely over many groups still can."""
-    checks, phis, ws = _transformed_rows(points, kind)
+    checks = [check for group_checks, _, _ in groups for check in group_checks]
+    phis, ws = [phi for _, phi, _ in groups], [w for _, _, w in groups]
     scale = 1.0
     if len(ws) > 2:
         top = reduce(np.maximum, ws)
@@ -334,18 +333,30 @@ def _wald(points, t: float, kind: TransformKind):
     return statistic, phis[0] - phis[1] if len(phis) == 2 else None, tuple(checks)
 
 
-def _test_rows(points, t: float, kind: TransformKind, variance: VarianceKind) -> _Rows:
-    """One transform test of K groups over R rows, by `_wald`."""
-    statistic, effect, checks = _wald(points, t, kind)
-    return _Rows(kind.value, variance.value, statistic, effect,
-                 tuple(e for e, _ in points), tuple(v for _, (v, _) in points), checks)
+def _transform_tests(summaries, t: float, tests) -> dict[str, _Rows]:
+    """The requested transform tests of K groups over R rows from each
+    group's `variance._summaries`, scale by scale: one `_scaled` step per
+    group and scale serves the scale's tests of both variances."""
+    estimates = tuple(estimate for estimate, _ in summaries)
+    rows = {}
+    for kind in TransformKind:
+        wanted = [(test, v) for test, k, v in _BATTERY if k is kind and test in tests]
+        if wanted:
+            scaled = [_scaled(kind, estimate, [variances[v][0] for _, v in wanted])
+                      for estimate, variances in summaries]
+        for j, (test, v) in enumerate(wanted):
+            statistic, effect, checks = _wald(
+                [((*variances[v][1], domain), phi, ws[j])
+                 for (_, variances), (domain, phi, ws) in zip(summaries, scaled)], t)
+            rows[test] = _Rows(kind.value, v.value, statistic, effect, estimates,
+                               tuple(variances[v][0] for _, variances in summaries), checks)
+    return rows
 
 
-def _table_points(tables, cause: int, t: float, variance: VarianceKind):
-    """Each table's one-row (estimates, (variances, checks)) at `t`,
-    with only the `variance` estimator computed."""
-    return [(estimate, variances[variance]) for estimate, variances in
-            (_summaries(*_table_counts(tb, cause, t), (variance,)) for tb in tables)]
+def _table_summaries(tables, cause: int, t: float, variance: VarianceKind):
+    """Each table's one-row `variance._summaries` at `t`, with only the
+    `variance` estimator computed."""
+    return [_summaries(*_table_counts(tb, cause, t), (variance,)) for tb in tables]
 
 
 def two_sample_test(table1: EventTable, table2: EventTable, cause: int, t: float,
@@ -371,8 +382,9 @@ def k_sample_test(tables, cause: int, t: float,
     if len(tables) < 2:
         raise ValueError("k_sample_test needs at least two groups")
     variance = VarianceKind(variance)
-    rows = _test_rows(_table_points(tables, cause, t, variance),
-                      float(t), TransformKind(kind), variance)
+    summaries = _table_summaries(tables, cause, t, variance)
+    test = _TESTS[TransformKind(kind), variance]
+    rows = _transform_tests(summaries, float(t), (test,))[test]
     return rows.result(0, [tb.group for tb in tables], cause, float(t))
 
 
@@ -384,15 +396,16 @@ def pointwise_ci(table: EventTable, cause: int, t: float,
     mapped back to the probability scale and intersected with [0, 1]."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level!r}")
-    (point,) = _table_points((table,), cause, t, VarianceKind(variance))
-    return _interval(point, TransformKind(kind), level)
+    variance = VarianceKind(variance)
+    ((estimate, variances),) = _table_summaries((table,), cause, t, variance)
+    return _interval(estimate, *variances[variance], TransformKind(kind), level)
 
 
 @_limits
-def _interval(point, kind: TransformKind, level: float) -> tuple[float, float]:
-    """`pointwise_ci` of one `_table_points` row; raises its first failing check."""
-    checks, (phi,), (w,) = _transformed_rows((point,), kind)
-    error = _first_error(checks, 0)
+def _interval(estimate, v, checks, kind: TransformKind, level: float) -> tuple[float, float]:
+    """`pointwise_ci` of one row's estimate and variance; raises its first failing check."""
+    domain, phi, (w,) = _scaled(kind, estimate, (v,))
+    error = _first_error((*checks, domain), 0)
     if error is not None:
         raise error
     half = NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(w[0])

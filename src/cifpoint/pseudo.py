@@ -26,7 +26,8 @@ iteration, and is the closed form's test oracle.  Both links are
 transforms of `fixed_time`: logit, and cloglog(m) = llog(1 - m).  The
 Wald statistic is therefore `fixed_time._wald` at K = 2, with each
 group mean on its link's scale and the squared standard error of the
-mean as its variance.
+mean as its variance; `_pseudo_tests` builds both links' tests, each
+group's mean checked once and put on each link's scale once.
 
 The leave-one-out estimates need no refit.  Write Y_j, d_j and dk_j
 for the at-risk count, the failures and the cause-k failures at the
@@ -55,11 +56,13 @@ from .data import Dataset, _check_cause
 from .errors import NonConvergence, SeparationDetected, _Check
 from .estimation import _aalen_johansen, _lagged, _row_knots, _take_rows
 from .fixed_time import (
+    _TESTS,
     PSEUDO_METHODS,
     FixedTimeTestResult,
     LinkKind,
     TransformKind,
     _Rows,
+    _scaled,
     _wald,
     transform,
 )
@@ -326,36 +329,30 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
     return GeeFit(beta=beta, sandwich=sandwich, iterations=iterations, link=link)
 
 
-def _group_moments(groups, labels):
-    """Each group's mean pseudo-value and the squared standard error
-    sum_i (theta_i - m)^2 / n^2 of that mean, row by row, with a check
-    per group of a mean within N * eps of 0 or 1, the margin `gee_fit`
-    uses.
-
-    `groups` holds one (R, n_g) array of pseudo-values per group, the
-    x = 1 group first.  Returns ([(means, squared errors)], checks).
-    """
-    edge = sum(theta.shape[-1] for theta in groups) * np.finfo(float).eps
-    moments, checks = [], []
-    for theta, label in zip(groups, labels):
-        mean = theta.mean(axis=-1)
-        moments.append((mean, np.square(theta - mean[..., None]).sum(axis=-1) / theta.shape[-1]**2))
-        checks.append(_Check(
-            SeparationDetected, ~((edge < mean) & (mean < 1.0 - edge)),
-            lambda i, label=label, mean=mean:
-                f"group {label} mean pseudo-value outside (0, 1): {float(mean[i])!r}"))
-    return moments, checks
-
-
-def _saturated_rows(moments, checks, t: float, link: LinkKind) -> _Rows:
-    """Wald test over R rows from the closed-form saturated fit at one
-    horizon: `_wald` of the two group means on the link's scale, with
-    the squared standard errors as their variances and the separation
-    `checks` of `_group_moments` as their variance checks."""
-    (m1, s1), (m0, s0) = moments
-    (kind, p1), (_, p0) = _link_scale(m1, link), _link_scale(m0, link)
-    statistic, effect, checks = _wald([(p1, (s1, checks[:1])), (p0, (s0, checks[1:]))], t, kind)
-    return _Rows(PSEUDO_METHODS[link], None, statistic, effect, (m1, m0), None, checks)
+def _pseudo_tests(thetas, labels, t: float, tests) -> dict[str, _Rows]:
+    """The requested pseudo-value tests over R rows from the two groups'
+    (R, n_g) pseudo-values, the x = 1 group first: `_wald` of the group
+    means on each link's scale with the squared standard errors of the
+    means as their variances, the closed form of the module docstring.
+    Each mean is checked for a value within N * eps of 0 or 1, as in
+    `gee_fit`."""
+    edge = sum(theta.shape[-1] for theta in thetas) * np.finfo(float).eps
+    means = [theta.mean(axis=-1) for theta in thetas]
+    errors = [np.square(theta - m[..., None]).sum(axis=-1) / theta.shape[-1]**2
+              for theta, m in zip(thetas, means)]
+    separated = [_Check(SeparationDetected, ~((edge < m) & (m < 1.0 - edge)), lambda i, g=g, m=m:
+                        f"group {g} mean pseudo-value outside (0, 1): {float(m[i])!r}")
+                 for g, m in zip(labels, means)]
+    rows = {}
+    for link, method in PSEUDO_METHODS.items():
+        test = _TESTS[link, None]
+        if test not in tests:
+            continue
+        scaled = [_scaled(*_link_scale(m, link), (s,)) for m, s in zip(means, errors)]
+        statistic, effect, checks = _wald(
+            [((check, domain), phi, w) for check, (domain, phi, (w,)) in zip(separated, scaled)], t)
+        rows[test] = _Rows(method, None, statistic, effect, tuple(means), None, checks)
+    return rows
 
 
 def pseudo_test(data: Dataset, cause: int, t: float,
@@ -372,6 +369,6 @@ def pseudo_test(data: Dataset, cause: int, t: float,
         raise ValueError(f"pseudo_test needs exactly two groups, got {len(data.groups)}")
     theta = pseudo_values(data, cause, [t]).values[:, 0]
     x = data.group_indicator(data.groups[0])
-    rows = _saturated_rows(*_group_moments([theta[x == 1][None], theta[x == 0][None]],
-                                           data.groups), float(t), link)
-    return rows.result(0, data.groups, cause, float(t))
+    test = _TESTS[link, None]
+    rows = _pseudo_tests([theta[x == 1][None], theta[x == 0][None]], data.groups, float(t), (test,))
+    return rows[test].result(0, data.groups, cause, float(t))

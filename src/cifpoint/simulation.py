@@ -28,7 +28,9 @@ times and statuses are (R, n_g) arrays, one replication per row, and
 every step (sorting, the Aalen-Johansen recursion over each row's
 knots, both variances, the pooled pseudo-values, the transforms and
 each exclusion reason as a mask over the rows) is array arithmetic
-over the block.  A block holds at most _BLOCK_CELLS subjects in all,
+over the block.  Two builders make the twelve tests, one per family
+of tests, and each puts a group's estimates on each scale once per
+block.  A block holds at most _BLOCK_CELLS subjects in all,
 R (n1 + n2) <= 2**18, which bounds its arrays to a few megabytes
 whatever the scenario; the replication range is cut into such blocks
 and the counts summed.  Every number of a row equals that of the
@@ -63,16 +65,15 @@ from .errors import (
 )
 from .estimation import _finite_horizon, _row_knots
 from .fixed_time import (
-    _BATTERY,
     TEST_IDS,
     TEST_METHODS,
     FixedTimeTestResult,
     _chi2_critical,
     _Rows,
-    _test_rows,
+    _transform_tests,
     chi2_pvalue,
 )
-from .pseudo import _group_moments, _pooled_pseudo, _saturated_rows
+from .pseudo import _pooled_pseudo, _pseudo_tests
 from .variance import _summaries
 
 __all__ = [
@@ -115,34 +116,23 @@ def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> dict[str, _Ro
     TEST_IDS order.
 
     `groups` holds one (label, times, statuses) per group with (R, n_g)
-    arrays; row r of every group is one data set.  Each group's
-    estimate and both variances come from one pass over its sorted
-    rows.  Every test's statistic is `fixed_time._wald` for any number
-    of groups.  The pseudo-value tests take exactly two groups, pooled
-    once for both links with the first group as x = 1.
+    arrays; row r of every group is one data set.  Each group's estimate
+    and both variances come from one pass over its sorted rows; the
+    pseudo-value tests take exactly two groups, pooled once for both
+    links with the first group as x = 1.
     """
-    summaries = moments = None
     rows = {}
-    for test, kind, variance in _BATTERY:
-        if test not in tests:
-            continue
-        if variance is not None:
-            if summaries is None:
-                summaries = [_summaries(*_row_knots(times, statuses, cause, t)[4:])
-                             for _, times, statuses in groups]
-            rows[test] = _test_rows([(estimate, variances[variance])
-                                     for estimate, variances in summaries],
-                                    t, kind, variance)
-        else:
-            if moments is None:
-                (label1, times1, statuses1), (label0, times0, statuses0) = groups
-                theta = _pooled_pseudo(np.concatenate((times1, times0), axis=-1),
-                                       np.concatenate((statuses1, statuses0), axis=-1),
-                                       int(cause), np.array([t]))[..., 0]
-                n1 = times1.shape[-1]
-                moments = _group_moments([theta[:, :n1], theta[:, n1:]], (label1, label0))
-            rows[test] = _saturated_rows(*moments, t, kind)
-    return rows
+    if any(TEST_METHODS[test][1] is not None for test in tests):
+        rows.update(_transform_tests([_summaries(*_row_knots(times, statuses, cause, t)[4:])
+                                      for _, times, statuses in groups], t, tests))
+    if any(TEST_METHODS[test][1] is None for test in tests):
+        (label1, times1, statuses1), (label0, times0, statuses0) = groups
+        theta = _pooled_pseudo(np.concatenate((times1, times0), axis=-1),
+                               np.concatenate((statuses1, statuses0), axis=-1),
+                               int(cause), np.array([t]))[..., 0]
+        n1 = times1.shape[-1]
+        rows.update(_pseudo_tests([theta[:, :n1], theta[:, n1:]], (label1, label0), t, tests))
+    return {test: rows[test] for test in TEST_IDS if test in rows}
 
 
 def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOutcome]:
@@ -362,7 +352,8 @@ def calibrate_censoring(beta: float, p: float, weights: tuple[float, float],
                         target: float) -> float:
     """Uniform(0, b) bound giving an expected censored fraction `target`.
 
-    `weights` are the relative sizes of the z=0 and z=1 groups; the
+    `weights` are the relative sizes of the z=0 and z=1 groups, finite
+    and >= 0 with a positive sum, else a ValueError; the
     censored fraction P(C < T) is computed against the corresponding
     mixture of failure-time laws (which do not depend on `p`) and is
     decreasing in b, so bisection applies.  `target` 0 returns infinity
@@ -370,6 +361,8 @@ def calibrate_censoring(beta: float, p: float, weights: tuple[float, float],
     """
     if not (0.0 <= target < 1.0):
         raise ValueError(f"target must be in [0, 1), got {target!r}")
+    if not (all(math.isfinite(w) and w >= 0.0 for w in weights) and sum(weights) > 0.0):
+        raise ValueError(f"weights must be finite and >= 0 with a positive sum, got {weights!r}")
     if target == 0.0:
         return math.inf
     w2 = weights[1] / (weights[0] + weights[1])
@@ -480,7 +473,7 @@ def parse_scenarios(path) -> list[Scenario]:
     import configparser
 
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     try:
         parser.read_string("[grid]\n" + text, source=str(path))
@@ -572,7 +565,7 @@ _CSV_COLUMNS = (
 
 def write_results_csv(results, path) -> None:
     """One row per scenario and test, in battery order."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
         for res in results:
@@ -590,7 +583,7 @@ def write_results_csv(results, path) -> None:
 def read_results_csv(path) -> list[ScenarioResult]:
     """Rebuild scenario results written by `write_results_csv`."""
     grouped: dict[Scenario, tuple[dict, dict]] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         missing = set(_CSV_COLUMNS) - {"beta"} - set(reader.fieldnames or ())
         if missing:

@@ -641,6 +641,58 @@ class TestUnreadableFile:
         assert "[1/" not in err
 
 
+class TestFileEncodings:
+    """Every file is read and written as UTF-8, whatever the locale, and
+    a byte-order mark at the start of an input is skipped."""
+
+    def test_bom_grid_file(self, grid_cfg, tmp_path, capsys):
+        # a BOM used to fail as "unknown keys ['\ufeffsizes']"
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + grid_cfg.read_bytes())
+        plain, marked = (run(["simulate", "--scenario", str(path), "--json",
+                              "--out", str(tmp_path / f"{path.stem}.csv")], capsys)
+                         for path in (grid_cfg, bom))
+        assert plain[0] == 0, plain[2]
+        assert marked == plain
+
+    def test_bom_results_file(self, tmp_path, capsys):
+        # a BOM used to fail as "missing columns ['n1']"
+        plain = results_csv(tmp_path / "results.csv")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = [run(["summarize-anova", "--input", str(path), "--model", "4", "--json"],
+                       capsys) for path in (plain, bom)]
+        assert outputs[0][0] == 0, outputs[0][2]
+        assert outputs[1] == outputs[0]
+
+    def test_latin1_grid_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "grid.cfg"
+        path.write_bytes("# durée\nsizes = 5/5\ntimes = 0.5\n".encode("latin-1"))
+        code, out, err = run(["simulate", "--scenario", str(path),
+                              "--out", str(tmp_path / "out.csv")], capsys)
+        assert code == 2
+        assert "cifpoint: data error: " in err and "Traceback" not in err
+        assert out == ""
+
+    def test_plot_data_writes_utf8_under_the_c_locale(self, tmp_path):
+        # the curves used to be written in the locale's encoding, which
+        # ended in a UnicodeEncodeError traceback under the C locale
+        data = tmp_path / "subjects.csv"
+        data.write_text("time,status,arm\n1,1,été\n2,0,été\n3,2,b\n4,1,b\n", encoding="utf-8")
+        dest = tmp_path / "curves.csv"
+        src = pathlib.Path(cifpoint.__file__).resolve().parent.parent
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith(("LC_", "LANG", "PYTHON"))}
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "cifpoint.cli", "plot-data", "--input",
+                               str(data), "--group-col", "arm", "--out", str(dest)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        with open(dest, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["group"] for row in rows} == {"été", "b"}
+
+
 class TestLongField:
     # a field past csv's limit of 131072 characters used to end in a
     # traceback with exit 1, the usage-error code

@@ -16,7 +16,7 @@ from cifpoint.fixed_time import (
     _SCALES,
     TransformKind,
     _chi2_critical,
-    _transformed_rows,
+    _scaled,
     _wald,
     chi2_pvalue,
     inverse_transform,
@@ -308,7 +308,7 @@ class TestBlocksEqualScalarCalls:
                       for draws in boundary_draws(seed % 4))
         vs = np.abs(vs)
         for kind in KINDS:
-            _, (phi,), (w,) = _transformed_rows([(ps, (vs, ()))], kind)
+            _, phi, (w,) = _scaled(kind, ps, (vs,))
             with np.errstate(over="ignore"):
                 inverse = _SCALES[kind].inverse(ys)
             for p, v, block in zip(ps.tolist(), vs.tolist(), zip(phi, w)):
@@ -327,8 +327,7 @@ class TestBlocksEqualScalarCalls:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert transform_variance(1e-200, 0.01, TransformKind.LOG) == math.inf
-            _, _, (w,) = _transformed_rows([(np.array([1e-200]), (np.array([0.01]), ()))],
-                                           TransformKind.LOG)
+            _, _, (w,) = _scaled(TransformKind.LOG, np.array([1e-200]), (np.array([0.01]),))
         assert w[0] == math.inf
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -340,7 +339,7 @@ class TestBlocksEqualScalarCalls:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scalar = [transform_variance(p, v, kind) for p, v in zip(ps.tolist(), vs.tolist())]
-            _, _, (w,) = _transformed_rows([(ps, (vs, ()))], kind)
+            _, _, (w,) = _scaled(kind, ps, (vs,))
         assert scalar[0] == 0.0 and scalar[2] == 0.0
         assert struct.pack("<4d", *w) == struct.pack("<4d", *scalar)
 
@@ -557,8 +556,8 @@ class TestWaldClosedForm:
     def test_matches_the_solve(self, rows):
         # the linear scale keeps phi and w as drawn
         phi, w = np.array(rows).transpose(2, 1, 0)
-        statistic, effect, checks = _wald([(p, (v, ())) for p, v in zip(phi, w)], 0.5,
-                                          TransformKind.LINEAR)
+        scaled = [_scaled(TransformKind.LINEAR, p, (v,)) for p, v in zip(phi, w)]
+        statistic, effect, checks = _wald([((domain,), p, v) for domain, p, (v,) in scaled], 0.5)
         *domain, singular = checks
         assert not any(check.fails.any() for check in domain)
         for i, (p, v) in enumerate(zip(phi.T, w.T)):

@@ -23,6 +23,7 @@ from cifpoint.errors import (
 )
 from cifpoint.estimation import cif_at, cif_estimate
 from cifpoint.fixed_time import (
+    _SCALES,
     TransformKind,
     k_sample_test,
     pointwise_ci,
@@ -148,6 +149,16 @@ class TestCensoringCalibration:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             calibrate_censoring(0.0, 0.66, (1.0, 1.0), 1.0)
+
+    @pytest.mark.parametrize("weights", [(0, 0), (1, -2), (math.nan, 1), (1.0, math.inf),
+                                         (0.0, -0.0)])
+    def test_bad_weights(self, weights):
+        # (0, 0) used to divide by zero, (1, -2) to return a bound, and
+        # (nan, 1) to raise UnreachableTarget
+        with pytest.raises(ValueError) as info:
+            calibrate_censoring(0.0, 0.66, weights, 0.3)
+        assert str(info.value) == (
+            f"weights must be finite and >= 0 with a positive sum, got {weights!r}")
 
     @pytest.mark.parametrize("beta", [0.0, math.log(1.5), math.log(2.0), -0.7])
     @pytest.mark.parametrize("w2", [0.0, 1.0, 1.0 / 3.0, 0.5])
@@ -535,6 +546,46 @@ def row_blocks(draw):
         return np.array(times) / 8.0, np.array(statuses)
 
     return group(), group(), draw(st.integers(1, 36)) / 16.0
+
+
+class TestScaleSteps:
+    """Each group's estimates go onto each scale once per call, whatever
+    the number of tests of that scale."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counted(fn, name, kind):
+            def wrapper(p):
+                calls[name, kind] += 1
+                return fn(p)
+            return wrapper
+
+        for kind, scale in list(_SCALES.items()):
+            phi, divisor = counted(scale.phi, "phi", kind), counted(scale.divisor, "divisor", kind)
+            monkeypatch.setitem(_SCALES, kind, scale._replace(phi=phi, divisor=divisor))
+        return calls
+
+    def test_battery(self, calls):
+        # five scales and two links (on the llog and logit scales), two
+        # groups each, 14 of each in all; both variances of a scale share
+        # its phi and divisor
+        rng = np.random.default_rng(7)
+        groups = [(label, rng.uniform(0.1, 2.0, (4, 9)), rng.integers(0, 3, (4, 9)))
+                  for label in ("a", "b")]
+        _battery_rows(groups, 1, 1.0)
+        links = (TransformKind.LOGLOG, TransformKind.LOGIT)
+        assert calls == {(name, kind): 4 if kind in links else 2
+                         for name in ("phi", "divisor") for kind in TransformKind}
+
+    @pytest.mark.parametrize("variance", list(VarianceKind))
+    @pytest.mark.parametrize("kind", list(TransformKind))
+    def test_k_sample_test_evaluates_only_its_own_scale(self, calls, kind, variance):
+        tables = [event_table_from_arrays([1.0, 2.0, 3.0, 4.0], [1, 0, 2, 1], label)
+                  for label in ("a", "b", "c")]
+        k_sample_test(tables, 1, 3.5, kind, variance)
+        assert calls == {("phi", kind): 3, ("divisor", kind): 3}
 
 
 class TestEngine:
