@@ -19,14 +19,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .data import build_event_table, parse_dataset
+from .data import _check_cause, build_event_table, parse_dataset
 from .errors import (
     CifPointError,
     InvalidRecord,
@@ -38,7 +37,7 @@ from .errors import (
     UnreachableTarget,
     ZeroVariance,
 )
-from .estimation import cif_estimate
+from .estimation import _finite_horizon, cif_estimate
 from .fixed_time import TEST_IDS, TEST_METHODS, TransformKind, _interval, _table_summaries
 from .variance import VarianceKind
 
@@ -121,10 +120,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_time(t: float) -> float:
-    if not (math.isfinite(t) and t > 0.0):
-        raise _UsageError(f"times must be finite and positive, got {t:g}")
-    return t
+def _usage(check, value, prefix: str = ""):
+    """`check(value)`, the library's rule, with its ValueError a usage error."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise _UsageError(f"{prefix}{exc}") from None
 
 
 def _parse_times(text: str) -> list[float]:
@@ -137,7 +138,7 @@ def _parse_times(text: str) -> list[float]:
         raise _UsageError(f"bad time list {text!r}") from None
     if not times:
         raise _UsageError("empty time list")
-    for i, t in enumerate(map(_check_time, times)):
+    for i, t in enumerate(_usage(_finite_horizon, t) for t in times):
         if t in times[:i]:
             raise _UsageError(f"repeated time {tokens[i]!r} in --times")
     return times
@@ -158,7 +159,11 @@ def _emit(payload: dict, args, human: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text if args.json else human)
+    if not args.json:
+        # escape what stdout cannot encode, as Python does on stderr
+        encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+        text = human.encode(encoding, "backslashreplace").decode(encoding)
+    print(text)
 
 
 def _cmd_estimate(args) -> int:
@@ -177,13 +182,12 @@ def _cmd_estimate(args) -> int:
         rows = []
         lines.append(f"group {group} (n={table.size})")
         for t in times:
-            est = curve.at(t)
             ((estimate, variances),) = _table_summaries((table,), args.cause, t, variance)
             try:
                 ci = _interval(estimate, *variances[variance], kind, args.level)
             except NotEstimable:
                 ci = None
-            var = float(variances[variance][0][0])
+            est, var = float(estimate[0]), float(variances[variance][0][0])
             ci_text = "[not estimable]" if ci is None else "[{:.3f}, {:.3f}]".format(*ci)
             rows.append({"time": t, "estimate": est, "variance": var, "ci": ci})
             lines.append(f"  t={t:g}: estimate {est:.3f}  variance {var:.6f}  {ci_text}")
@@ -228,9 +232,11 @@ def _result_payload(res) -> dict:
 
 
 def _cmd_test(args) -> int:
+    from .pseudo import _two_groups
     from .simulation import run_battery
 
-    times = [_check_time(args.time)] if args.time is not None else _parse_times(args.times)
+    times = (_parse_times(args.times) if args.time is None
+             else [_usage(_finite_horizon, args.time)])
     data = _load(args)
     if len(data.groups) < 2:
         raise InvalidRecord("test needs at least two groups; pass --group-col")
@@ -239,11 +245,8 @@ def _cmd_test(args) -> int:
     else:
         tests = [test for test, (method, variance) in TEST_METHODS.items()
                  if method == args.method and variance in (None, args.variance)]
-    if len(data.groups) != 2 and any(TEST_METHODS[test][1] is None for test in tests):
-        raise _UsageError(
-            f"the pseudo-value tests need exactly two groups, got {len(data.groups)}; "
-            "pick a transform method"
-        )
+    if any(TEST_METHODS[test][1] is None for test in tests):
+        _usage(_two_groups, len(data.groups))
 
     groups = [(g, data.times[data.codes == i], data.statuses[data.codes == i])
               for i, g in enumerate(data.groups)]
@@ -381,8 +384,8 @@ def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "cause", None) is not None and args.cause < 1:
-            parser.error(f"--cause must be at least 1 (0 marks censoring), got {args.cause}")
+        if getattr(args, "cause", None) is not None:
+            _usage(_check_cause, args.cause, "--cause: ")
     except _UsageError as exc:
         print(f"cifpoint: {exc}", file=sys.stderr)
         return 1

@@ -259,12 +259,12 @@ def _columns(fields, width, ti, si, gi):
         return None
     try:
         # an object array of str casts through float() and int()
-        times = fields[:, ti].astype(float)
-        statuses = fields[:, si].astype(np.int64)
-    except (ValueError, OverflowError):
+        times, statuses = _checked_columns(fields[:, ti].astype(float),
+                                           fields[:, si].astype(np.int64))
+    except (ValueError, OverflowError, InvalidRecord):
         return None
     labels = ["all"] * len(fields) if gi is None else fields[:, gi].tolist()
-    if not (np.all(np.isfinite(times) & (times > 0.0) & (statuses >= 0)) and all(labels)):
+    if not all(labels):
         return None
     return times, statuses, labels
 
@@ -303,7 +303,7 @@ def _check_cause(cause) -> None:
 
 
 def _checked_columns(times, statuses):
-    """One group's times and statuses as float and int arrays, refusing
+    """Subjects' times and statuses as float and int arrays, refusing
     what no subject record allows.  Integer statuses are taken as they
     are; others must hold whole numbers within the int64 range."""
     times = np.asarray(times, dtype=float)

@@ -71,9 +71,8 @@ class _Check(NamedTuple):
     message: Callable[[int], str]
 
 
-def _first_error(checks, i: int):
-    """The error of row `i` from the first of `checks` it fails, or None."""
+def _raise_first(checks, i: int) -> None:
+    """Raise the error of row `i` from the first of `checks` it fails."""
     for check in checks:
         if check.fails[i]:
-            return check.error(check.message(i))
-    return None
+            raise check.error(check.message(i))

@@ -11,7 +11,9 @@ hazard of a cause-k failure at t_j:
 where a_j is the number at risk at t_j, d_kj the cause-k failures
 there, and S the all-cause Kaplan-Meier estimate (Aalen & Johansen
 1978; Kaplan & Meier 1958).  Both estimates are right-continuous step
-functions, flat between failure times.
+functions, flat between failure times, defined at every t.  The
+horizon of every variance, test and pseudo-value is checked by one
+function, `_finite_horizon`: it must be finite and positive.
 """
 
 from __future__ import annotations
@@ -96,10 +98,11 @@ def km_survival(table: EventTable) -> StepFunction:
 
 
 def _finite_horizon(t) -> float:
-    """`t` as a float, refusing NaN and infinite horizons."""
+    """`t` as a float, refusing a horizon that is not finite and
+    positive: every test compares incidences at a time after 0."""
     t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"time must be finite and positive, got {t!r}")
     return t
 
 

@@ -21,6 +21,8 @@ same doubles at any shape), which also gives `pseudo.py` its links.
 estimator, then the two pseudo-value links.  Two builders make them:
 `_transform_tests` here and `pseudo._pseudo_tests`, each putting a
 group's estimates on each scale once (`_scaled`) for all its tests.
+`_scaled` is the one domain check of every scale: `transform`,
+`transform_variance` and `pointwise_ci` are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import EventTable
-from .errors import NotEstimable, ZeroVariance, _Check, _first_error
+from .errors import NotEstimable, ZeroVariance, _Check, _raise_first
 from .estimation import _table_counts
 from .variance import VarianceKind, _summaries
 
@@ -138,10 +140,6 @@ class _Scale(NamedTuple):
     divisor: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
 
-    def variance(self, p, v):
-        """Var[phi(p)] = v / d(p), and v itself where v is 0."""
-        return np.divide(v, self.divisor(p), out=np.array(v, dtype=np.float64), where=v != 0.0)
-
 
 _SCALES = {
     TransformKind.LINEAR: _Scale(
@@ -161,26 +159,25 @@ _SCALES = {
 _limits = np.errstate(over="ignore", divide="ignore")
 
 
-def _scale(p: float, kind: TransformKind) -> _Scale:
-    """The entry of `kind`, refusing an estimate outside its domain."""
-    scale = _SCALES[kind]
-    if not scale.low < p < scale.high:
-        raise NotEstimable(f"transform {kind.value!r} is undefined at estimate {p!r}")
-    return scale
+def _one_row(kind, p, v=0.0) -> tuple[float, float]:
+    """`_scaled` of one estimate `p` with variance `v`: phi(p) and its
+    delta-method variance, or the domain check's error raised."""
+    domain, phi, (w,) = _scaled(TransformKind(kind), np.array([p], dtype=float), (np.array([v]),))
+    _raise_first((domain,), 0)
+    return float(phi[0]), float(w[0])
 
 
 def transform(p: float, kind: TransformKind) -> float:
     """phi(p).  All transforms except the identity and the log are
     undefined on the boundary of [0, 1]; the log is defined at 1."""
-    return float(_scale(p, TransformKind(kind)).phi(np.float64(p)))
+    return _one_row(kind, p)[0]
 
 
-@_limits
 def transform_variance(p: float, v: float, kind: TransformKind) -> float:
     """Delta-method variance of phi(p) given Var[p] = v."""
     if not v >= 0.0:
         raise ValueError(f"variance must be >= 0, got {v!r}")
-    return float(_scale(p, TransformKind(kind)).variance(np.float64(p), v))
+    return _one_row(kind, p, v)[1]
 
 
 @_limits
@@ -263,9 +260,7 @@ class _Rows:
 
     def result(self, i: int, groups, cause: int, t: float) -> FixedTimeTestResult:
         """Row `i` as a result, or its first failing check's error raised."""
-        error = _first_error(self.checks, i)
-        if error is not None:
-            raise error
+        _raise_first(self.checks, i)
         stat = float(self.statistic[i])
         df = len(self.estimates) - 1
         variances = self.variances or (None,) * len(groups)
@@ -294,8 +289,10 @@ def _scaled(kind: TransformKind, estimate, variances):
     p = np.where(inside, estimate, 0.5)
     check = _Check(NotEstimable, ~inside, lambda i: (
         f"transform {kind.value!r} is undefined at estimate {float(estimate[i])!r}"))
-    return (check, np.where(inside, scale.phi(p), np.nan),
-            np.where(inside, scale.variance(p, np.array(variances)), np.nan))
+    # Var[phi(p)] = v / d(p), and v itself where v is 0
+    v = np.array(variances, dtype=np.float64)
+    w = np.divide(v, scale.divisor(p), out=v.copy(), where=v != 0.0)
+    return check, np.where(inside, scale.phi(p), np.nan), np.where(inside, w, np.nan)
 
 
 def _wald(groups, t: float):
@@ -403,12 +400,11 @@ def pointwise_ci(table: EventTable, cause: int, t: float,
 
 @_limits
 def _interval(estimate, v, checks, kind: TransformKind, level: float) -> tuple[float, float]:
-    """`pointwise_ci` of one row's estimate and variance; raises its first failing check."""
-    domain, phi, (w,) = _scaled(kind, estimate, (v,))
-    error = _first_error((*checks, domain), 0)
-    if error is not None:
-        raise error
-    half = NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(w[0])
-    low, high = np.sort(_SCALES[kind].inverse(phi[0] + np.array([-half, half])))
+    """`pointwise_ci` of one row's estimate and variance; raises its
+    first failing check, then the domain check."""
+    _raise_first(checks, 0)
+    phi, w = _one_row(kind, estimate[0], v[0])
+    half = NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(w)
+    low, high = np.sort(_SCALES[kind].inverse(phi + np.array([-half, half])))
     return (max(0.0, float(low)), min(1.0, float(high)))
 

@@ -22,12 +22,14 @@ g(m_1) - g(m_0) and its sandwich variance is
 
 for the link g.  `pseudo_test` uses this closed form; `gee_fit` solves
 the general model, one effect at any number of horizons, by Newton
-iteration, and is the closed form's test oracle.  Both links are
-transforms of `fixed_time`: logit, and cloglog(m) = llog(1 - m).  The
-Wald statistic is therefore `fixed_time._wald` at K = 2, with each
-group mean on its link's scale and the squared standard error of the
-mean as its variance; `_pseudo_tests` builds both links' tests, each
-group's mean checked once and put on each link's scale once.
+iteration through the Schur complement of the intercepts, which keeps
+its digits where one group's mean is near 0 or 1; it is the closed
+form's test oracle.  Both links are transforms of `fixed_time`: logit,
+and cloglog(m) = llog(1 - m).  The Wald statistic is therefore
+`fixed_time._wald` at K = 2, with each group mean on its link's scale
+and the squared standard error of the mean as its variance;
+`_pseudo_tests` builds both links' tests, each group's mean checked
+once and put on each link's scale once.
 
 The leave-one-out estimates need no refit.  Write Y_j, d_j and dk_j
 for the at-risk count, the failures and the cause-k failures at the
@@ -54,7 +56,7 @@ import numpy as np
 
 from .data import Dataset, _check_cause
 from .errors import NonConvergence, SeparationDetected, _Check
-from .estimation import _aalen_johansen, _lagged, _row_knots, _take_rows
+from .estimation import _aalen_johansen, _finite_horizon, _lagged, _row_knots, _take_rows
 from .fixed_time import (
     _TESTS,
     PSEUDO_METHODS,
@@ -203,8 +205,8 @@ def pseudo_values(data: Dataset, cause: int, times) -> PseudoValueMatrix:
     taus = np.asarray(times, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(taus) & (taus > 0.0)) or np.any(np.diff(taus) <= 0.0):
-        raise ValueError("times must be finite, positive and strictly increasing")
+    if np.any(np.diff([_finite_horizon(tau) for tau in taus.tolist()]) <= 0.0):
+        raise ValueError("times must be strictly increasing")
     values = _pooled_pseudo(data.times[None], data.statuses[None], int(cause), taus)[0]
     return PseudoValueMatrix(values=values, times=taus, cause=int(cause))
 
@@ -262,32 +264,33 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
         u = np.concatenate((contrib.sum(axis=0), [float(x @ contrib.sum(axis=1))]))
         return u, dmu, contrib
 
-    def information(dmu):
-        d2 = dmu**2
-        info = np.zeros((m + 1, m + 1))
-        info[np.arange(m), np.arange(m)] = d2.sum(axis=0)
-        info[:m, m] = info[m, :m] = x @ d2
-        info[m, m] = float(x @ d2.sum(axis=1))
-        return info
+    def stalled(what):
+        return NonConvergence(f"{what} after {iterations} iterations (max |U| = {gap:g})",
+                              beta=beta, residual=gap)
 
-    def solve(info, rhs):
-        out = None
-        if np.linalg.cond(info) * np.finfo(float).eps < 1.0:
-            out = np.linalg.solve(info, rhs)
-        if out is None or not np.all(np.isfinite(out)):
-            raise NonConvergence(
-                f"information matrix is singular after {iterations} iterations "
-                f"(max |U| = {gap:g})",
-                beta=beta,
-                residual=gap,
-            )
+    def solve(dmu, rhs):
+        """info^{-1} r for each row r of `rhs`.  With A_h and B_h the x = 0
+        and x = 1 sums of dmu^2 at horizon h, the information matrix holds
+        A_h + B_h on the intercepts' diagonal, B_h in the effect's row and
+        column and sum_h B_h last.  Its Schur complement
+        sum_h A_h B_h / (A_h + B_h) has no subtraction, where a general
+        solve loses digits to the ill-conditioning of a tiny A_h."""
+        d2 = np.square(dmu)
+        a, b = d2[x == 0.0].sum(axis=0), d2[x == 1.0].sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            share = b / (a + b)
+            effect = (rhs[..., m] - rhs[..., :m] @ share) / np.sum(a * share)
+            out = np.concatenate(((rhs[..., :m] - b * effect[..., None]) / (a + b),
+                                  effect[..., None]), axis=-1)
+        if not np.all(np.isfinite(out)):
+            raise stalled("information matrix is singular")
         return out
 
     u, dmu, _ = score(beta)
     gap = float(np.abs(u).max())
     iterations = 0
     while True:
-        step = solve(information(dmu), u)
+        step = solve(dmu, u)
         # a small score alone is not a root: where a fitted mean runs to 0
         # or 1 the mean derivative vanishes and takes max|U| below
         # tolerance far from the solution, so the derivative must stay
@@ -297,12 +300,7 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
             beta = beta + step
             break
         if iterations >= _GEE_MAX_ITER:
-            raise NonConvergence(
-                f"estimating equations not solved after {iterations} iterations "
-                f"(max |U| = {gap:g})",
-                beta=beta,
-                residual=gap,
-            )
+            raise stalled("estimating equations not solved")
         scale = 1.0
         while True:
             candidate = beta + scale * step
@@ -315,18 +313,21 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
         iterations += 1
 
     u, dmu, contrib = score(beta)
-    per_subject = np.empty((n, m + 1))
-    per_subject[:, :m] = contrib
-    per_subject[:, m] = x * contrib.sum(axis=1)
-    info = information(dmu)
-    # each group's meat goes through the bread on its own: summed first,
-    # a group whose term is 1e7 times the other's would swamp its digits
+    per_subject = np.column_stack((contrib, x * contrib.sum(axis=1)))
+    # each group's influence goes through the bread on its own: summed
+    # first, a group whose term is 1e7 times the other's would swamp its
+    # digits
     sandwich = np.zeros((m + 1, m + 1))
     for g in (0.0, 1.0):
-        rows = per_subject[x == g]
-        bread = solve(info, rows.T @ rows)
-        sandwich += solve(info, bread.T).T
+        influence = solve(dmu, per_subject[x == g])
+        sandwich += influence.T @ influence
     return GeeFit(beta=beta, sandwich=sandwich, iterations=iterations, link=link)
+
+
+def _two_groups(k: int) -> None:
+    """Refuse a pseudo-value test of k != 2 groups, which one indicator cannot split."""
+    if k != 2:
+        raise ValueError(f"the pseudo-value tests need exactly two groups, got {k}")
 
 
 def _pseudo_tests(thetas, labels, t: float, tests) -> dict[str, _Rows]:
@@ -365,8 +366,7 @@ def pseudo_test(data: Dataset, cause: int, t: float,
     saturated GEE described in the module docstring.
     """
     link = LinkKind(link)
-    if len(data.groups) != 2:
-        raise ValueError(f"pseudo_test needs exactly two groups, got {len(data.groups)}")
+    _two_groups(len(data.groups))
     theta = pseudo_values(data, cause, [t]).values[:, 0]
     x = data.group_indicator(data.groups[0])
     test = _TESTS[link, None]

@@ -73,7 +73,7 @@ from .fixed_time import (
     _transform_tests,
     chi2_pvalue,
 )
-from .pseudo import _pooled_pseudo, _pseudo_tests
+from .pseudo import _pooled_pseudo, _pseudo_tests, _two_groups
 from .variance import _summaries
 
 __all__ = [
@@ -151,8 +151,8 @@ def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOut
         raise ValueError(f"unknown tests {sorted(unknown)}")
     if len(groups) < 2:
         raise ValueError("the battery needs at least two groups")
-    if len(groups) != 2 and any(TEST_METHODS[test][1] is None for test in tests):
-        raise ValueError("the pseudo-value tests need exactly two groups")
+    if any(TEST_METHODS[test][1] is None for test in tests):
+        _two_groups(len(groups))
     _check_cause(cause)
     t = _finite_horizon(t)
     labels = [label for label, _, _ in groups]
@@ -189,8 +189,7 @@ class Scenario:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not (math.isfinite(self.t_fixed) and self.t_fixed > 0.0):
-            raise ValueError(f"t_fixed must be finite and positive, got {self.t_fixed!r}")
+        _finite_horizon(self.t_fixed)
         if not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta!r}")
         if not (0.0 < self.p < 1.0):

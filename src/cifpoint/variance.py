@@ -20,7 +20,7 @@ import enum
 import numpy as np
 
 from .data import EventTable
-from .errors import NumericalError, _Check, _first_error
+from .errors import NumericalError, _Check, _raise_first
 from .estimation import _aalen_johansen, _lagged, _table_counts
 
 __all__ = [
@@ -119,7 +119,5 @@ def cif_variance(table: EventTable, cause: int, t: float,
     """Dispatch to the requested variance estimator."""
     kind = VarianceKind(kind)
     values, checks = _summaries(*_table_counts(table, cause, t), (kind,))[1][kind]
-    error = _first_error(checks, 0)
-    if error is not None:
-        raise error
+    _raise_first(checks, 0)
     return float(values[0])

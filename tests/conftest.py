@@ -118,4 +118,4 @@ def subject_columns(groups=("a", "b")):
 
 
 # horizons on a grid of sixteenths: on, between, before and past the knots
-horizons = st.integers(0, 52).map(lambda m: m / 16.0)
+horizons = st.integers(1, 52).map(lambda m: m / 16.0)

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -67,6 +69,17 @@ def run(args, capsys):
     code = run_cli(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_in_c_locale(args):
+    """`cifpoint args` in a new process under the C locale without UTF-8
+    mode, where stdout's codec is ASCII."""
+    src = pathlib.Path(cifpoint.__file__).resolve().parent.parent
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith(("LC_", "LANG", "PYTHON"))}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "cifpoint.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestEstimate:
@@ -680,17 +693,31 @@ class TestFileEncodings:
         data = tmp_path / "subjects.csv"
         data.write_text("time,status,arm\n1,1,été\n2,0,été\n3,2,b\n4,1,b\n", encoding="utf-8")
         dest = tmp_path / "curves.csv"
-        src = pathlib.Path(cifpoint.__file__).resolve().parent.parent
-        env = {key: value for key, value in os.environ.items()
-               if not key.startswith(("LC_", "LANG", "PYTHON"))}
-        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-m", "cifpoint.cli", "plot-data", "--input",
-                               str(data), "--group-col", "arm", "--out", str(dest)],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = run_in_c_locale(["plot-data", "--input", str(data), "--group-col", "arm",
+                                "--out", str(dest)])
         assert proc.returncode == 0, proc.stderr[-2000:]
         with open(dest, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert {row["group"] for row in rows} == {"été", "b"}
+
+    def test_report_escapes_what_an_ascii_stdout_cannot_encode(self, tmp_path):
+        # the text report of a label past ASCII used to end in a
+        # UnicodeEncodeError traceback with exit 1 under the C locale;
+        # it escapes such characters now, as Python does on stderr
+        data = tmp_path / "subjects.csv"
+        data.write_text("time,status,arm\n1,1,été\n2,1,b\n3,0,été\n4,1,b\n", encoding="utf-8")
+        argv = ["estimate", "--input", str(data), "--group-col", "arm", "--cause", "1",
+                "--times", "2"]
+        text, as_json = (run_in_c_locale(argv + flags) for flags in ([], ["--json"]))
+        assert "group \\xe9t\\xe9 (n=2)" in text.stdout.splitlines()
+        for proc, flags in ((text, []), (as_json, ["--json"])):
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            # in process, a StringIO takes every character as it is; the
+            # JSON is ASCII either way
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert run_cli(argv + flags) == 0
+            assert proc.stdout == stdout.getvalue().replace("é", "\\xe9")
 
 
 class TestLongField:
@@ -762,6 +789,25 @@ class TestTopLevel:
         loaded = set(json.loads(fresh_process(code)))
         assert "cifpoint.data" in loaded
         assert not loaded & {"cifpoint.simulation", "cifpoint.pseudo", "cifpoint.anova"}
+
+    def test_simulation_setup_imports_only_what_it_runs(self, tmp_path):
+        # the set-up program whose time the benchmark reports as setup_s:
+        # a scenario grid read and its censoring calibrated, in a new
+        # process, loads no CLI or ANOVA layer and no process pool
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("sizes = 25/25, 50/100\ntimes = 0.1, 0.5\ncensoring = 0, 0.3\n")
+        code = (
+            "import json, sys\n"
+            "import cifpoint\n"
+            f"for s in cifpoint.parse_scenarios({str(grid)!r}):\n"
+            "    cifpoint.calibrate_censoring(s.beta, s.p, (s.n1, s.n2), s.censor_fraction)\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        loaded = set(json.loads(fresh_process(code)))
+        assert {m for m in loaded if m.partition(".")[0] == "cifpoint"} == {
+            "cifpoint", "cifpoint.data", "cifpoint.errors", "cifpoint.estimation",
+            "cifpoint.fixed_time", "cifpoint.pseudo", "cifpoint.simulation", "cifpoint.variance"}
+        assert not loaded & {"multiprocessing", "concurrent.futures"}
 
     def test_every_exported_name_resolves(self):
         star = {}

@@ -1,0 +1,309 @@
+"""The input contract as a conformance table.
+
+Each row is one edge input: a horizon that is not positive, before the
+first knot or past the last, a cause the data lacks, an estimate of 0
+or 1, a zero variance, and two or three groups.  For each of the twelve
+tests the row names one answer, a value or an error's type and message,
+and three paths must give it: the public call (`k_sample_test` or
+`pseudo_test`), the test's own `run_battery` row, and `cifpoint test`
+run in process, whose exit code follows from the answer.  The estimate
+path (`cif_variance`, `pointwise_ci` and `cifpoint estimate`) is held
+to the same rows.
+"""
+
+import contextlib
+import io
+import json
+import struct
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+
+from cifpoint.cli import run_cli
+from cifpoint.data import Dataset, build_event_table
+from cifpoint.errors import CifPointError, NotEstimable
+from cifpoint.estimation import cif_estimate
+from cifpoint.fixed_time import (
+    PSEUDO_METHODS,
+    TransformKind,
+    _scaled,
+    k_sample_test,
+    pointwise_ci,
+    transform_variance,
+    two_sample_test,
+)
+from cifpoint.pseudo import pseudo_test, pseudo_values
+from cifpoint.simulation import TEST_IDS, TEST_METHODS, Scenario, run_battery
+from cifpoint.variance import VarianceKind, cif_variance
+
+from conftest import FIXTURE_A, FIXTURE_B, group_columns, make_dataset
+
+LINKS = {label: link for link, label in PSEUDO_METHODS.items()}
+SEPARATED = ("SeparationDetected", "group x mean pseudo-value outside (0, 1): 0.0")
+
+
+def dataset(*groups):
+    """A dataset of groups x, y, z, ... from (times, statuses) pairs."""
+    times, statuses, labels = [], [], []
+    for label, (t, s) in zip("xyz", groups):
+        times += t
+        statuses += s
+        labels += [label] * len(t)
+    return make_dataset(times, statuses, labels)
+
+
+ALL_CAUSE_1 = ([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1])
+ALL_CAUSE_2 = ([1.0, 2.0, 3.0, 4.0], [2, 2, 2, 2])
+# both fixtures have their knots at 1 to 4
+BASE = dataset(FIXTURE_A, FIXTURE_B)
+
+
+def undefined(kind: str, p: float):
+    return ("NotEstimable", f"transform {kind!r} is undefined at estimate {p!r}")
+
+
+# a result, and a result with statistic 0 and p-value 1
+VALUE = ("value",)
+NO_DIFFERENCE = ("value", 0.0, 1.0)
+
+
+def by_method(**answers):
+    """Each test's answer from its method's, VALUE for the rest."""
+    return {test: answers.get(TEST_METHODS[test][0].replace("-", "_"), VALUE)
+            for test in TEST_IDS}
+
+
+def refused(message):
+    return dict.fromkeys(TEST_IDS, ("ValueError", message))
+
+
+class Case(NamedTuple):
+    data: Dataset
+    cause: int
+    t: float
+    # test id -> ("ValueError" or an excluding error's name, message),
+    # or VALUE or NO_DIFFERENCE
+    answers: dict
+    # the command line's (exit code, message) where it refuses the input
+    # before any test runs
+    cli: tuple | None = None
+
+
+CASES = {
+    "t = 0": Case(BASE, 1, 0.0, refused("time must be finite and positive, got 0.0"),
+                  (1, "time must be finite and positive, got 0.0")),
+    "t < 0": Case(BASE, 1, -1.0, refused("time must be finite and positive, got -1.0"),
+                  (1, "time must be finite and positive, got -1.0")),
+    # every estimate and variance is 0
+    "before the first knot": Case(BASE, 1, 0.5, by_method(
+        linear=NO_DIFFERENCE, log=undefined("log", 0.0), llog=undefined("llog", 0.0), arcs=undefined("arcs", 0.0),
+        logit=undefined("logit", 0.0), pseudo_llog=SEPARATED, pseudo_logit=SEPARATED)),
+    # the numbers at the last knot, 4
+    "past the last knot": Case(BASE, 1, 10.0, by_method()),
+    # the library's estimate of an absent cause is 0; the command line
+    # takes it for a mistyped --cause
+    "a cause the data lacks": Case(BASE, 3, 3.0, by_method(
+        linear=NO_DIFFERENCE, log=undefined("log", 0.0), llog=undefined("llog", 0.0), arcs=undefined("arcs", 0.0),
+        logit=undefined("logit", 0.0), pseudo_llog=SEPARATED, pseudo_logit=SEPARATED),
+        (2, "no subject has cause 3; causes present: 1, 2")),
+    # group x's estimate is exactly 1, with variance 0; the log is
+    # defined at 1
+    "an estimate of 1": Case(dataset(ALL_CAUSE_1, FIXTURE_B), 1, 5.0, by_method(
+        llog=undefined("llog", 1.0), arcs=undefined("arcs", 1.0), logit=undefined("logit", 1.0),
+        pseudo_llog=("SeparationDetected",
+                     "group x mean pseudo-value outside (0, 1): 1.041666666666667"),
+        pseudo_logit=("SeparationDetected",
+                      "group x mean pseudo-value outside (0, 1): 1.041666666666667"))),
+    # group y's estimate is exactly 0, with variance 0
+    "an estimate of 0": Case(dataset(FIXTURE_A, ALL_CAUSE_2), 1, 5.0, by_method(
+        log=undefined("log", 0.0), llog=undefined("llog", 0.0), arcs=undefined("arcs", 0.0),
+        logit=undefined("logit", 0.0),
+        pseudo_llog=("SeparationDetected",
+                     "group y mean pseudo-value outside (0, 1): -0.025000000000000133"),
+        pseudo_logit=("SeparationDetected",
+                      "group y mean pseudo-value outside (0, 1): -0.025000000000000133"))),
+    # w = 0 in both groups: unequal estimates cannot be compared, equal
+    # ones do not differ
+    "w = 0, estimates 1 and 0": Case(dataset(ALL_CAUSE_1, ALL_CAUSE_2), 1, 5.0, by_method(
+        linear=("ZeroVariance", "groups differ at t=5.0 but the contrast covariance is singular"),
+        log=undefined("log", 0.0), llog=undefined("llog", 1.0), arcs=undefined("arcs", 1.0),
+        logit=undefined("logit", 1.0),
+        pseudo_llog=("SeparationDetected", "group x mean pseudo-value outside (0, 1): 1.0"),
+        pseudo_logit=("SeparationDetected", "group x mean pseudo-value outside (0, 1): 1.0"))),
+    "w = 0, estimates 1 and 1": Case(dataset(ALL_CAUSE_1, ALL_CAUSE_1), 1, 5.0, by_method(
+        linear=NO_DIFFERENCE, log=NO_DIFFERENCE, llog=undefined("llog", 1.0), arcs=undefined("arcs", 1.0), logit=undefined("logit", 1.0),
+        pseudo_llog=("SeparationDetected",
+                     "group x mean pseudo-value outside (0, 1): 1.0000000000000002"),
+        pseudo_logit=("SeparationDetected",
+                      "group x mean pseudo-value outside (0, 1): 1.0000000000000002"))),
+    "K = 2": Case(BASE, 1, 3.0, by_method()),
+    "K = 3": Case(dataset(FIXTURE_A, FIXTURE_B, ([1.5, 2.0, 3.5, 5.0], [1, 0, 1, 2])), 1, 3.0,
+                  by_method(pseudo_llog=("ValueError",
+                                         "the pseudo-value tests need exactly two groups, got 3"),
+                            pseudo_logit=("ValueError",
+                                          "the pseudo-value tests need exactly two groups, got 3"))),
+}
+
+
+def summary(result):
+    """What a result says, apart from the time and the test's names."""
+    return (result.statistic, result.df, result.p_value, result.effect,
+            tuple((g.group, g.estimate, g.variance) for g in result.groups))
+
+
+def public_answer(case: Case, test: str):
+    method, variance = TEST_METHODS[test]
+    try:
+        if variance is None:
+            return summary(pseudo_test(case.data, case.cause, case.t, LINKS[method]))
+        tables = [build_event_table(case.data, g) for g in case.data.groups]
+        args = (case.cause, case.t, TransformKind(method), VarianceKind(variance))
+        answer = summary(k_sample_test(tables, *args))
+        if len(tables) == 2:
+            assert summary(two_sample_test(*tables, *args)) == answer
+        return answer
+    except (ValueError, CifPointError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def battery_answer(case: Case, test: str):
+    try:
+        (outcome,) = run_battery(group_columns(case.data), case.cause, case.t, (test,))
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    if outcome.error is not None:
+        return type(outcome.error).__name__, str(outcome.error)
+    return summary(outcome.result)
+
+
+def write_csv(data: Dataset, path):
+    rows = ["time,status,arm"] + [f"{t!r},{s},{data.groups[c]}" for t, s, c in
+                                  zip(data.times.tolist(), data.statuses.tolist(),
+                                      data.codes.tolist())]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def cli(argv):
+    """(exit code, stdout, stderr) of `cifpoint argv` run in process."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_cli(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def cli_answer(case: Case, test: str, path):
+    """The command line's (exit code, answer) for one test: a result or
+    an excluding error from its JSON, else its message on stderr."""
+    method, variance = TEST_METHODS[test]
+    code, out, err = cli(["test", "--input", str(path), "--group-col", "arm",
+                          "--cause", str(case.cause), "--time", repr(case.t),
+                          "--method", method, "--variance", variance or "gaynor", "--json"])
+    if code not in (0, 3):
+        assert err.startswith("cifpoint: ") and "Traceback" not in err
+        return code, (err.removeprefix("cifpoint: ").removeprefix("data error: ")
+                      .removeprefix(f"{path}: ").strip())
+    payload = json.loads(out)
+    if payload["failures"]:
+        (failure,) = payload["failures"]
+        return code, (failure["error_type"], failure["message"])
+    (r,) = payload["results"]
+    return code, (r["statistic"], r["df"], r["p_value"], r["effect"],
+                  tuple((g["group"], g["estimate"], g["variance"]) for g in r["groups"]))
+
+
+def exit_code(answer) -> int:
+    if answer[0] == "ValueError":
+        return 1
+    return 3 if isinstance(answer[0], str) else 0
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_every_path_gives_the_tables_answer(name, tmp_path):
+    case = CASES[name]
+    path = write_csv(case.data, tmp_path / "subjects.csv")
+    for test in TEST_IDS:
+        answer = public_answer(case, test)
+        want = case.answers[test]
+        if want[0] == "value":
+            assert not isinstance(answer[0], str), (test, answer)
+            assert want[1:] in ((), (answer[0], answer[2])), test
+        else:
+            assert answer == want, test
+        assert battery_answer(case, test) == answer, test
+        expected_cli = case.cli or (exit_code(answer), answer if answer[0] != "ValueError"
+                                    else answer[1])
+        assert cli_answer(case, test, path) == expected_cli, test
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_a_horizon_that_is_not_positive_is_refused_everywhere(t, tmp_path):
+    message = f"time must be finite and positive, got {t!r}"
+    table = build_event_table(BASE, "x")
+    calls = [
+        lambda: cif_variance(table, 1, t),
+        lambda: pointwise_ci(table, 1, t),
+        lambda: two_sample_test(table, build_event_table(BASE, "y"), 1, t,
+                                TransformKind.LINEAR),
+        lambda: pseudo_values(BASE, 1, [t]),
+        lambda: pseudo_test(BASE, 1, t),
+        lambda: run_battery(group_columns(BASE), 1, t),
+        lambda: Scenario(n1=5, n2=5, beta=0.0, censor_fraction=0.0, t_fixed=t),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    # refused before the input is read: the file does not exist
+    for command in (["estimate", "--times", repr(t)], ["test", "--time", repr(t)]):
+        code, out, err = cli([*command, "--input", str(tmp_path / "absent.csv"),
+                              "--cause", "1"])
+        assert (code, out, err) == (1, "", f"cifpoint: {message}\n")
+    # a curve is a step function, defined everywhere: 0 before its first knot
+    assert cif_estimate(table, 1).at(t) == 0.0
+
+
+@pytest.mark.parametrize("name", [name for name, case in CASES.items()
+                                  if case.t > 0.0 and case.cli is None])
+def test_the_estimate_path_agrees(name, tmp_path):
+    case = CASES[name]
+    path = write_csv(case.data, tmp_path / "subjects.csv")
+    for kind in TransformKind:
+        for variance in VarianceKind:
+            code, out, err = cli(["estimate", "--input", str(path), "--group-col", "arm",
+                                  "--cause", str(case.cause), "--times", repr(case.t),
+                                  "--method", kind.value, "--variance", variance.value,
+                                  "--json"])
+            assert code == 0, err
+            for group in json.loads(out)["groups"]:
+                table = build_event_table(case.data, group["group"])
+                try:
+                    ci = list(pointwise_ci(table, case.cause, case.t, kind, variance))
+                except NotEstimable:
+                    ci = None
+                assert group["estimates"] == [{
+                    "time": case.t,
+                    "estimate": cif_estimate(table, case.cause).at(case.t),
+                    "variance": cif_variance(table, case.cause, case.t, variance),
+                    "ci": ci,
+                }]
+
+
+def test_past_the_last_knot_is_the_last_knot():
+    knot = CASES["K = 2"]._replace(t=4.0)
+    for test in TEST_IDS:
+        assert public_answer(CASES["past the last knot"], test) == public_answer(knot, test)
+
+
+@pytest.mark.parametrize("kind", list(TransformKind))
+def test_an_underflowing_divisor(kind):
+    # at p = 1e-200 the log, log(-log) and logit divisors underflow to 0:
+    # a positive variance is inf and a zero one stays 0, in the one-row
+    # call and in the block step alike
+    want = {TransformKind.LINEAR: 0.01, TransformKind.ARCSINE_SQRT: 0.01 / (4.0 * 1e-200)}
+    ps, vs = np.array([1e-200, 1e-200]), np.array([0.01, 0.0])
+    _, _, (w,) = _scaled(kind, ps, (vs,))
+    scalar = [transform_variance(p, v, kind) for p, v in zip(ps.tolist(), vs.tolist())]
+    assert struct.pack("<2d", *w) == struct.pack("<2d", *scalar)
+    assert scalar == [want.get(kind, float("inf")), 0.0]

@@ -307,6 +307,9 @@ class TestGeeFit:
     # draws on which one group's sandwich term dwarfs the other's
     @example(n1=46, n0=7, tau=0.1, link=LinkKind.LOGIT, seed=1222)
     @example(n1=46, n0=19, tau=0.1, link=LinkKind.CLOGLOG, seed=330)
+    # an information matrix of condition ~1e6, where a general solve
+    # left Newton's variance 2.3e-10 off
+    @example(n1=52, n0=4, tau=0.4, link=LinkKind.LOGIT, seed=52)
     def test_closed_form_matches_newton(self, n1, n0, tau, link, seed):
         """The closed-form single-horizon test against Newton on random
         censored two-group data."""

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cifpoint.data import EventTable, build_event_table, event_table_from_arrays
-from cifpoint.errors import NotEstimable, NumericalError, _first_error
+from cifpoint.errors import CifPointError, NotEstimable, NumericalError, _raise_first
 from cifpoint.estimation import _aalen_johansen, _row_knots, _table_counts
 from cifpoint.fixed_time import TransformKind, k_sample_test, pointwise_ci
 from cifpoint.variance import (
@@ -99,6 +99,16 @@ class TestShape:
         assert cif_variance(table_a, 1, 3.0, VarianceKind.GAYNOR) == gaynor_variance(table_a, 1, 3.0)
 
 
+def failure(checks, i):
+    """The type and message of the error row `i` of `checks` raises, or
+    None for a row that fails no check."""
+    try:
+        _raise_first(checks, i)
+    except CifPointError as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestGuards:
     @staticmethod
     def rows_with_variances(monkeypatch, values):
@@ -110,14 +120,13 @@ class TestGuards:
     def test_clamp_tolerates_tiny_negative(self, monkeypatch):
         values, checks = self.rows_with_variances(monkeypatch, [-1e-15, 0.5, -0.0])
         assert values.tolist() == [0.0, 0.5, -0.0]
-        assert all(_first_error(checks, i) is None for i in range(3))
+        assert [failure(checks, i) for i in range(3)] == [None] * 3
 
     def test_clamp_rejects_large_negative(self, monkeypatch):
         # only the row below round-off fails, with its own value
         values, checks = self.rows_with_variances(monkeypatch, [0.5, -1e-12, -1e-15])
-        assert [type(_first_error(checks, i)) for i in range(3)] == \
-            [type(None), NumericalError, type(None)]
-        assert str(_first_error(checks, 1)) == "aalen variance is negative: -1e-12"
+        assert [failure(checks, i) for i in range(3)] == \
+            [None, (NumericalError, "aalen variance is negative: -1e-12"), None]
         assert values[0] == 0.5 and values[2] == 0.0
 
     def test_exhausted_risk_set_ok_when_nothing_follows(self):
@@ -206,7 +215,7 @@ class TestNothingToVary:
         for kind in VarianceKind:
             values, checks = variances[kind]
             assert values.tolist() == [0.0]
-            assert _first_error(checks, 0) is None
+            assert failure(checks, 0) is None
             v = cif_variance(table_a, cause, t, kind)
             assert v == 0.0 and math.copysign(1.0, v) == 1.0
             assert pointwise_ci(table_a, cause, t, TransformKind.LINEAR, kind) == (0.0, 0.0)
@@ -252,7 +261,7 @@ class TestBlockRows:
             for kind in VarianceKind:
                 (values, checks), (own_values, own_checks) = variances[kind], own[kind]
                 assert bits(values[r]) == bits(own_values[0]), (kind, r)
-                assert str(_first_error(checks, r)) == str(_first_error(own_checks, 0))
+                assert failure(checks, r) == failure(own_checks, 0)
 
 
 class TestOneEstimator:
