@@ -38,7 +38,8 @@ from .errors import (
     ZeroVariance,
 )
 from .estimation import _finite_horizon, cif_estimate
-from .fixed_time import TEST_IDS, TEST_METHODS, TransformKind, _interval, _table_summaries
+from .fixed_time import (TEST_IDS, TEST_METHODS, TransformKind, _check_groups, _check_level,
+                         _interval, _table_summaries)
 from .variance import VarianceKind
 
 _NUMERICAL_ERRORS = (
@@ -168,8 +169,7 @@ def _emit(payload: dict, args, human: str) -> None:
 
 def _cmd_estimate(args) -> int:
     times = _parse_times(args.times)
-    if not 0.0 < args.level < 1.0:
-        raise _UsageError(f"--level must lie strictly between 0 and 1, got {args.level:g}")
+    _usage(_check_level, args.level, "--level: ")
     data = _load(args)
     variance = VarianceKind(args.variance)
     kind = TransformKind(args.method)
@@ -232,21 +232,17 @@ def _result_payload(res) -> dict:
 
 
 def _cmd_test(args) -> int:
-    from .pseudo import _two_groups
     from .simulation import run_battery
 
     times = (_parse_times(args.times) if args.time is None
              else [_usage(_finite_horizon, args.time)])
     data = _load(args)
-    if len(data.groups) < 2:
-        raise InvalidRecord("test needs at least two groups; pass --group-col")
     if args.method == "all":
         tests = TEST_IDS
     else:
         tests = [test for test, (method, variance) in TEST_METHODS.items()
                  if method == args.method and variance in (None, args.variance)]
-    if any(TEST_METHODS[test][1] is None for test in tests):
-        _usage(_two_groups, len(data.groups))
+    _usage(lambda k: _check_groups(k, tests), len(data.groups))
 
     groups = [(g, data.times[data.codes == i], data.statuses[data.codes == i])
               for i, g in enumerate(data.groups)]
@@ -386,22 +382,15 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "cause", None) is not None:
             _usage(_check_cause, args.cause, "--cause: ")
-    except _UsageError as exc:
-        print(f"cifpoint: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"cifpoint: {exc}", file=sys.stderr)
         return 1
-    except (InvalidRecord, OSError, UnicodeDecodeError) as exc:
-        print(f"cifpoint: data error: {exc}", file=sys.stderr)
-        return 2
     except _NUMERICAL_ERRORS as exc:
         print(json.dumps({"error_type": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 3
-    except CifPointError as exc:
+    except (CifPointError, OSError, UnicodeDecodeError) as exc:
         print(f"cifpoint: data error: {exc}", file=sys.stderr)
         return 2
 

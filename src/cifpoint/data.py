@@ -5,13 +5,19 @@ Data enters as one row per subject: an observed time, an integer status
 Everything downstream works from the :class:`EventTable` summary, which
 holds the distinct failure times of one group together with the at-risk
 and event counts at each of them.
+
+`_checked_columns` is the subject rule: a :class:`SubjectRecord` (after
+a guard on its values' types), both :class:`Dataset` constructors,
+:func:`parse_dataset`, :func:`event_table_from_arrays` and
+`simulation.run_battery` all apply it.  Only a value's type differs
+between them: a record's status is an `int`, a CSV field spells an
+integer, and a numeric array may hold whole floats.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -29,8 +35,10 @@ __all__ = [
 ]
 
 
-# statuses are held as 64-bit integers
+# statuses are int64; a record's type guard shares the two messages below
 _MAX_STATUS = int(np.iinfo(np.int64).max)
+_NOT_FINITE = "time must be finite, got {!r}"
+_NOT_INTEGER = "status must be an integer, got {!r}"
 
 
 @dataclass(frozen=True)
@@ -42,16 +50,12 @@ class SubjectRecord:
     group: str
 
     def __post_init__(self):
-        if not (isinstance(self.time, (int, float)) and math.isfinite(self.time)):
-            raise InvalidRecord(f"time must be finite, got {self.time!r}")
-        if self.time <= 0:
-            raise InvalidRecord(f"time must be positive, got {self.time!r}")
-        if not isinstance(self.status, (int, np.integer)) or isinstance(self.status, bool):
-            raise InvalidRecord(f"status must be an integer, got {self.status!r}")
-        if self.status < 0:
-            raise InvalidRecord(f"status must be >= 0, got {self.status!r}")
-        if self.status > _MAX_STATUS:
-            raise InvalidRecord(f"status must be <= {_MAX_STATUS}, got {self.status!r}")
+        # the type guard: the subject rule itself refuses a bool
+        if not isinstance(self.time, (int, float)):
+            raise InvalidRecord(_NOT_FINITE.format(self.time))
+        if not isinstance(self.status, (int, np.integer)):
+            raise InvalidRecord(_NOT_INTEGER.format(self.status))
+        _checked_columns([self.time], [self.status], [self.group])
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -80,7 +84,7 @@ class Dataset:
 
     @classmethod
     def _from_columns(cls, times, statuses, labels) -> Dataset:
-        """A dataset from columns whose values are already validated."""
+        """A dataset from subject columns, held to the subject rule."""
         data = cls.__new__(cls)
         data._fill(times, statuses, labels)
         return data
@@ -88,12 +92,11 @@ class Dataset:
     def _fill(self, times, statuses, labels) -> None:
         if not len(labels):
             raise InvalidRecord("dataset has no records")
+        times, statuses = _checked_columns(times, statuses, labels)
         groups = tuple(dict.fromkeys(labels))
         index = {g: i for i, g in enumerate(groups)}
         codes = np.fromiter(map(index.__getitem__, labels), dtype=int, count=len(labels))
-        statuses = np.asarray(statuses, dtype=int)
-        for name, value in (("times", np.asarray(times, dtype=float)),
-                            ("statuses", statuses), ("codes", codes)):
+        for name, value in (("times", times), ("statuses", statuses), ("codes", codes)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "groups", groups)
@@ -173,14 +176,6 @@ class EventTable:
         if self.size < 1:
             raise InvalidRecord("group has no records")
 
-    @classmethod
-    def _from_counts(cls, **fields) -> EventTable:
-        """A table from counts that already satisfy the invariants."""
-        table = cls.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(table, name, value)
-        return table
-
 
 def parse_dataset(path, time_col: str, status_col: str, group_col: str | None = None) -> Dataset:
     """Read a CSV with one row per subject into a :class:`Dataset`.
@@ -189,8 +184,8 @@ def parse_dataset(path, time_col: str, status_col: str, group_col: str | None = 
     The file is UTF-8, with or without a byte-order mark.  Blank lines
     are skipped.  Raises :class:`InvalidRecord` naming the offending row
     (the header is row 1) on bad input: a row with more or fewer fields
-    than the header, a time or status that does not parse or that a
-    :class:`SubjectRecord` rejects, or an empty group.
+    than the header, a time or status that does not parse, or a subject
+    that breaks the subject rule.
 
     The header is read by `csv.reader`; the body is split into fields
     by numpy's C tokenizer in one pass, with the same quoting and line
@@ -215,12 +210,18 @@ def parse_dataset(path, time_col: str, status_col: str, group_col: str | None = 
     fields = _tokenize(body)
     if fields is not None and not len(fields):
         raise InvalidRecord(f"{path}: dataset has no records")
-    layout = (len(header), position[time_col], position[status_col], position.get(group_col))
-    columns = None if fields is None else _columns(fields, *layout)
-    if columns is None:
-        rows = _csv_rows(path, text) if fields is None else fields.tolist()
-        raise _first_row_error(path, rows, *layout)
-    return Dataset._from_columns(*columns)
+    layout = width, ti, si, gi = (len(header), position[time_col], position[status_col],
+                                  position.get(group_col))
+    if fields is not None and fields.shape[1] == width:
+        labels = ["all"] * len(fields) if gi is None else fields[:, gi].tolist()
+        try:
+            # an object array of str casts through float() and int()
+            return Dataset._from_columns(fields[:, ti].astype(float),
+                                         fields[:, si].astype(np.int64), labels)
+        except (ValueError, OverflowError, InvalidRecord):
+            pass
+    rows = _csv_rows(path, text) if fields is None else fields.tolist()
+    raise _first_row_error(path, rows, *layout)
 
 
 def _tokenize(body):
@@ -252,45 +253,31 @@ def _csv_rows(path, text):
     return rows
 
 
-def _columns(fields, width, ti, si, gi):
-    """(times, statuses, labels) converted a column at a time, or None
-    when any row is invalid."""
-    if fields.shape[1] != width:
-        return None
+def _unparsable(field, convert, name):
+    """"bad <name> <field>" where `convert` cannot read `field`, else None."""
     try:
-        # an object array of str casts through float() and int()
-        times, statuses = _checked_columns(fields[:, ti].astype(float),
-                                           fields[:, si].astype(np.int64))
-    except (ValueError, OverflowError, InvalidRecord):
-        return None
-    labels = ["all"] * len(fields) if gi is None else fields[:, gi].tolist()
-    if not all(labels):
-        return None
-    return times, statuses, labels
+        convert(field)
+    except ValueError:
+        return f"bad {name} {field!r}"
 
 
 def _first_row_error(path, rows, width, ti, si, gi) -> InvalidRecord:
-    """The error naming the first row `_columns` rejects, each row's
-    fields checked in order."""
-    for lineno, row in enumerate(rows, start=2):
-        where = f"{path}:{lineno}"
-        if len(row) != width:
-            return InvalidRecord(f"{where}: expected {width} fields, got {len(row)}")
-        try:
-            time = float(row[ti])
-        except ValueError:
-            return InvalidRecord(f"{where}: bad time {row[ti]!r}")
-        try:
-            status = int(row[si])
-        except ValueError:
-            return InvalidRecord(f"{where}: bad status {row[si]!r}")
-        try:
-            SubjectRecord(time, status, "")
-        except InvalidRecord as exc:
-            return InvalidRecord(f"{where}: {exc}")
-        if gi is not None and not row[gi]:
-            return InvalidRecord(f"{where}: empty group label")
-    raise AssertionError("no invalid row found")
+    """The error naming the first row `parse_dataset` rejects: the first
+    row whose width or fields do not parse, unless a row before it
+    breaks the subject rule."""
+    subjects = []
+    for row in rows:
+        problem = (f"expected {width} fields, got {len(row)}" if len(row) != width
+                   else _unparsable(row[ti], float, "time") or _unparsable(row[si], int, "status"))
+        if problem:
+            break
+        subjects.append((float(row[ti]), int(row[si]), "all" if gi is None else row[gi]))
+    try:
+        if subjects:
+            _checked_columns(*zip(*subjects), where=lambda i: f"{path}:{i + 2}: ")
+    except InvalidRecord as exc:
+        return exc
+    return InvalidRecord(f"{path}:{len(subjects) + 2}: {problem}")
 
 
 def _check_cause(cause) -> None:
@@ -302,28 +289,60 @@ def _check_cause(cause) -> None:
         raise ValueError(f"cause must be >= 1 (0 marks censoring), got {cause!r}")
 
 
-def _checked_columns(times, statuses):
-    """Subjects' times and statuses as float and int arrays, refusing
-    what no subject record allows.  Integer statuses are taken as they
-    are; others must hold whole numbers within the int64 range."""
-    times = np.asarray(times, dtype=float)
-    statuses = np.asarray(statuses)
-    if statuses.dtype.kind not in "iu":
-        values = statuses.astype(float)
-        whole = (values == np.trunc(values)) & (np.abs(values) < 2.0**63)
-        if not whole.all():
-            raise InvalidRecord(f"status must be an integer, got {float(values[~whole][0])!r}")
-        statuses = values
-    statuses = statuses.astype(int, copy=False)
-    if times.ndim != 1 or times.shape != statuses.shape:
+def _array(values):
+    """`values` as an array, as numpy reads it, except that a list,
+    tuple or object array numpy would not read exactly (holding a bool,
+    or an int beyond 64 bits or among floats) is kept as its objects.
+    A bool reads as NaN, which is neither a time nor a status."""
+    array = np.asarray(values)
+    if array.dtype == bool:
+        return np.full(array.shape, np.nan)
+    if array.ndim != 1 or not (isinstance(values, (list, tuple)) or array.dtype == object):
+        return array
+    types = set(map(type, values))
+    if types <= {float} or (types <= {int} and array.dtype.kind in "iu"):
+        return array
+    return np.array([np.nan if isinstance(v, (bool, np.bool_)) else v for v in values],
+                    dtype=object)
+
+
+def _checked_columns(times, statuses, labels=None, where=lambda i: ""):
+    """Subjects' times and statuses as float and int64 arrays, held to
+    the subject rule: the time is finite, then > 0; the status is a whole
+    number, then >= 0, then <= 2**63 - 1; the label is not empty.  A
+    bool is neither a time nor a status, a float status is whole if it is
+    an integer inside the int64 range, and an int is compared exactly.
+    Raises the message of the first subject that breaks the rule, after
+    `where(i)` of its index i."""
+    t, s = _array(times).astype(float, copy=False), _array(statuses)
+    if t.ndim != 1 or t.shape != s.shape:
         raise InvalidRecord("times and statuses must be aligned 1-d arrays")
-    if times.size == 0:
+    if not t.size:
         raise InvalidRecord("group has no records")
-    if np.any(~np.isfinite(times)) or np.any(times <= 0):
-        raise InvalidRecord("times must be finite and positive")
-    if np.any(statuses < 0):
-        raise InvalidRecord("statuses must be >= 0")
-    return times, statuses
+    if s.dtype.kind in "iu":
+        whole = np.ones(s.shape, bool)
+    else:
+        # floats, or objects, among which an int compares exactly
+        is_int = np.frompyfunc(lambda v: isinstance(v, (int, np.integer)), 1, 1)
+        real = ~is_int(s).astype(bool) if s.dtype == object else np.ones(s.shape, bool)
+        floats = np.where(real, s, 0).astype(float)
+        whole = ~real | ((floats == np.trunc(floats)) & (np.abs(floats) < 2.0**63))
+        s = np.where(real, np.where(whole, floats, 0.0), s)
+    checks = [(~np.isfinite(t), _NOT_FINITE, times),
+              (t <= 0, "time must be positive, got {!r}", times),
+              (~whole, _NOT_INTEGER, statuses),
+              (whole & (s < 0), "status must be >= 0, got {!r}", statuses),
+              (whole & (s > _MAX_STATUS), f"status must be <= {_MAX_STATUS}, got {{!r}}",
+               statuses)]
+    if labels is not None and not all(labels):
+        checks.append((~np.asarray(labels, dtype=object).astype(bool), "empty group label",
+                       labels))
+    broken = np.logical_or.reduce([fails for fails, _, _ in checks])
+    if broken.any():
+        i = int(broken.argmax())
+        message, given = next((message, given) for fails, message, given in checks if fails[i])
+        raise InvalidRecord(where(i) + message.format(np.asarray(given, dtype=object)[i]))
+    return t, s.astype(np.int64, copy=False)
 
 
 def event_table_from_arrays(times, statuses, group: str = "all",
@@ -335,31 +354,18 @@ def event_table_from_arrays(times, statuses, group: str = "all",
     """
     for cause in causes or ():
         _check_cause(cause)
-    times, statuses = _checked_columns(times, statuses)
+    times, statuses = _checked_columns(times, statuses, [group] * np.size(times))
     failed = statuses > 0
     knots = np.unique(times[failed])
-    order = np.sort(times)
-    at_risk = times.size - np.searchsorted(order, knots, side="left")
-
+    at_risk = times.size - np.searchsorted(np.sort(times), knots, side="left")
     pos = np.searchsorted(knots, times[failed])
-    events = np.bincount(pos, minlength=knots.size).astype(int)
-
-    seen = sorted(int(k) for k in np.unique(statuses[failed]))
-    all_causes = sorted(set(seen) | {int(k) for k in (causes or ())})
-    cause_events = {}
-    for k in all_causes:
-        sel = statuses[failed] == k
-        cause_events[k] = np.bincount(pos[sel], minlength=knots.size).astype(int)
-
-    return EventTable._from_counts(
-        group=group,
-        times=knots,
-        at_risk=at_risk.astype(int),
-        events=events,
-        cause_events=cause_events,
-        censor_times=np.sort(times[~failed]),
-        size=int(times.size),
-    )
+    causes = sorted({int(k) for k in (*np.unique(statuses[failed]), *(causes or ()))})
+    return EventTable(
+        group=group, times=knots, at_risk=at_risk.astype(int),
+        events=np.bincount(pos, minlength=knots.size).astype(int),
+        cause_events={k: np.bincount(pos[statuses[failed] == k], minlength=knots.size).astype(int)
+                      for k in causes},
+        censor_times=np.sort(times[~failed]), size=int(times.size))
 
 
 def build_event_table(data: Dataset, group: str) -> EventTable:

@@ -356,6 +356,20 @@ def _table_summaries(tables, cause: int, t: float, variance: VarianceKind):
     return [_summaries(*_table_counts(tb, cause, t), (variance,)) for tb in tables]
 
 
+def _check_groups(k: int, tests) -> None:
+    """Refuse `tests` on k groups: any test takes two or more, a pseudo-value test two."""
+    if k < 2:
+        raise ValueError(f"the tests need at least two groups, got {k}")
+    if k != 2 and any(TEST_METHODS[test][1] is None for test in tests):
+        raise ValueError(f"the pseudo-value tests need exactly two groups, got {k}")
+
+
+def _check_level(level: float) -> None:
+    """Refuse a confidence level outside (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level!r}")
+
+
 def two_sample_test(table1: EventTable, table2: EventTable, cause: int, t: float,
                     kind: TransformKind = TransformKind.LOGLOG,
                     variance: VarianceKind = VarianceKind.GAYNOR) -> FixedTimeTestResult:
@@ -376,11 +390,10 @@ def k_sample_test(tables, cause: int, t: float,
     the summed variances (see `_wald`).
     """
     tables = list(tables)
-    if len(tables) < 2:
-        raise ValueError("k_sample_test needs at least two groups")
     variance = VarianceKind(variance)
-    summaries = _table_summaries(tables, cause, t, variance)
     test = _TESTS[TransformKind(kind), variance]
+    _check_groups(len(tables), (test,))
+    summaries = _table_summaries(tables, cause, t, variance)
     rows = _transform_tests(summaries, float(t), (test,))[test]
     return rows.result(0, [tb.group for tb in tables], cause, float(t))
 
@@ -391,8 +404,7 @@ def pointwise_ci(table: EventTable, cause: int, t: float,
                  level: float = 0.95) -> tuple[float, float]:
     """Transformed-scale confidence interval for the incidence at `t`,
     mapped back to the probability scale and intersected with [0, 1]."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level!r}")
+    _check_level(level)
     variance = VarianceKind(variance)
     ((estimate, variances),) = _table_summaries((table,), cause, t, variance)
     return _interval(estimate, *variances[variance], TransformKind(kind), level)

@@ -63,6 +63,7 @@ from .fixed_time import (
     FixedTimeTestResult,
     LinkKind,
     TransformKind,
+    _check_groups,
     _Rows,
     _scaled,
     _wald,
@@ -324,12 +325,6 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
     return GeeFit(beta=beta, sandwich=sandwich, iterations=iterations, link=link)
 
 
-def _two_groups(k: int) -> None:
-    """Refuse a pseudo-value test of k != 2 groups, which one indicator cannot split."""
-    if k != 2:
-        raise ValueError(f"the pseudo-value tests need exactly two groups, got {k}")
-
-
 def _pseudo_tests(thetas, labels, t: float, tests) -> dict[str, _Rows]:
     """The requested pseudo-value tests over R rows from the two groups'
     (R, n_g) pseudo-values, the x = 1 group first: `_wald` of the group
@@ -360,15 +355,14 @@ def pseudo_test(data: Dataset, cause: int, t: float,
                 link: LinkKind = LinkKind.CLOGLOG) -> FixedTimeTestResult:
     """Wald test of the group effect on the incidence of `cause` at `t`.
 
-    The dataset must have exactly two groups; the indicator is 1 for
-    the first group, so a positive effect means higher transformed
-    incidence in the first group.  The fit is the closed-form
-    saturated GEE described in the module docstring.
+    The dataset has two groups (`fixed_time._check_groups`); the
+    indicator is 1 for the first group, so a positive effect means
+    higher transformed incidence in the first group.  The fit is the
+    closed-form saturated GEE described in the module docstring.
     """
-    link = LinkKind(link)
-    _two_groups(len(data.groups))
+    test = _TESTS[LinkKind(link), None]
+    _check_groups(len(data.groups), (test,))
     theta = pseudo_values(data, cause, [t]).values[:, 0]
     x = data.group_indicator(data.groups[0])
-    test = _TESTS[link, None]
     rows = _pseudo_tests([theta[x == 1][None], theta[x == 0][None]], data.groups, float(t), (test,))
     return rows[test].result(0, data.groups, cause, float(t))

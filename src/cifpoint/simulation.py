@@ -68,12 +68,13 @@ from .fixed_time import (
     TEST_IDS,
     TEST_METHODS,
     FixedTimeTestResult,
+    _check_groups,
     _chi2_critical,
     _Rows,
     _transform_tests,
     chi2_pvalue,
 )
-from .pseudo import _pooled_pseudo, _pseudo_tests, _two_groups
+from .pseudo import _pooled_pseudo, _pseudo_tests
 from .variance import _summaries
 
 __all__ = [
@@ -118,8 +119,8 @@ def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> dict[str, _Ro
     `groups` holds one (label, times, statuses) per group with (R, n_g)
     arrays; row r of every group is one data set.  Each group's estimate
     and both variances come from one pass over its sorted rows; the
-    pseudo-value tests take exactly two groups, pooled once for both
-    links with the first group as x = 1.
+    pseudo-value tests take the two groups, pooled once for both links
+    with the first group as x = 1.
     """
     rows = {}
     if any(TEST_METHODS[test][1] is not None for test in tests):
@@ -141,23 +142,20 @@ def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOut
     `groups` holds one (label, times, statuses) per group; the battery
     is one row of the batched one the simulation runs, comparing the
     groups as `k_sample_test` does.
-    The pseudo-value tests need exactly two groups; their subjects are
-    pooled in group order with the first group as x = 1.  Every result
+    `fixed_time._check_groups` decides how many groups the requested
+    tests take.  The pseudo-value tests pool their two groups' subjects
+    in group order with the first group as x = 1.  Every result
     and error equals that of `two_sample_test`, `k_sample_test` or
     `pseudo_test` bit for bit.
     """
-    unknown = set(tests) - set(TEST_IDS)
-    if unknown:
+    if unknown := set(tests) - set(TEST_IDS):
         raise ValueError(f"unknown tests {sorted(unknown)}")
-    if len(groups) < 2:
-        raise ValueError("the battery needs at least two groups")
-    if any(TEST_METHODS[test][1] is None for test in tests):
-        _two_groups(len(groups))
+    _check_groups(len(groups), tests)
     _check_cause(cause)
     t = _finite_horizon(t)
     labels = [label for label, _, _ in groups]
-    columns = [(label, *(x[None] for x in _checked_columns(times, statuses)))
-               for label, times, statuses in groups]
+    columns = [(g, *(x[None] for x in _checked_columns(times, statuses, [g] * np.size(times))))
+               for g, times, statuses in groups]
     outcomes = []
     for test, rows in _battery_rows(columns, cause, t, tests).items():
         method = TEST_METHODS[test]

@@ -409,12 +409,14 @@ class TestTest:
         assert all(m.startswith("group b mean pseudo-value") for m in messages)
 
     def test_single_group_rejected(self, tmp_path, capsys):
+        # one group is a usage error (exit 1), as three groups are for a
+        # pseudo-value test: the library's group-count rule refuses both
         path = tmp_path / "one.csv"
         path.write_text("time,status\n1,1\n2,2\n")
-        code, _, _ = run(
+        code, out, err = run(
             ["test", "--input", str(path), "--cause", "1", "--time", "1.5"],
             capsys)
-        assert code == 2
+        assert (code, out, err) == (1, "", "cifpoint: the tests need at least two groups, got 1\n")
 
 
 class TestSimulateAndSummarize:

@@ -1,27 +1,41 @@
-"""The input contract as a conformance table.
+"""The input contract as conformance tables.
 
 Each row is one edge input: a horizon that is not positive, before the
 first knot or past the last, a cause the data lacks, an estimate of 0
-or 1, a zero variance, and two or three groups.  For each of the twelve
+or 1, a zero variance, and one, two or three groups.  For each of the twelve
 tests the row names one answer, a value or an error's type and message,
 and three paths must give it: the public call (`k_sample_test` or
 `pseudo_test`), the test's own `run_battery` row, and `cifpoint test`
 run in process, whose exit code follows from the answer.  The estimate
 path (`cif_variance`, `pointwise_ci` and `cifpoint estimate`) is held
 to the same rows.
+
+A second table holds one subject that breaks the subject rule per row,
+and each way into the data layer must refuse it with one message.  A
+last check asserts that each input rule's message is spelled in one
+place of the source.
 """
 
 import contextlib
 import io
 import json
+import math
+import pathlib
 import struct
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from cifpoint.cli import run_cli
-from cifpoint.data import Dataset, build_event_table
+from cifpoint.data import (
+    Dataset,
+    SubjectRecord,
+    build_event_table,
+    event_table_from_arrays,
+    parse_dataset,
+)
 from cifpoint.errors import CifPointError, NotEstimable
 from cifpoint.estimation import cif_estimate
 from cifpoint.fixed_time import (
@@ -137,6 +151,7 @@ CASES = {
                      "group x mean pseudo-value outside (0, 1): 1.0000000000000002"),
         pseudo_logit=("SeparationDetected",
                       "group x mean pseudo-value outside (0, 1): 1.0000000000000002"))),
+    "K = 1": Case(dataset(FIXTURE_A), 1, 3.0, refused("the tests need at least two groups, got 1")),
     "K = 2": Case(BASE, 1, 3.0, by_method()),
     "K = 3": Case(dataset(FIXTURE_A, FIXTURE_B, ([1.5, 2.0, 3.5, 5.0], [1, 0, 1, 2])), 1, 3.0,
                   by_method(pseudo_llog=("ValueError",
@@ -307,3 +322,94 @@ def test_an_underflowing_divisor(kind):
     scalar = [transform_variance(p, v, kind) for p, v in zip(ps.tolist(), vs.tolist())]
     assert struct.pack("<2d", *w) == struct.pack("<2d", *scalar)
     assert scalar == [want.get(kind, float("inf")), 0.0]
+
+
+def test_a_level_outside_0_1_is_refused_everywhere(tmp_path):
+    table = build_event_table(BASE, "x")
+    with pytest.raises(ValueError, match=r"^level must be in \(0, 1\), got 1\.5$"):
+        pointwise_ci(table, 1, 3.0, level=1.5)
+    # refused before the input is read: the file does not exist
+    assert cli(["estimate", "--input", str(tmp_path / "absent.csv"), "--cause", "1",
+                "--times", "3", "--level", "1.5"]) == (
+        1, "", "cifpoint: --level: level must be in (0, 1), got 1.5\n")
+
+
+# one subject that breaks the subject rule per row, as (time, status,
+# label), with the message every door gives
+SUBJECTS = {
+    "time 0": ((0.0, 1, "x"), "time must be positive, got 0.0"),
+    "time -1": ((-1.0, 1, "x"), "time must be positive, got -1.0"),
+    "time nan": ((math.nan, 1, "x"), "time must be finite, got nan"),
+    "time inf": ((math.inf, 1, "x"), "time must be finite, got inf"),
+    "status -1": ((2.0, -1, "x"), "status must be >= 0, got -1"),
+    "status 1.5": ((2.0, 1.5, "x"), "status must be an integer, got 1.5"),
+    "status 2**63": ((2.0, 2**63, "x"),
+                     "status must be <= 9223372036854775807, got 9223372036854775808"),
+    "status 10**20": ((2.0, 10**20, "x"),
+                      "status must be <= 9223372036854775807, got 100000000000000000000"),
+    "bool time": ((True, 1, "x"), "time must be finite, got True"),
+    "bool status": ((2.0, True, "x"), "status must be an integer, got True"),
+    "empty label": ((2.0, 1, ""), "empty group label"),
+}
+# what a CSV says where its text cannot spell the subject's value: a
+# status field must spell an integer, and no field holds a bool (None)
+CSV_SPELLING = {"status 1.5": "bad status '1.5'", "bool time": None, "bool status": None}
+
+
+def door_answers(subject, path):
+    """Each door's (error type, message) for a data set of one valid
+    subject in group y and then `subject`, or "accepted"."""
+    time, status, label = subject
+    rows = [(1.0, 1, "y"), subject]
+
+    def answer(call):
+        try:
+            call()
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+        return "accepted"
+
+    answers = {
+        "SubjectRecord": answer(lambda: SubjectRecord(*subject)),
+        # a record-like that skips SubjectRecord's own check
+        "Dataset": answer(lambda: Dataset([SimpleNamespace(time=t, status=s, group=g)
+                                           for t, s, g in rows])),
+        "event_table_from_arrays": answer(
+            lambda: event_table_from_arrays([1.0, time], [1, status], label)),
+        "run_battery": answer(lambda: run_battery(
+            [(label, [1.0, time], [1, status]), ("y", [1.0, 2.0], [1, 0])], 1, 1.5)),
+    }
+    if path is not None:
+        path.write_text("time,status,group\n" + "".join(f"{t!r},{s!r},{g}\n" for t, s, g in rows))
+        answers["parse_dataset"] = answer(lambda: parse_dataset(path, "time", "status", "group"))
+        for command in (["estimate", "--times", "1"], ["test", "--time", "1"]):
+            answers[f"cifpoint {command[0]}"] = cli(
+                [*command, "--input", str(path), "--group-col", "group", "--cause", "1"])
+    return answers
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_every_door_refuses_a_bad_subject_alike(name, tmp_path):
+    subject, message = SUBJECTS[name]
+    csv_message = CSV_SPELLING.get(name, message)
+    path = tmp_path / "subjects.csv"
+    want = dict.fromkeys(["SubjectRecord", "Dataset", "event_table_from_arrays", "run_battery"],
+                         ("InvalidRecord", message))
+    if csv_message is not None:
+        where = f"{path}:3: {csv_message}"
+        want["parse_dataset"] = ("InvalidRecord", where)
+        want["cifpoint estimate"] = want["cifpoint test"] = (2, "", f"cifpoint: data error: {where}\n")
+    assert door_answers(subject, None if csv_message is None else path) == want
+
+
+def test_each_rule_has_one_home():
+    # an input rule's message is spelled where the rule is decided, and
+    # nowhere else: a second spelling is a second copy of the rule
+    messages = ("time must be finite and positive", "time must be finite, got",
+                "time must be positive, got", "status must be an integer",
+                "status must be >= 0", "status must be <=", "empty group label",
+                "at least two groups", "exactly two groups", "level must",
+                "cause must be >= 1", "cause must be a whole number")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "cifpoint"
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py")))
+    assert {m: text.count(m) for m in messages} == dict.fromkeys(messages, 1)
