@@ -11,7 +11,6 @@ import numpy as np
 
 from cifpoint import (
     Dataset,
-    SubjectRecord,
     TransformKind,
     build_event_table,
     cif_estimate,
@@ -29,11 +28,7 @@ censor = rng.uniform(0.0, 2.5, size=n)
 observed = np.minimum(failure, censor)
 status = np.where(failure <= censor, cause, 0)
 
-records = tuple(
-    SubjectRecord(time=float(t), status=int(s), group="cohort")
-    for t, s in zip(observed, status)
-)
-data = Dataset(records=records)
+data = Dataset.from_columns(observed, status, ["cohort"] * n)
 table = build_event_table(data, "cohort")
 
 # the Aalen-Johansen estimate accumulates S(t-) * d_k/n over the event

@@ -10,7 +10,7 @@ censoring.
 
 import numpy as np
 
-from cifpoint import Dataset, LinkKind, SubjectRecord, gee_fit, pseudo_test, pseudo_values
+from cifpoint import Dataset, LinkKind, gee_fit, pseudo_test, pseudo_values
 
 rng = np.random.default_rng(11)
 
@@ -21,13 +21,11 @@ def draw(n, rate, label):
     censor = rng.uniform(0.0, 2.8, size=n)
     observed = np.minimum(failure, censor)
     status = np.where(failure <= censor, cause, 0)
-    return [
-        SubjectRecord(time=float(t), status=int(s), group=label)
-        for t, s in zip(observed, status)
-    ]
+    return observed, status, [label] * n
 
 
-data = Dataset(records=tuple(draw(120, 1.2, "exposed") + draw(120, 0.8, "reference")))
+(t1, s1, g1), (t2, s2, g2) = draw(120, 1.2, "exposed"), draw(120, 0.8, "reference")
+data = Dataset.from_columns(np.concatenate((t1, t2)), np.concatenate((s1, s2)), g1 + g2)
 
 # pseudo-values come from the pooled sample: theta_i = N*C - (N-1)*C_(-i).
 # Without censoring they are exactly the 0/1 indicators; with censoring

@@ -242,7 +242,7 @@ def _cmd_test(args) -> int:
     else:
         tests = [test for test, (method, variance) in TEST_METHODS.items()
                  if method == args.method and variance in (None, args.variance)]
-    _usage(lambda k: _check_groups(k, tests), len(data.groups))
+    _usage(_check_groups, len(data.groups))
 
     groups = [(g, data.times[data.codes == i], data.statuses[data.codes == i])
               for i, g in enumerate(data.groups)]

@@ -67,8 +67,9 @@ class Dataset:
     labels in order of first appearance and `causes` the distinct
     failure causes in ascending order.  The arrays are read-only.
 
-    `Dataset(records)` takes a sequence of :class:`SubjectRecord`;
-    :func:`parse_dataset` reads a CSV straight into the columns.
+    `Dataset(records)` takes a sequence of :class:`SubjectRecord` and
+    `Dataset.from_columns` three aligned columns; :func:`parse_dataset`
+    reads a CSV straight into the columns.
     """
 
     times: np.ndarray
@@ -83,10 +84,11 @@ class Dataset:
                    [rec.group for rec in records])
 
     @classmethod
-    def _from_columns(cls, times, statuses, labels) -> Dataset:
-        """A dataset from subject columns, held to the subject rule."""
+    def from_columns(cls, times, statuses, groups) -> Dataset:
+        """A dataset from subject columns: each subject's time, status
+        and group label, held to the subject rule."""
         data = cls.__new__(cls)
-        data._fill(times, statuses, labels)
+        data._fill(times, statuses, groups)
         return data
 
     def _fill(self, times, statuses, labels) -> None:
@@ -112,12 +114,6 @@ class Dataset:
     def group_indicator(self, group: str) -> np.ndarray:
         """0/1 vector marking membership of `group`, one entry per subject."""
         return (self.codes == self._code(group)).astype(int)
-
-    @property
-    def records(self) -> tuple[SubjectRecord, ...]:
-        """The subjects as records, rebuilt from the columns."""
-        return tuple(SubjectRecord(t, s, self.groups[c]) for t, s, c in
-                     zip(self.times.tolist(), self.statuses.tolist(), self.codes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -216,8 +212,8 @@ def parse_dataset(path, time_col: str, status_col: str, group_col: str | None = 
         labels = ["all"] * len(fields) if gi is None else fields[:, gi].tolist()
         try:
             # an object array of str casts through float() and int()
-            return Dataset._from_columns(fields[:, ti].astype(float),
-                                         fields[:, si].astype(np.int64), labels)
+            return Dataset.from_columns(fields[:, ti].astype(float),
+                                        fields[:, si].astype(np.int64), labels)
         except (ValueError, OverflowError, InvalidRecord):
             pass
     rows = _csv_rows(path, text) if fields is None else fields.tolist()

@@ -33,7 +33,6 @@ import operator
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
-from statistics import NormalDist
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -356,12 +355,10 @@ def _table_summaries(tables, cause: int, t: float, variance: VarianceKind):
     return [_summaries(*_table_counts(tb, cause, t), (variance,)) for tb in tables]
 
 
-def _check_groups(k: int, tests) -> None:
-    """Refuse `tests` on k groups: any test takes two or more, a pseudo-value test two."""
+def _check_groups(k: int) -> None:
+    """Refuse k groups: every test compares two or more."""
     if k < 2:
         raise ValueError(f"the tests need at least two groups, got {k}")
-    if k != 2 and any(TEST_METHODS[test][1] is None for test in tests):
-        raise ValueError(f"the pseudo-value tests need exactly two groups, got {k}")
 
 
 def _check_level(level: float) -> None:
@@ -392,7 +389,7 @@ def k_sample_test(tables, cause: int, t: float,
     tables = list(tables)
     variance = VarianceKind(variance)
     test = _TESTS[TransformKind(kind), variance]
-    _check_groups(len(tables), (test,))
+    _check_groups(len(tables))
     summaries = _table_summaries(tables, cause, t, variance)
     rows = _transform_tests(summaries, float(t), (test,))[test]
     return rows.result(0, [tb.group for tb in tables], cause, float(t))
@@ -414,6 +411,8 @@ def pointwise_ci(table: EventTable, cause: int, t: float,
 def _interval(estimate, v, checks, kind: TransformKind, level: float) -> tuple[float, float]:
     """`pointwise_ci` of one row's estimate and variance; raises its
     first failing check, then the domain check."""
+    from statistics import NormalDist
+
     _raise_first(checks, 0)
     phi, w = _one_row(kind, estimate[0], v[0])
     half = NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(w)

@@ -10,26 +10,30 @@ C_minus_i the same estimate with subject i removed (Klein & Andersen
 2005).  Without censoring the pseudo-values reduce to the event
 indicators 1{T_i <= tau, cause k}.  Group effects are then estimated
 from generalized estimating equations with an independence working
-covariance (Liang & Zeger 1986), and the group coefficient gives a
+covariance (Liang & Zeger 1986), and the group coefficients give a
 Wald test of equal incidence at the horizon.
 
-At one horizon with an intercept and a 0/1 group indicator the model
-is saturated, and the estimating equations are solved exactly by the
-group means m_1 and m_0 of the pseudo-values: the effect is
-g(m_1) - g(m_0) and its sandwich variance is
+At one horizon with an intercept and K - 1 indicators for K groups
+the model is saturated, and the estimating equations are solved
+exactly by the group means m_g of the pseudo-values: the fitted value
+of group g on the link's scale is g(m_g).  The sandwich is
+block-diagonal by group, with variance
 
-    sum over groups of g'(m_g)^2 * sum_i (theta_i - m_g)^2 / n_g^2
+    g'(m_g)^2 * sum_i (theta_i - m_g)^2 / n_g^2
 
-for the link g.  `pseudo_test` uses this closed form; `gee_fit` solves
-the general model, one effect at any number of horizons, by Newton
-iteration through the Schur complement of the intercepts, which keeps
-its digits where one group's mean is near 0 or 1; it is the closed
-form's test oracle.  Both links are transforms of `fixed_time`: logit,
-and cloglog(m) = llog(1 - m).  The Wald statistic is therefore
-`fixed_time._wald` at K = 2, with each group mean on its link's scale
-and the squared standard error of the mean as its variance;
-`_pseudo_tests` builds both links' tests, each group's mean checked
-once and put on each link's scale once.
+for g(m_g) and no covariance between groups (Andersen, Klein &
+Rosthoj 2003).  The Wald test of the K - 1 group effects is therefore
+`fixed_time._wald` at any K, with each group mean on its link's scale
+and the squared standard error of the mean, over the scale's divisor,
+as its variance; at K = 2 the effect is g(m_1) - g(m_2).
+`pseudo_test` uses this closed form; `gee_fit` solves the two-group
+model, one effect at any number of horizons, by Newton iteration
+through the Schur complement of the intercepts, which keeps its digits
+where one group's mean is near 0 or 1; it is the closed form's test
+oracle at K = 2.  Both links are transforms of `fixed_time`: logit,
+and cloglog(m) = llog(1 - m).  `_pseudo_tests` builds both links'
+tests, each group's mean checked once and put on each link's scale
+once.
 
 The leave-one-out estimates need no refit.  Write Y_j, d_j and dk_j
 for the at-risk count, the failures and the cause-k failures at the
@@ -326,8 +330,8 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
 
 
 def _pseudo_tests(thetas, labels, t: float, tests) -> dict[str, _Rows]:
-    """The requested pseudo-value tests over R rows from the two groups'
-    (R, n_g) pseudo-values, the x = 1 group first: `_wald` of the group
+    """The requested pseudo-value tests over R rows from the K >= 2
+    groups' (R, n_g) pseudo-values, in group order: `_wald` of the group
     means on each link's scale with the squared standard errors of the
     means as their variances, the closed form of the module docstring.
     Each mean is checked for a value within N * eps of 0 or 1, as in
@@ -353,16 +357,18 @@ def _pseudo_tests(thetas, labels, t: float, tests) -> dict[str, _Rows]:
 
 def pseudo_test(data: Dataset, cause: int, t: float,
                 link: LinkKind = LinkKind.CLOGLOG) -> FixedTimeTestResult:
-    """Wald test of the group effect on the incidence of `cause` at `t`.
+    """Wald test of equal incidence of `cause` at `t` across the K >= 2
+    groups of `data`, with K - 1 degrees of freedom.
 
-    The dataset has two groups (`fixed_time._check_groups`); the
-    indicator is 1 for the first group, so a positive effect means
-    higher transformed incidence in the first group.  The fit is the
-    closed-form saturated GEE described in the module docstring.
+    The fit is the closed-form saturated GEE of the module docstring,
+    whose K - 1 group effects are tested together.  At K = 2 the effect
+    is the first group's transformed mean minus the second's, so a
+    positive effect means higher transformed incidence in the first
+    group; beyond two groups it is None, as in `k_sample_test`.
     """
     test = _TESTS[LinkKind(link), None]
-    _check_groups(len(data.groups), (test,))
+    _check_groups(len(data.groups))
     theta = pseudo_values(data, cause, [t]).values[:, 0]
-    x = data.group_indicator(data.groups[0])
-    rows = _pseudo_tests([theta[x == 1][None], theta[x == 0][None]], data.groups, float(t), (test,))
+    thetas = [theta[data.codes == g][None] for g in range(len(data.groups))]
+    rows = _pseudo_tests(thetas, data.groups, float(t), (test,))
     return rows[test].result(0, data.groups, cause, float(t))

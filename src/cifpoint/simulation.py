@@ -119,38 +119,35 @@ def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> dict[str, _Ro
     `groups` holds one (label, times, statuses) per group with (R, n_g)
     arrays; row r of every group is one data set.  Each group's estimate
     and both variances come from one pass over its sorted rows; the
-    pseudo-value tests take the two groups, pooled once for both links
-    with the first group as x = 1.
+    pseudo-value tests pool every group's rows in group order once for
+    both links and split the pseudo-values back into the K groups.
     """
+    labels, times, statuses = zip(*groups)
     rows = {}
     if any(TEST_METHODS[test][1] is not None for test in tests):
-        rows.update(_transform_tests([_summaries(*_row_knots(times, statuses, cause, t)[4:])
-                                      for _, times, statuses in groups], t, tests))
+        rows.update(_transform_tests([_summaries(*_row_knots(ts, ss, cause, t)[4:])
+                                      for ts, ss in zip(times, statuses)], t, tests))
     if any(TEST_METHODS[test][1] is None for test in tests):
-        (label1, times1, statuses1), (label0, times0, statuses0) = groups
-        theta = _pooled_pseudo(np.concatenate((times1, times0), axis=-1),
-                               np.concatenate((statuses1, statuses0), axis=-1),
+        theta = _pooled_pseudo(np.concatenate(times, axis=-1), np.concatenate(statuses, axis=-1),
                                int(cause), np.array([t]))[..., 0]
-        n1 = times1.shape[-1]
-        rows.update(_pseudo_tests([theta[:, :n1], theta[:, n1:]], (label1, label0), t, tests))
+        cuts = np.cumsum([ts.shape[-1] for ts in times[:-1]])
+        rows.update(_pseudo_tests(np.split(theta, cuts, axis=-1), labels, t, tests))
     return {test: rows[test] for test in TEST_IDS if test in rows}
 
 
 def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOutcome]:
     """Run the requested tests of the battery at `t`, in TEST_IDS order.
 
-    `groups` holds one (label, times, statuses) per group; the battery
-    is one row of the batched one the simulation runs, comparing the
-    groups as `k_sample_test` does.
-    `fixed_time._check_groups` decides how many groups the requested
-    tests take.  The pseudo-value tests pool their two groups' subjects
-    in group order with the first group as x = 1.  Every result
-    and error equals that of `two_sample_test`, `k_sample_test` or
-    `pseudo_test` bit for bit.
+    `groups` holds one (label, times, statuses) per group, two or more
+    (`fixed_time._check_groups`); the battery is one row of the batched
+    one the simulation runs, and every test compares the K groups with
+    K - 1 degrees of freedom.  The pseudo-value tests pool the groups'
+    subjects in group order.  Every result and error equals that of
+    `two_sample_test`, `k_sample_test` or `pseudo_test` bit for bit.
     """
     if unknown := set(tests) - set(TEST_IDS):
         raise ValueError(f"unknown tests {sorted(unknown)}")
-    _check_groups(len(groups), tests)
+    _check_groups(len(groups))
     _check_cause(cause)
     t = _finite_horizon(t)
     labels = [label for label, _, _ in groups]

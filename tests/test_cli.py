@@ -343,18 +343,28 @@ class TestTest:
         assert out == ""
 
     @pytest.mark.parametrize("method", ["all", "pseudo-llog", "pseudo-logit"])
-    def test_pseudo_methods_need_two_groups(self, tmp_path, method, capsys):
+    def test_pseudo_methods_take_three_groups(self, tmp_path, method, capsys):
+        # every test compares K groups with K - 1 degrees of freedom, the
+        # pseudo-value tests too, and prints the battery's numbers
         path = tmp_path / "three.csv"
         rows = ["time,status,arm"]
-        for arm in "xyz":
-            rows += [f"{t},{s},{arm}" for t, s in zip(*FIXTURE_A)]
+        columns = (FIXTURE_A, FIXTURE_B, ([1.5, 2.0, 3.5, 5.0, 2.5], [1, 0, 1, 2, 1]))
+        for arm, (times, statuses) in zip("xyz", columns):
+            rows += [f"{t},{s},{arm}" for t, s in zip(times, statuses)]
         path.write_text("\n".join(rows) + "\n")
         code, out, err = run(
             ["test", "--input", str(path), "--group-col", "arm",
-             "--cause", "1", "--time", "3", "--method", method], capsys)
-        assert code == 1
-        assert "exactly two groups" in err
-        assert out == ""
+             "--cause", "1", "--time", "3", "--method", method, "--json"], capsys)
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        groups = [(arm, np.array(times), np.array(statuses))
+                  for arm, (times, statuses) in zip("xyz", columns)]
+        want = [o.result for o in cifpoint.run_battery(groups, 1, 3.0)
+                if method in ("all", o.method)]
+        assert len(results) == (12 if method == "all" else 1)
+        assert {r["df"] for r in results} == {2}
+        assert [(r["statistic"], r["p_value"], r["effect"]) for r in results] == [
+            (o.statistic, o.p_value, o.effect) for o in want]
 
     def test_unbalanced_groups_answered(self, tmp_path, capsys):
         # 230 against 5 uncensored subjects: the Newton fit behind
@@ -810,6 +820,23 @@ class TestTopLevel:
             "cifpoint", "cifpoint.data", "cifpoint.errors", "cifpoint.estimation",
             "cifpoint.fixed_time", "cifpoint.pseudo", "cifpoint.simulation", "cifpoint.variance"}
         assert not loaded & {"multiprocessing", "concurrent.futures"}
+
+    def test_cli_import_loads_only_the_layers_every_command_needs(self):
+        # `import cifpoint.cli` is the set-up every command pays, timed by
+        # the benchmark as the analyst session's setup_s; the simulation,
+        # pseudo-value and ANOVA layers load when a command runs them, and
+        # statistics (with fractions and decimal) only for an interval
+        code = (
+            "import json, sys\n"
+            "import cifpoint.cli\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        loaded = set(json.loads(fresh_process(code)))
+        assert {m for m in loaded if m.partition(".")[0] == "cifpoint"} == {
+            "cifpoint", "cifpoint.cli", "cifpoint.data", "cifpoint.errors",
+            "cifpoint.estimation", "cifpoint.fixed_time", "cifpoint.variance"}
+        assert not loaded & {"statistics", "fractions", "decimal", "multiprocessing",
+                             "concurrent.futures"}
 
     def test_every_exported_name_resolves(self):
         star = {}

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cifpoint.data import build_event_table
+from cifpoint.data import Dataset, build_event_table
 from cifpoint.errors import NonConvergence, SeparationDetected, ZeroVariance
 from cifpoint.estimation import cif_estimate
-from cifpoint.fixed_time import TransformKind, chi2_pvalue, transform, transform_variance
+from cifpoint.fixed_time import (TEST_IDS, TransformKind, chi2_pvalue, transform,
+                                 transform_variance)
 from cifpoint.pseudo import LinkKind, _inverse_link, gee_fit, pseudo_test, pseudo_values
+from cifpoint.simulation import run_battery
 
 from conftest import FIXTURE_A, make_dataset, random_dataset
 
@@ -110,10 +112,8 @@ class TestPseudoValues:
     def test_rows_align_with_records(self, dataset_a):
         pv = pseudo_values(dataset_a, 1, [3.0])
         perm = [2, 0, 4, 1, 3]
-        shuffled = make_dataset(
-            [dataset_a.records[i].time for i in perm],
-            [dataset_a.records[i].status for i in perm],
-        )
+        shuffled = Dataset.from_columns(dataset_a.times[perm], dataset_a.statuses[perm],
+                                        ["g"] * len(perm))
         pv2 = pseudo_values(shuffled, 1, [3.0])
         assert np.allclose(pv2.values[:, 0], pv.values[perm, 0], rtol=0, atol=TOL)
 
@@ -413,6 +413,47 @@ class TestPseudoTest:
         # the first group has higher incidence, so the effect is
         # positive under an increasing link
         assert res.effect > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(15, 80), min_size=2, max_size=4),
+           tau=st.sampled_from([0.4, 1.0, 2.5]), seed=st.integers(0, 2**32 - 1))
+    def test_k_groups_match_the_brute_force_sandwich(self, sizes, tau, seed):
+        """Both links' tests on K censored groups against the Wald test of
+        the saturated GEE (an intercept and K - 1 indicators) with its
+        sandwich built by brute force, to 1e-10 relative."""
+        rng = np.random.default_rng(seed)
+        codes = np.repeat(np.arange(len(sizes)), sizes)
+        failure = rng.exponential(1.0 / (1.0 + 0.3 * codes))
+        censor = rng.uniform(0.0, 3.0, size=codes.size)
+        statuses = np.where(failure <= censor, rng.integers(1, 3, size=codes.size), 0)
+        labels = [f"g{c}" for c in codes]
+        data = Dataset.from_columns(np.minimum(failure, censor), statuses, labels)
+        theta = pseudo_values(data, 1, [tau]).values[:, 0]
+        means = np.array([theta[codes == g].mean() for g in range(len(sizes))])
+        if not np.all((1e-3 < means) & (means < 1.0 - 1e-3)):
+            return
+        groups = [(g, data.times[codes == k], data.statuses[codes == k])
+                  for k, g in enumerate(data.groups)]
+        battery = {o.method: o.result for o in run_battery(groups, 1, tau, TEST_IDS[10:])}
+        design = np.column_stack((np.ones(codes.size), np.eye(len(sizes))[codes, 1:]))
+        for link in LinkKind:
+            eta = parent_link(means, link)
+            slope = (np.exp(eta) / np.square(1.0 + np.exp(eta)) if link is LinkKind.LOGIT
+                     else np.exp(eta - np.exp(eta)))
+            rows = slope[codes, None] * design
+            bread = rows.T @ rows
+            meat = (rows * np.square(theta - means[codes])[:, None]).T @ rows
+            cov = np.linalg.solve(bread, np.linalg.solve(bread, meat).T)
+            contrasts = eta[1:] - eta[0]
+            wald = contrasts @ np.linalg.solve(cov[1:, 1:], contrasts)
+            result = pseudo_test(data, 1, tau, link)
+            assert result == battery[result.method]
+            assert result.df == len(sizes) - 1
+            assert abs(result.statistic - wald) <= 1e-10 * wald
+            if len(sizes) == 2:
+                assert abs(result.effect + contrasts[0]) <= 1e-10 * abs(contrasts[0])
+            else:
+                assert result.effect is None
 
     def test_needs_two_groups(self, dataset_a):
         with pytest.raises(ValueError):

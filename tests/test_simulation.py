@@ -28,7 +28,6 @@ from cifpoint.fixed_time import (
     k_sample_test,
     pointwise_ci,
     transform,
-    two_sample_test,
 )
 from cifpoint.pseudo import LinkKind, _pooled_pseudo, pseudo_test, pseudo_values
 from cifpoint.simulation import (
@@ -347,7 +346,15 @@ def public_call(test, tables, data, t):
     if variance is None:
         link = LinkKind.CLOGLOG if method == "pseudo-llog" else LinkKind.LOGIT
         return pseudo_test(data, 1, t, link)
-    return two_sample_test(*tables, 1, t, TransformKind(method), VarianceKind(variance))
+    return k_sample_test(tables, 1, t, TransformKind(method), VarianceKind(variance))
+
+
+def pooled_dataset(groups):
+    """The subjects of (label, times, statuses) groups as one Dataset,
+    in group order."""
+    return Dataset.from_columns(np.concatenate([ts for _, ts, _ in groups]),
+                                np.concatenate([ss for _, _, ss in groups]),
+                                [g for g, ts, _ in groups for _ in ts])
 
 
 def assert_battery_matches_public_calls(groups, tables, data, t):
@@ -390,27 +397,32 @@ def negative_aalen(terms):
 
 
 def assert_k_groups_match_public_calls(subjects, t, aalen_negative):
-    """Each transform test of `run_battery` on three or more groups
-    equals `k_sample_test`, or both raise the same error, and each
-    group's `pointwise_ci` raises its variance's error, else its
-    estimate's domain error, else gives an interval.  With
-    `aalen_negative` every Aalen variance with a failure behind it is
-    -1.  Returns the (type name, message) of every error seen."""
+    """Each test of `run_battery` on three or more groups equals
+    `k_sample_test` or `pseudo_test`, or both raise the same error, and
+    for each transform test each group's `pointwise_ci` raises its
+    variance's error, else its estimate's domain error, else gives an
+    interval.  With `aalen_negative` every Aalen variance with a failure
+    behind it is -1.  Returns the (type name, message) of every error
+    seen."""
     groups = [(str(g), np.array([x for x, _ in rows]), np.array([s for _, s in rows]))
               for g, rows in enumerate(subjects)]
     tables = [event_table_from_arrays(ts, ss, g, (1, 2, 3)) for g, ts, ss in groups]
+    data = pooled_dataset(groups)
     patch = {VarianceKind.AALEN: negative_aalen} if aalen_negative else {}
     seen = set()
     with mock.patch.dict(cifpoint.variance._ESTIMATORS, patch):
-        for o in run_battery(groups, 1, t, tests=TEST_IDS[:10]):
-            kind, variance = TransformKind(o.method), VarianceKind(o.variance)
+        for o in run_battery(groups, 1, t):
             if o.error is None:
-                assert k_sample_test(tables, 1, t, kind, variance) == o.result
+                assert public_call(o.test, tables, data, t) == o.result
+                assert o.result.df == len(groups) - 1
             else:
                 with pytest.raises(type(o.error)) as info:
-                    k_sample_test(tables, 1, t, kind, variance)
+                    public_call(o.test, tables, data, t)
                 assert str(info.value) == str(o.error)
                 seen.add((type(o.error).__name__, str(o.error)))
+            if o.variance is None:
+                continue
+            kind, variance = TransformKind(o.method), VarianceKind(o.variance)
             for table in tables:
                 try:
                     cif_variance(table, 1, t, variance)
@@ -467,12 +479,12 @@ class TestBattery:
         _, times, statuses = draw(2, 30, 30, 2.0)[0][1]
         groups = (*groups, ("3", times, statuses))
         tables = [event_table_from_arrays(ts, ss, g) for g, ts, ss in groups]
-        for o in run_battery(groups, 1, 0.5, tests=TEST_IDS[:10]):
-            method, variance = TEST_METHODS[o.test]
-            assert o.result == k_sample_test(tables, 1, 0.5, TransformKind(method),
-                                             VarianceKind(variance))
-        with pytest.raises(ValueError):
-            run_battery(groups, 1, 0.5)
+        data = pooled_dataset(groups)
+        outcomes = run_battery(groups, 1, 0.5)
+        assert [o.test for o in outcomes] == list(TEST_IDS)
+        for o in outcomes:
+            assert o.result == public_call(o.test, tables, data, 0.5)
+            assert (o.result.df, o.result.effect) == (2, None)
 
     @settings(max_examples=150, deadline=None)
     @given(k_groups, horizons, st.booleans())
@@ -516,10 +528,9 @@ class TestBattery:
 
 def public_outcomes(groups, t):
     """Each test's (result, error) from its public call on one data set
-    of two groups, with the data set's pooled pseudo-values."""
+    of two or more groups, with the data set's pooled pseudo-values."""
     tables = tuple(event_table_from_arrays(ts, ss, g, (1,)) for g, ts, ss in groups)
-    data = Dataset(tuple(SubjectRecord(float(x), int(st), g)
-                         for g, ts, ss in groups for x, st in zip(ts, ss)))
+    data = pooled_dataset(groups)
     outcomes = {}
     for test in TEST_IDS:
         try:
@@ -531,10 +542,10 @@ def public_outcomes(groups, t):
 
 @st.composite
 def row_blocks(draw):
-    """R data sets of two groups as (R, n_g) rows, with times on a grid
-    of eighths (ties, and censorings at failure times) and a horizon on
-    a grid of sixteenths, from before the first failure to past the
-    last."""
+    """R data sets of two to four groups, as (label, times, statuses)
+    with (R, n_g) rows, with times on a grid of eighths (ties, and
+    censorings at failure times) and a horizon on a grid of sixteenths,
+    from before the first failure to past the last."""
     rows = draw(st.integers(1, 6))
 
     def group():
@@ -545,7 +556,8 @@ def row_blocks(draw):
                                  min_size=rows, max_size=rows))
         return np.array(times) / 8.0, np.array(statuses)
 
-    return group(), group(), draw(st.integers(1, 36)) / 16.0
+    groups = [(str(g), *group()) for g in range(1, draw(st.integers(2, 4)) + 1)]
+    return groups, draw(st.integers(1, 36)) / 16.0
 
 
 class TestScaleSteps:
@@ -594,21 +606,21 @@ class TestEngine:
     @settings(max_examples=150, deadline=None)
     @given(row_blocks())
     def test_rows_match_public_tests(self, block):
-        (times1, statuses1), (times2, statuses2), t = block
-        groups = [("1", times1, statuses1), ("2", times2, statuses2)]
+        groups, t = block
+        labels = [label for label, _, _ in groups]
         columns = _battery_rows(groups, 1, t)
         assert list(columns) == list(TEST_IDS)
-        theta = _pooled_pseudo(np.concatenate((times1, times2), axis=-1),
-                               np.concatenate((statuses1, statuses2), axis=-1),
+        theta = _pooled_pseudo(np.concatenate([ts for _, ts, _ in groups], axis=-1),
+                               np.concatenate([ss for _, _, ss in groups], axis=-1),
                                1, np.array([t]))[..., 0]
-        for r in range(times1.shape[0]):
+        for r in range(theta.shape[0]):
             row = [(label, times[r], statuses[r]) for label, times, statuses in groups]
             public, pseudo = public_outcomes(row, t)
             assert np.array_equal(theta[r], pseudo)
             for test, rows in columns.items():
                 want, error = public[test]
                 try:
-                    got, got_error = rows.result(r, ("1", "2"), 1, t), None
+                    got, got_error = rows.result(r, labels, 1, t), None
                 except CifPointError as exc:
                     got, got_error = None, exc
                 assert type(got_error) is type(error), (test, r, got_error, error)
