@@ -55,7 +55,8 @@ class SubjectRecord:
             raise InvalidRecord(_NOT_FINITE.format(self.time))
         if not isinstance(self.status, (int, np.integer)):
             raise InvalidRecord(_NOT_INTEGER.format(self.status))
-        _checked_columns([self.time], [self.status], [self.group])
+        _, _, names = _checked_columns([self.time], [self.status], [self.group])
+        object.__setattr__(self, "group", names[self.group])
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -94,9 +95,9 @@ class Dataset:
     def _fill(self, times, statuses, labels) -> None:
         if not len(labels):
             raise InvalidRecord("dataset has no records")
-        times, statuses = _checked_columns(times, statuses, labels)
-        groups = tuple(dict.fromkeys(labels))
-        index = {g: i for i, g in enumerate(groups)}
+        times, statuses, names = _checked_columns(times, statuses, labels)
+        groups = tuple(dict.fromkeys(names.values()))
+        index = {label: groups.index(name) for label, name in names.items()}
         codes = np.fromiter(map(index.__getitem__, labels), dtype=int, count=len(labels))
         for name, value in (("times", times), ("statuses", statuses), ("codes", codes)):
             value.flags.writeable = False
@@ -107,7 +108,7 @@ class Dataset:
 
     def _code(self, group: str) -> int:
         try:
-            return self.groups.index(group)
+            return self.groups.index(_name(group))
         except ValueError:
             raise KeyError(f"unknown group {group!r}") from None
 
@@ -302,14 +303,25 @@ def _array(values):
                     dtype=object)
 
 
+def _name(label) -> str | None:
+    """A group label's text: a str as plain str and an int as its
+    decimal text, as a CSV spells it; None for any other label."""
+    if isinstance(label, str):
+        return str(label)
+    if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
+        return str(int(label))
+    return None
+
+
 def _checked_columns(times, statuses, labels=None, where=lambda i: ""):
-    """Subjects' times and statuses as float and int64 arrays, held to
-    the subject rule: the time is finite, then > 0; the status is a whole
-    number, then >= 0, then <= 2**63 - 1; the label is not empty.  A
-    bool is neither a time nor a status, a float status is whole if it is
-    an integer inside the int64 range, and an int is compared exactly.
-    Raises the message of the first subject that breaks the rule, after
-    `where(i)` of its index i."""
+    """Subjects' times and statuses as float and int64 arrays, and each
+    distinct label's text (`_name`), held to the subject rule: the time
+    is finite, then > 0; the status is a whole number, then >= 0, then
+    <= 2**63 - 1; the label is a str or an int, then not empty.  A bool
+    is neither a time nor a status nor a label, a float status is whole
+    if it is an integer inside the int64 range, and an int is compared
+    exactly.  Raises the message of the first subject that breaks the
+    rule, after `where(i)` of its index i."""
     t, s = _array(times).astype(float, copy=False), _array(statuses)
     if t.ndim != 1 or t.shape != s.shape:
         raise InvalidRecord("times and statuses must be aligned 1-d arrays")
@@ -330,15 +342,26 @@ def _checked_columns(times, statuses, labels=None, where=lambda i: ""):
               (whole & (s < 0), "status must be >= 0, got {!r}", statuses),
               (whole & (s > _MAX_STATUS), f"status must be <= {_MAX_STATUS}, got {{!r}}",
                statuses)]
-    if labels is not None and not all(labels):
-        checks.append((~np.asarray(labels, dtype=object).astype(bool), "empty group label",
-                       labels))
+    try:
+        names = {} if labels is None else {label: _name(label) for label in dict.fromkeys(labels)}
+    except TypeError:
+        names = {None: None}  # stands for an unhashable label, which has no name either
+    # a label hides behind an equal one of another type (2.0 behind 2), so
+    # unless every label is a str each is named on its own
+    rows = None if all(isinstance(label, str) for label in names) else list(map(_name, labels))
+    if not all(names.values()) or (rows and None in rows):
+        rows = rows or [names[label] for label in labels]
+        # one object per label, a list label too
+        given = np.fromiter(labels, dtype=object, count=len(labels))
+        checks += [(np.array([name is None for name in rows]),
+                    "group label must be a str or an int, got {!r}", given),
+                   (np.array([name == "" for name in rows]), "empty group label", given)]
     broken = np.logical_or.reduce([fails for fails, _, _ in checks])
     if broken.any():
         i = int(broken.argmax())
         message, given = next((message, given) for fails, message, given in checks if fails[i])
         raise InvalidRecord(where(i) + message.format(np.asarray(given, dtype=object)[i]))
-    return t, s.astype(np.int64, copy=False)
+    return t, s.astype(np.int64, copy=False), names
 
 
 def event_table_from_arrays(times, statuses, group: str = "all",
@@ -350,7 +373,8 @@ def event_table_from_arrays(times, statuses, group: str = "all",
     """
     for cause in causes or ():
         _check_cause(cause)
-    times, statuses = _checked_columns(times, statuses, [group] * np.size(times))
+    times, statuses, names = _checked_columns(times, statuses, [group] * np.size(times))
+    group = names[group]
     failed = statuses > 0
     knots = np.unique(times[failed])
     at_risk = times.size - np.searchsorted(np.sort(times), knots, side="left")

@@ -123,11 +123,12 @@ def _row_knots(times: np.ndarray, statuses: np.ndarray, cause: int, t: float):
     Its factor 1 and zero jump change no product and, as every sum runs
     in knot order, no sum: a row's numbers do not depend on K.
 
-    Returns (order, statuses, rank, own, a, d, dk): the sorting
-    permutation and the sorted statuses; for each sorted subject the
-    index of the last knot at or before its time (0 for knot 0) and
-    whether that knot is at its time; and each knot's at-risk, failure
-    and cause-`cause` failure counts as float arrays.
+    Returns (a, d, dk, order, statuses, tail, rank, knot): each knot's
+    at-risk, failure and cause-`cause` failure counts as float arrays;
+    the sorting permutation and the sorted statuses; and for each sorted
+    position whether it ends a block of tied times, the number of knots
+    up to it, and whether it is a knot.  The counts are all the variances
+    need; `pseudo._pooled_pseudo` ranks each subject from the rest.
     """
     rows, n = times.shape
     order = np.argsort(times, axis=-1)
@@ -139,7 +140,6 @@ def _row_knots(times: np.ndarray, statuses: np.ndarray, cause: int, t: float):
     tail = np.ones(times.shape, dtype=bool)
     tail[:, :-1] = head[:, 1:]
     start = np.maximum.accumulate(np.where(head, pos, 0), axis=-1)
-    end = np.flip(np.minimum.accumulate(np.flip(np.where(tail, pos, n - 1), -1), axis=-1), -1)
 
     def block_sums(flags):
         """The running count of `flags` within each tie block, which is
@@ -157,7 +157,7 @@ def _row_knots(times: np.ndarray, statuses: np.ndarray, cause: int, t: float):
     a[slot] = n - start[row, col]
     d[slot] = failures[row, col]
     dk[slot] = block_sums(statuses == cause)[row, col]
-    return order, statuses, _take_rows(rank, end), _take_rows(knot, end), a, d, dk
+    return a, d, dk, order, statuses, tail, rank, knot
 
 
 def _table_counts(table: EventTable, cause: int, t: float):

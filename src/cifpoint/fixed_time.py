@@ -12,17 +12,18 @@ estimate away from the [0, 1] boundary where the normal approximation
 is poor.  For K groups the statistic is the quadratic form of the
 contrasts against the first group, with K - 1 degrees of freedom, in
 closed form; X2 above is its K = 2 case, and `_wald` builds it for
-every test from groups already on one scale.
+all tests at once from groups already on each test's scale.
 
-Each transform is one entry of the table `_SCALES`, in numpy (the
-same doubles at any shape), which also gives `pseudo.py` its links.
-`TEST_METHODS` names the twelve tests of the battery that
-`simulation.run_battery` runs: each transform with each variance
-estimator, then the two pseudo-value links.  Two builders make them:
-`_transform_tests` here and `pseudo._pseudo_tests`, each putting a
-group's estimates on each scale once (`_scaled`) for all its tests.
-`_scaled` is the one domain check of every scale: `transform`,
-`transform_variance` and `pointwise_ci` are one-row calls of it.
+Each transform is one entry of the table `_SCALES`, in numpy (the same
+doubles at any shape), which also gives `pseudo.py` its links.
+`TEST_METHODS` names the twelve tests of the battery: each transform
+with each variance estimator, then the two pseudo-value links.  Two
+builders give their `_Part`s, `_transform_tests` here and
+`pseudo._pseudo_tests`, each putting the K groups on each scale once
+(`_scaled`), and `_stack` makes them one `_Tests`: one `_wald` for all
+and every check in one array.  `_scaled` is the one domain check of
+every scale: `transform`, `transform_variance` and `pointwise_ci` are
+one-row calls of it.
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .data import EventTable
-from .errors import NotEstimable, ZeroVariance, _Check, _raise_first
+from .errors import NotEstimable, NumericalError, ZeroVariance, _raise_first
 from .estimation import _table_counts
 from .variance import VarianceKind, _summaries
 
@@ -158,11 +159,18 @@ _SCALES = {
 _limits = np.errstate(over="ignore", divide="ignore")
 
 
+def _undefined(kind: TransformKind, p) -> str:
+    """The message of the domain check of `kind` at the estimate `p`."""
+    return f"transform {kind.value!r} is undefined at estimate {float(p)!r}"
+
+
 def _one_row(kind, p, v=0.0) -> tuple[float, float]:
     """`_scaled` of one estimate `p` with variance `v`: phi(p) and its
     delta-method variance, or the domain check's error raised."""
-    domain, phi, (w,) = _scaled(TransformKind(kind), np.array([p], dtype=float), (np.array([v]),))
-    _raise_first((domain,), 0)
+    kind, p = TransformKind(kind), np.array([p], dtype=float)
+    inside, phi, (w,) = _scaled(kind, p, (np.array([v]),))
+    if not inside[0]:
+        raise NotEstimable(_undefined(kind, p[0]))
     return float(phi[0]), float(w[0])
 
 
@@ -215,103 +223,100 @@ def chi2_pvalue(x: float, df: int) -> float:
     return tail
 
 
-@cache
-def _chi2_critical(alpha: float) -> float:
-    """The smallest double x* with `chi2_pvalue(x*, 1) < alpha`, so that
-    a statistic x >= 0 is rejected at level alpha exactly when x >= x*.
+class _Part(NamedTuple):
+    """One test of K groups over R rows before its Wald step, in (K, R)
+    arrays: the values `p` put on its scale and `_scaled`'s output, the
+    groups' estimates and variances (None for a pseudo-value test), and
+    the groups' first check: error type, fails, message of group g row i."""
 
-    Found by bisection over the doubles of [0, inf], whose bit patterns
-    read as integers are in the same order as their values; the p-value
-    is 1 at 0 and 0 at inf, so this holds for 0 < alpha <= 1."""
-    lo, hi = 0, int(np.float64(np.inf).view(np.int64))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if chi2_pvalue(float(np.int64(mid).view(np.float64)), 1) < alpha:
-            hi = mid
-        else:
-            lo = mid
-    return float(np.int64(hi).view(np.float64))
+    test: str
+    kind: TransformKind
+    p: np.ndarray
+    estimates: np.ndarray
+    variances: np.ndarray | None
+    inside: np.ndarray
+    phi: np.ndarray
+    w: np.ndarray
+    error: type
+    fails: np.ndarray
+    message: Callable[[int, int], str]
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """One test of K groups over R rows of data, with K - 1 degrees of
-    freedom: per row its statistic, effect (None beyond two groups) and
-    group pieces, and the checks in the order they are made.
+class _Tests(NamedTuple):
+    """T tests of the same K groups over R rows of data, stacked, each
+    with K - 1 degrees of freedom: per test its `_Part`, and as (T, R)
+    arrays the statistics and, at K = 2, the effects (else None).
+    `fails[j, c, r]` is check c of test j on row r, in the order the
+    checks are made: each group's first check and then its domain check,
+    group by group, then ZeroVariance; `errors[j][c]` is its error type.
     A row's first failing check excludes it; a row that fails none is
     valid, and only valid rows' numbers mean anything."""
 
-    method: str
-    variance: str | None
+    parts: tuple[_Part, ...]
     statistic: np.ndarray
     effect: np.ndarray | None
-    estimates: tuple[np.ndarray, ...]
-    variances: tuple[np.ndarray, ...] | None
-    checks: tuple[_Check, ...]
+    fails: np.ndarray
+    t: float
 
-    def first_failure(self) -> np.ndarray:
-        """Index into `checks` of each row's first failing check, -1 for
-        a valid row."""
-        first = np.full(self.statistic.shape, -1)
-        for k in reversed(range(len(self.checks))):
-            first[self.checks[k].fails] = k
-        return first
+    @property
+    def errors(self) -> tuple[tuple[type, ...], ...]:
+        k = len(self.fails[0]) // 2
+        return tuple((*(part.error, NotEstimable) * k, ZeroVariance) for part in self.parts)
 
-    def result(self, i: int, groups, cause: int, t: float) -> FixedTimeTestResult:
-        """Row `i` as a result, or its first failing check's error raised."""
-        _raise_first(self.checks, i)
-        stat = float(self.statistic[i])
-        df = len(self.estimates) - 1
-        variances = self.variances or (None,) * len(groups)
+    def message(self, j: int, c: int, i: int) -> str:
+        """The error message of check `c` of test `j` on row `i`."""
+        part, (g, domain) = self.parts[j], divmod(c, 2)
+        if c == len(self.fails[j]) - 1:
+            return f"groups differ at t={self.t!r} but the contrast covariance is singular"
+        return _undefined(part.kind, part.p[g, i]) if domain else part.message(g, i)
+
+    def result(self, j: int, i: int, groups, cause: int) -> FixedTimeTestResult:
+        """Row `i` of test `j` as a result, or its first failure raised."""
+        failing = self.fails[j, :, i]
+        if failing.any():
+            c = int(failing.argmax())
+            raise self.errors[j][c](self.message(j, c, i))
+        part, stat, df = self.parts[j], float(self.statistic[j, i]), len(groups) - 1
+        v = [None] * len(groups) if part.variances is None else part.variances[:, i].tolist()
         return FixedTimeTestResult(
-            statistic=stat,
-            df=df,
-            p_value=chi2_pvalue(stat, df),
-            time=t,
-            cause=int(cause),
-            method=self.method,
-            variance=self.variance,
-            groups=tuple(GroupSummary(g, float(e[i]), None if v is None else float(v[i]))
-                         for g, e, v in zip(groups, self.estimates, variances)),
-            effect=None if self.effect is None else float(self.effect[i]),
-        )
+            stat, df, chi2_pvalue(stat, df), self.t, int(cause), *TEST_METHODS[part.test],
+            tuple(map(GroupSummary, groups, part.estimates[:, i].tolist(), v)),
+            None if self.effect is None else float(self.effect[j, i]))
 
 
 @_limits
 def _scaled(kind: TransformKind, estimate, variances):
-    """One group's R estimates on the `kind` scale: their domain check,
-    phi, and the delta-method variances of phi for the V `variances` as
-    a (V, R) array, with phi and the divisor evaluated once; phi and the
-    variances are NaN where the estimate is outside the open domain."""
+    """Estimates on the `kind` scale, any shape: whether each lies in the
+    open domain, phi, and the delta-method variances of phi for the V
+    `variances` as one (V, ...) array, with phi and the divisor evaluated
+    once; phi and the variances are NaN outside the domain."""
     scale = _SCALES[kind]
     inside = (estimate > scale.low) & (estimate < scale.high)
     p = np.where(inside, estimate, 0.5)
-    check = _Check(NotEstimable, ~inside, lambda i: (
-        f"transform {kind.value!r} is undefined at estimate {float(estimate[i])!r}"))
     # Var[phi(p)] = v / d(p), and v itself where v is 0
     v = np.array(variances, dtype=np.float64)
     w = np.divide(v, scale.divisor(p), out=v.copy(), where=v != 0.0)
-    return check, np.where(inside, scale.phi(p), np.nan), np.where(inside, w, np.nan)
+    return inside, np.where(inside, scale.phi(p), np.nan), np.where(inside, w, np.nan)
 
 
-def _wald(groups, t: float):
-    """The Wald statistic of K >= 2 groups over R rows from each group's
-    (checks, phi, w) on one scale, with the effect phi_1 - phi_2 at
-    K = 2 (else None) and the groups' checks, group by group, followed
-    by one for a singular contrast covariance under unequal phis.
+def _wald(phi, w):
+    """The Wald statistics of K >= 2 groups from (..., K, R) arrays of
+    phi and w on each test's scale, with the effects phi_1 - phi_2 at
+    K = 2 (else None) and the mask of a singular contrast covariance
+    under unequal phis.
 
     The quadratic form of the contrasts against group 1, whose
     covariance has w_1 off the diagonal and w_1 + w_g on it, is N / D
     with D = sum_g prod_{h != g} w_h and
     N = sum_{g < h} (phi_g - phi_h)^2 prod_{l not in {g, h}} w_l;
     at K = 2 it is (phi_1 - phi_2)^2 / (w_1 + w_2).  D is 0 exactly when
-    two or more w are, which is when the covariance is singular.
+    two or more w are, which is when the covariance is singular.  Sums
+    and products run over the groups in order.
 
     For K >= 3 each row's w are divided by their largest, which then
     divides N / D, so that the products of K - 1 small variances do not
     underflow; variances spread widely over many groups still can."""
-    checks = [check for group_checks, _, _ in groups for check in group_checks]
-    phis, ws = [phi for _, phi, _ in groups], [w for _, _, w in groups]
+    phis, ws = list(np.moveaxis(phi, -2, 0)), list(np.moveaxis(w, -2, 0))
     scale = 1.0
     if len(ws) > 2:
         top = reduce(np.maximum, ws)
@@ -322,31 +327,45 @@ def _wald(groups, t: float):
                                        np.square(phis[g] - phis[h]))
                                 for g, h in combinations(range(len(ws)), 2)])
     singular = den == 0.0
-    checks.append(_Check(
-        ZeroVariance, singular & reduce(operator.or_, [phi != phis[0] for phi in phis[1:]]),
-        lambda i: f"groups differ at t={t!r} but the contrast covariance is singular"))
+    differ = singular & reduce(operator.or_, [phi != phis[0] for phi in phis[1:]])
     statistic = np.divide(num, den, out=np.zeros_like(den), where=~singular) / scale
-    return statistic, phis[0] - phis[1] if len(phis) == 2 else None, tuple(checks)
+    return statistic, phis[0] - phis[1] if len(phis) == 2 else None, differ
 
 
-def _transform_tests(summaries, t: float, tests) -> dict[str, _Rows]:
-    """The requested transform tests of K groups over R rows from each
-    group's `variance._summaries`, scale by scale: one `_scaled` step per
-    group and scale serves the scale's tests of both variances."""
-    estimates = tuple(estimate for estimate, _ in summaries)
-    rows = {}
-    for kind in TransformKind:
-        wanted = [(test, v) for test, k, v in _BATTERY if k is kind and test in tests]
-        if wanted:
-            scaled = [_scaled(kind, estimate, [variances[v][0] for _, v in wanted])
-                      for estimate, variances in summaries]
-        for j, (test, v) in enumerate(wanted):
-            statistic, effect, checks = _wald(
-                [((*variances[v][1], domain), phi, ws[j])
-                 for (_, variances), (domain, phi, ws) in zip(summaries, scaled)], t)
-            rows[test] = _Rows(kind.value, v.value, statistic, effect, estimates,
-                               tuple(variances[v][0] for _, variances in summaries), checks)
-    return rows
+def _stack(parts, t: float) -> _Tests:
+    """The tests of `parts`, in their order, as one `_Tests`: one `_wald`
+    for all of them, and every check in one (T, 2K + 1, R) array."""
+    statistic, effect, differ = _wald(np.array([part.phi for part in parts]),
+                                      np.array([part.w for part in parts]))
+    k = len(parts[0].phi)
+    fails = np.empty((len(parts), 2 * k + 1, statistic.shape[-1]), dtype=bool)
+    fails[:, 0:-1:2] = [part.fails for part in parts]
+    np.logical_not([part.inside for part in parts], out=fails[:, 1::2])
+    fails[:, -1] = differ
+    return _Tests(tuple(parts), statistic, effect, fails, t)
+
+
+def _transform_tests(summaries, tests) -> list[_Part]:
+    """The requested transform tests of K groups over R rows, in battery
+    order, from each group's `variance._summaries`: each scale's phi and
+    divisor are evaluated once for all K groups and every variance."""
+    estimates = np.array([estimate for estimate, _ in summaries])
+    # the variances the summaries hold, each as (K, R) values and checks
+    computed = list(summaries[0][1])
+    values = np.array([[variances[v][0] for _, variances in summaries] for v in computed])
+    checks = [[variances[v][1][0] for _, variances in summaries] for v in computed]
+    negative = np.array([[check.fails for check in row] for row in checks])
+    scaled, parts = {}, []
+    for test, kind, v in _BATTERY:
+        if v is None or test not in tests:
+            continue
+        if kind not in scaled:
+            scaled[kind] = _scaled(kind, estimates, values)
+        inside, phi, ws = scaled[kind]
+        e = computed.index(v)
+        parts.append(_Part(test, kind, estimates, estimates, values[e], inside, phi, ws[e],
+                           NumericalError, negative[e], lambda g, i, c=checks[e]: c[g].message(i)))
+    return parts
 
 
 def _table_summaries(tables, cause: int, t: float, variance: VarianceKind):
@@ -390,9 +409,8 @@ def k_sample_test(tables, cause: int, t: float,
     variance = VarianceKind(variance)
     test = _TESTS[TransformKind(kind), variance]
     _check_groups(len(tables))
-    summaries = _table_summaries(tables, cause, t, variance)
-    rows = _transform_tests(summaries, float(t), (test,))[test]
-    return rows.result(0, [tb.group for tb in tables], cause, float(t))
+    parts = _transform_tests(_table_summaries(tables, cause, t, variance), (test,))
+    return _stack(parts, float(t)).result(0, 0, [tb.group for tb in tables], cause)
 
 
 def pointwise_ci(table: EventTable, cause: int, t: float,

@@ -32,8 +32,8 @@ through the Schur complement of the intercepts, which keeps its digits
 where one group's mean is near 0 or 1; it is the closed form's test
 oracle at K = 2.  Both links are transforms of `fixed_time`: logit,
 and cloglog(m) = llog(1 - m).  `_pseudo_tests` builds both links'
-tests, each group's mean checked once and put on each link's scale
-once.
+tests, every group's mean checked once and put on each link's scale
+in one step for all K groups.
 
 The leave-one-out estimates need no refit.  Write Y_j, d_j and dk_j
 for the at-risk count, the failures and the cause-k failures at the
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _check_cause
-from .errors import NonConvergence, SeparationDetected, _Check
+from .errors import NonConvergence, SeparationDetected
 from .estimation import _aalen_johansen, _finite_horizon, _lagged, _row_knots, _take_rows
 from .fixed_time import (
     _TESTS,
@@ -68,9 +68,9 @@ from .fixed_time import (
     LinkKind,
     TransformKind,
     _check_groups,
-    _Rows,
+    _Part,
     _scaled,
-    _wald,
+    _stack,
     transform,
 )
 
@@ -156,7 +156,13 @@ def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
     # the knots are each row's failure times up to the last horizon after
     # the empty knot 0 (see estimation._row_knots), so that each subject
     # and each horizon has a last knot at or before it
-    order, statuses, last, own, a, d, dk = _row_knots(times, statuses, cause, taus.max())
+    a, d, dk, order, statuses, tail, rank, knot = _row_knots(times, statuses, cause, taus.max())
+    # a sorted subject's last knot at or before its time is the rank at
+    # the end of its tie block, and is at its time when that end is a knot
+    end = np.flip(np.minimum.accumulate(np.flip(np.where(tail, np.arange(n), n - 1), -1),
+                                        axis=-1), -1)
+    last, own = _take_rows(rank, end), _take_rows(knot, end)
+    del tail, rank, knot, end  # freed before the (subject, horizon) grid
 
     # full sample: survival just after, and incidence up to, each knot
     _, surv, jumps = _aalen_johansen(a, d, dk)
@@ -329,30 +335,30 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
     return GeeFit(beta=beta, sandwich=sandwich, iterations=iterations, link=link)
 
 
-def _pseudo_tests(thetas, labels, t: float, tests) -> dict[str, _Rows]:
+def _pseudo_tests(thetas, labels, tests) -> list[_Part]:
     """The requested pseudo-value tests over R rows from the K >= 2
     groups' (R, n_g) pseudo-values, in group order: `_wald` of the group
     means on each link's scale with the squared standard errors of the
     means as their variances, the closed form of the module docstring.
-    Each mean is checked for a value within N * eps of 0 or 1, as in
-    `gee_fit`."""
+    Each mean is checked once for a value within N * eps of 0 or 1, as
+    in `gee_fit`."""
     edge = sum(theta.shape[-1] for theta in thetas) * np.finfo(float).eps
-    means = [theta.mean(axis=-1) for theta in thetas]
-    errors = [np.square(theta - m[..., None]).sum(axis=-1) / theta.shape[-1]**2
-              for theta, m in zip(thetas, means)]
-    separated = [_Check(SeparationDetected, ~((edge < m) & (m < 1.0 - edge)), lambda i, g=g, m=m:
-                        f"group {g} mean pseudo-value outside (0, 1): {float(m[i])!r}")
-                 for g, m in zip(labels, means)]
-    rows = {}
-    for link, method in PSEUDO_METHODS.items():
-        test = _TESTS[link, None]
-        if test not in tests:
-            continue
-        scaled = [_scaled(*_link_scale(m, link), (s,)) for m, s in zip(means, errors)]
-        statistic, effect, checks = _wald(
-            [((check, domain), phi, w) for check, (domain, phi, (w,)) in zip(separated, scaled)], t)
-        rows[test] = _Rows(method, None, statistic, effect, tuple(means), None, checks)
-    return rows
+    means = np.array([theta.mean(axis=-1) for theta in thetas])
+    errors = np.array([np.square(theta - m[..., None]).sum(axis=-1) / theta.shape[-1]**2
+                       for theta, m in zip(thetas, means)])
+    separated = ~((edge < means) & (means < 1.0 - edge))
+
+    def message(g, i):
+        return f"group {labels[g]} mean pseudo-value outside (0, 1): {float(means[g, i])!r}"
+
+    parts = []
+    for link in PSEUDO_METHODS:
+        if (test := _TESTS[link, None]) in tests:
+            kind, p = _link_scale(means, link)
+            inside, phi, (w,) = _scaled(kind, p, (errors,))
+            parts.append(_Part(test, kind, p, means, None, inside, phi, w,
+                               SeparationDetected, separated, message))
+    return parts
 
 
 def pseudo_test(data: Dataset, cause: int, t: float,
@@ -370,5 +376,5 @@ def pseudo_test(data: Dataset, cause: int, t: float,
     _check_groups(len(data.groups))
     theta = pseudo_values(data, cause, [t]).values[:, 0]
     thetas = [theta[data.codes == g][None] for g in range(len(data.groups))]
-    rows = _pseudo_tests(thetas, data.groups, float(t), (test,))
-    return rows[test].result(0, data.groups, cause, float(t))
+    return _stack(_pseudo_tests(thetas, data.groups, (test,)), float(t)).result(
+        0, 0, data.groups, cause)

@@ -29,18 +29,22 @@ every step (sorting, the Aalen-Johansen recursion over each row's
 knots, both variances, the pooled pseudo-values, the transforms and
 each exclusion reason as a mask over the rows) is array arithmetic
 over the block.  Two builders make the twelve tests, one per family
-of tests, and each puts a group's estimates on each scale once per
-block.  A block holds at most _BLOCK_CELLS subjects in all,
-R (n1 + n2) <= 2**18, which bounds its arrays to a few megabytes
-whatever the scenario; the replication range is cut into such blocks
-and the counts summed.  Every number of a row equals that of the
-public test on the row's data set bit for bit, whatever the block's
-size, so the counts do not depend on where the range is cut.
-`run_battery` is the same engine at R = 1, for any number of groups; a
-test's exclusion is its row's first failing check.  A valid row is
-rejected when its statistic reaches `fixed_time._chi2_critical(alpha)`,
-the smallest double whose p-value is below alpha, which is the
-p-value's own decision; the p-values `run_battery` reports are exact.
+of tests, each putting all groups' estimates on each scale once per
+block, and `fixed_time._stack` makes them one array per quantity: one
+Wald step gives every (test, row) statistic and one (test, check, row)
+mask every check, from which `_run_block` counts rejections and
+exclusion reasons without a loop over tests or rows.  A block holds at
+most _BLOCK_CELLS subjects in all, R (n1 + n2) <= 2**18, which bounds
+its arrays to a few megabytes whatever the scenario; the replication
+range is cut into such blocks and the counts summed.  Every number of
+a row equals that of the public test on the row's data set bit for
+bit, whatever the block's size, so the counts do not depend on where
+the range is cut.  `run_battery` is the same engine at R = 1, for any
+number of groups; a test's exclusion is its row's first failing check.
+A valid row is rejected when its statistic reaches
+`_chi2_critical(alpha)`, the smallest double whose p-value is below
+alpha, which is the p-value's own decision; the p-values `run_battery`
+reports are exact.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -69,8 +74,8 @@ from .fixed_time import (
     TEST_METHODS,
     FixedTimeTestResult,
     _check_groups,
-    _chi2_critical,
-    _Rows,
+    _stack,
+    _Tests,
     _transform_tests,
     chi2_pvalue,
 )
@@ -112,27 +117,28 @@ class BatteryOutcome:
     error: CifPointError | None
 
 
-def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> dict[str, _Rows]:
+def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> _Tests:
     """The requested tests of the battery over R data sets at once, in
-    TEST_IDS order.
+    TEST_IDS order, stacked.
 
     `groups` holds one (label, times, statuses) per group with (R, n_g)
     arrays; row r of every group is one data set.  Each group's estimate
     and both variances come from one pass over its sorted rows; the
     pseudo-value tests pool every group's rows in group order once for
-    both links and split the pseudo-values back into the K groups.
+    both links and split the pseudo-values back into the K groups.  One
+    `fixed_time._stack` builds every requested test.
     """
     labels, times, statuses = zip(*groups)
-    rows = {}
+    parts = []
     if any(TEST_METHODS[test][1] is not None for test in tests):
-        rows.update(_transform_tests([_summaries(*_row_knots(ts, ss, cause, t)[4:])
-                                      for ts, ss in zip(times, statuses)], t, tests))
+        parts += _transform_tests([_summaries(*_row_knots(ts, ss, cause, t)[:3])
+                                   for ts, ss in zip(times, statuses)], tests)
     if any(TEST_METHODS[test][1] is None for test in tests):
         theta = _pooled_pseudo(np.concatenate(times, axis=-1), np.concatenate(statuses, axis=-1),
                                int(cause), np.array([t]))[..., 0]
         cuts = np.cumsum([ts.shape[-1] for ts in times[:-1]])
-        rows.update(_pseudo_tests(np.split(theta, cuts, axis=-1), labels, t, tests))
-    return {test: rows[test] for test in TEST_IDS if test in rows}
+        parts += _pseudo_tests(np.split(theta, cuts, axis=-1), labels, tests)
+    return _stack(parts, t)
 
 
 def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOutcome]:
@@ -150,16 +156,19 @@ def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOut
     _check_groups(len(groups))
     _check_cause(cause)
     t = _finite_horizon(t)
-    labels = [label for label, _, _ in groups]
-    columns = [(g, *(x[None] for x in _checked_columns(times, statuses, [g] * np.size(times))))
-               for g, times, statuses in groups]
+    columns = []
+    for label, times, statuses in groups:
+        times, statuses, names = _checked_columns(times, statuses, [label] * np.size(times))
+        columns.append((names[label], times[None], statuses[None]))
+    labels = [label for label, _, _ in columns]
+    battery = _battery_rows(columns, cause, t, tests)
     outcomes = []
-    for test, rows in _battery_rows(columns, cause, t, tests).items():
-        method = TEST_METHODS[test]
+    for j, part in enumerate(battery.parts):
+        method = TEST_METHODS[part.test]
         try:
-            outcome = BatteryOutcome(test, *method, rows.result(0, labels, cause, t), None)
+            outcome = BatteryOutcome(part.test, *method, battery.result(j, 0, labels, cause), None)
         except (*_EXCLUDING, NumericalError) as exc:
-            outcome = BatteryOutcome(test, *method, None, exc)
+            outcome = BatteryOutcome(part.test, *method, None, exc)
         outcomes.append(outcome)
     return outcomes
 
@@ -383,6 +392,24 @@ def calibrate_censoring(beta: float, p: float, weights: tuple[float, float],
     return 0.5 * (lo + hi)
 
 
+@cache
+def _chi2_critical(alpha: float) -> float:
+    """The smallest double x* with `chi2_pvalue(x*, 1) < alpha`, so that
+    a statistic x >= 0 is rejected at level alpha exactly when x >= x*.
+
+    Found by bisection over the doubles of [0, inf], whose bit patterns
+    read as integers are in the same order as their values; the p-value
+    is 1 at 0 and 0 at inf, so this holds for 0 < alpha <= 1."""
+    lo, hi = 0, int(np.float64(np.inf).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if chi2_pvalue(float(np.int64(mid).view(np.float64)), 1) < alpha:
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
+
+
 # replications per engine call: R rows of n1 + n2 subjects keep R (n1 + n2)
 # at or below this many cells, which bounds the block's arrays
 _BLOCK_CELLS = 2**18
@@ -390,30 +417,34 @@ _BLOCK_CELLS = 2**18
 
 def _run_block(args) -> tuple[dict, dict]:
     """Rejection counts and exclusion counts by error type of
-    replications `start` to `stop`, computed a block of rows at a
-    time."""
+    replications `start` to `stop`, computed a block of rows at a time:
+    each block's tests are counted at once from their stacked arrays."""
     s, start, stop, bounds = args
     critical = _chi2_critical(s.alpha)
-    rejections = dict.fromkeys(TEST_IDS, 0)
+    rejections = np.zeros(len(TEST_IDS), dtype=int)
     reasons = {test: dict.fromkeys(_EXCLUDING, 0) for test in TEST_IDS}
     step = max(1, _BLOCK_CELLS // (s.n1 + s.n2))
     for first in range(start, stop, step):
-        groups = _sample_block(s, first, min(first + step, stop), bounds)
-        for test, rows in _battery_rows(groups, 1, s.t_fixed).items():
-            failure = rows.first_failure()
-            hits = np.bincount(failure + 1, minlength=len(rows.checks) + 1)[1:].tolist()
-            for k, (check, n) in enumerate(zip(rows.checks, hits)):
-                if n:
-                    if check.error not in _EXCLUDING:
-                        raise check.error(check.message(int(np.argmax(failure == k))))
-                    reasons[test][check.error] += n
-            statistic = rows.statistic[failure < 0]
-            outside = ~(statistic >= 0.0)
-            if outside.any():
-                # the ValueError chi2_pvalue raises for its first such value
-                chi2_pvalue(float(statistic[np.argmax(outside)]), 1)
-            rejections[test] += int(np.count_nonzero(statistic >= critical))
-    return rejections, reasons
+        battery = _battery_rows(_sample_block(s, first, min(first + step, stop), bounds),
+                                1, s.t_fixed)
+        # each (test, row)'s first failing check, or one past the last
+        tests, checks, _ = battery.fails.shape
+        excluded = battery.fails.any(axis=1)
+        failure = np.where(excluded, battery.fails.argmax(axis=1), checks)
+        hits = np.bincount((failure + np.arange(tests)[:, None] * (checks + 1)).ravel(),
+                           minlength=tests * (checks + 1)).reshape(tests, checks + 1)
+        for j, c in zip(*np.nonzero(hits[:, :-1])):
+            error = battery.errors[j][c]
+            if error not in _EXCLUDING:
+                raise error(battery.message(j, c, int(np.argmax(failure[j] == c))))
+            reasons[TEST_IDS[j]][error] += int(hits[j, c])
+        statistic = battery.statistic[~excluded]
+        outside = ~(statistic >= 0.0)
+        if outside.any():
+            # the ValueError chi2_pvalue raises for its first such value
+            chi2_pvalue(float(statistic[np.argmax(outside)]), 1)
+        rejections += np.count_nonzero((battery.statistic >= critical) & ~excluded, axis=1)
+    return dict(zip(TEST_IDS, rejections.tolist())), reasons
 
 
 def run_scenario(s: Scenario, workers: int = 1,

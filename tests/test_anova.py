@@ -11,8 +11,10 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cifpoint.anova import AnovaTable, anova_summarize, ols_no_intercept
+from cifpoint.anova import AnovaTable, _aliased_columns, anova_summarize, ols_no_intercept
 from cifpoint.errors import CifPointError, RankDeficientDesign
 from cifpoint.simulation import TEST_IDS, Scenario, ScenarioResult
 
@@ -159,6 +161,31 @@ class TestOls:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             ols_no_intercept(np.ones((3, 2)), np.ones(4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_singular_value_guard_agrees_with_gram_schmidt(self, data):
+        # random 0/1 designs, some with columns that are sums of others:
+        # the fit raises exactly when Gram-Schmidt finds aliased columns,
+        # and names the same ones, although it runs Gram-Schmidt only
+        # where the singular values leave the rank in doubt
+        rows, cols = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 6))
+        bits = data.draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+        design = np.array(bits, dtype=float).reshape(rows, cols)
+        for _ in range(data.draw(st.integers(0, 2))):
+            summed = data.draw(st.lists(st.booleans(), min_size=design.shape[1],
+                                        max_size=design.shape[1]))
+            at = data.draw(st.integers(0, design.shape[1]))
+            design = np.insert(design, at, design[:, summed].sum(axis=1), axis=1)
+        aliased = _aliased_columns(design)
+        y = np.arange(1.0, rows + 1.0)
+        if aliased:
+            with pytest.raises(RankDeficientDesign) as err:
+                ols_no_intercept(design, y)
+            assert err.value.aliased == aliased
+        else:
+            assert np.array_equal(ols_no_intercept(design, y),
+                                  np.linalg.lstsq(design, y, rcond=None)[0])
 
 
 class TestSummarize:

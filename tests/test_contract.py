@@ -347,38 +347,55 @@ SUBJECTS = {
     "bool time": ((True, 1, "x"), "time must be finite, got True"),
     "bool status": ((2.0, True, "x"), "status must be an integer, got True"),
     "empty label": ((2.0, 1, ""), "empty group label"),
+    "label None": ((2.0, 1, None), "group label must be a str or an int, got None"),
+    "label 2.5": ((2.0, 1, 2.5), "group label must be a str or an int, got 2.5"),
+    "bool label": ((2.0, 1, True), "group label must be a str or an int, got True"),
+    "list label": ((2.0, 1, ["x"]), "group label must be a str or an int, got ['x']"),
 }
 # what a CSV says where its text cannot spell the subject's value: a
-# status field must spell an integer, and no field holds a bool (None)
-CSV_SPELLING = {"status 1.5": "bad status '1.5'", "bool time": None, "bool status": None}
+# status field must spell an integer, and no field holds a bool or a
+# label that is not text (None)
+CSV_SPELLING = {"status 1.5": "bad status '1.5'", "bool time": None, "bool status": None,
+                "label None": None, "label 2.5": None, "bool label": None, "list label": None}
+# labels every door takes, and the text it holds each as, which is how a
+# CSV spells them
+LABELS = {
+    "int 0": (0, "0"),
+    "int 2": (2, "2"),
+    "numpy int": (np.int64(-7), "-7"),
+    "numpy str": (np.str_("x"), "x"),
+}
 
 
 def door_answers(subject, path):
     """Each door's (error type, message) for a data set of one valid
-    subject in group y and then `subject`, or "accepted"."""
+    subject in group y and then `subject`, or ("accepted", the repr of
+    the label it holds for `subject`)."""
     time, status, label = subject
     rows = [(1.0, 1, "y"), subject]
 
     def answer(call):
         try:
-            call()
+            held = call()
         except Exception as exc:
             return type(exc).__name__, str(exc)
-        return "accepted"
+        return "accepted", repr(held)
 
     answers = {
-        "SubjectRecord": answer(lambda: SubjectRecord(*subject)),
+        "SubjectRecord": answer(lambda: SubjectRecord(*subject).group),
         # a record-like that skips SubjectRecord's own check
         "Dataset": answer(lambda: Dataset([SimpleNamespace(time=t, status=s, group=g)
-                                           for t, s, g in rows])),
+                                           for t, s, g in rows]).groups[-1]),
         "event_table_from_arrays": answer(
-            lambda: event_table_from_arrays([1.0, time], [1, status], label)),
+            lambda: event_table_from_arrays([1.0, time], [1, status], label).group),
         "run_battery": answer(lambda: run_battery(
-            [(label, [1.0, time], [1, status]), ("y", [1.0, 2.0], [1, 0])], 1, 1.5)),
+            [(label, [1.0, time], [1, status]), ("y", [1.0, 2.0], [1, 0])], 1, 1.5,
+            ("gaynor_linear",))[0].result.groups[0].group),
     }
     if path is not None:
         path.write_text("time,status,group\n" + "".join(f"{t!r},{s!r},{g}\n" for t, s, g in rows))
-        answers["parse_dataset"] = answer(lambda: parse_dataset(path, "time", "status", "group"))
+        answers["parse_dataset"] = answer(
+            lambda: parse_dataset(path, "time", "status", "group").groups[-1])
         for command in (["estimate", "--times", "1"], ["test", "--time", "1"]):
             answers[f"cifpoint {command[0]}"] = cli(
                 [*command, "--input", str(path), "--group-col", "group", "--cause", "1"])
@@ -399,12 +416,31 @@ def test_every_door_refuses_a_bad_subject_alike(name, tmp_path):
     assert door_answers(subject, None if csv_message is None else path) == want
 
 
+@pytest.mark.parametrize("name", LABELS)
+def test_every_door_holds_a_label_as_its_text(name, tmp_path):
+    label, text = LABELS[name]
+    answers = door_answers((2.0, 1, label), tmp_path / "label.csv")
+    assert answers == door_answers((2.0, 1, text), tmp_path / "text.csv")
+    assert {door: answers[door] for door in ("SubjectRecord", "Dataset", "event_table_from_arrays",
+                                             "run_battery", "parse_dataset")} == dict.fromkeys(
+        ["SubjectRecord", "Dataset", "event_table_from_arrays", "run_battery", "parse_dataset"],
+        ("accepted", repr(text)))
+
+
+def test_an_int_label_and_its_text_are_one_group():
+    data = Dataset.from_columns([1.0, 2.0, 3.0], [1, 0, 1], [2, "2", np.int64(2)])
+    assert data.groups == ("2",) and data.codes.tolist() == [0, 0, 0]
+    table = build_event_table(data, 2)
+    assert (table.group, table.size) == ("2", 3)
+
+
 def test_each_rule_has_one_home():
     # an input rule's message is spelled where the rule is decided, and
     # nowhere else: a second spelling is a second copy of the rule
     messages = ("time must be finite and positive", "time must be finite, got",
                 "time must be positive, got", "status must be an integer",
                 "status must be >= 0", "status must be <=", "empty group label",
+                "group label must be a str or an int",
                 "at least two groups", "level must",
                 "cause must be >= 1", "cause must be a whole number")
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "cifpoint"

@@ -130,7 +130,7 @@ class TestPackedCounts:
     @example([[1.0, 1.0, 2.0, 3.0], [1, 2, 1, 0], ["g"] * 4], 3, 2.5)
     def test_table_prefix_is_one_row(self, columns, cause, t):
         times, statuses = np.array(columns[0]), np.array(columns[1])
-        rows = _row_knots(times[None], statuses[None], cause, t)[4:]
+        rows = _row_knots(times[None], statuses[None], cause, t)[:3]
         for causes in ((cause,), None):
             counts = _table_counts(event_table_from_arrays(times, statuses, causes=causes),
                                    cause, t)
@@ -144,11 +144,12 @@ class TestPackedCounts:
     def test_empty_knots_frame_each_row(self, data_sets, cause, t):
         # a block of data sets of n subjects each: column 0 and every
         # slot past a row's last knot are the empty knot, all n at risk
-        # and no events, and each subject's rank indexes its last knot
+        # and no events; a knot ends its block of tied times, where the
+        # rank indexes the last knot at or before that time
         n = min(len(times) for times, _, _ in data_sets)
         times = np.array([columns[0][:n] for columns in data_sets])
         statuses = np.array([columns[1][:n] for columns in data_sets])
-        order, _, rank, own, a, d, dk = _row_knots(times, statuses, cause, t)
+        a, d, dk, order, _, tail, rank, knot = _row_knots(times, statuses, cause, t)
         for r in range(times.shape[0]):
             knots = np.unique(times[r][(statuses[r] > 0) & (times[r] <= t)])
             empty = np.r_[0, np.arange(knots.size + 1, a.shape[1])]
@@ -156,6 +157,7 @@ class TestPackedCounts:
             assert d[r, empty].tolist() == dk[r, empty].tolist() == [0.0] * empty.size
             assert np.all(d[r, 1:knots.size + 1] > 0)
             sorted_times = times[r][order[r]]
-            assert rank[r].tolist() == np.searchsorted(knots, sorted_times, "right").tolist()
-            assert own[r].tolist() == [bool(k) and knots[k - 1] == x
-                                       for k, x in zip(rank[r], sorted_times)]
+            assert tail[r].tolist() == (np.r_[sorted_times[1:], np.inf] != sorted_times).tolist()
+            assert rank[r].tolist() == np.where(tail[r], np.searchsorted(knots, sorted_times, "right"),
+                                                np.searchsorted(knots, sorted_times)).tolist()
+            assert knot[r].tolist() == (tail[r] & np.isin(sorted_times, knots)).tolist()

@@ -15,7 +15,6 @@ from cifpoint.errors import NotEstimable, ZeroVariance
 from cifpoint.fixed_time import (
     _SCALES,
     TransformKind,
-    _chi2_critical,
     _scaled,
     _wald,
     chi2_pvalue,
@@ -26,6 +25,7 @@ from cifpoint.fixed_time import (
     transform_variance,
     two_sample_test,
 )
+from cifpoint.simulation import _chi2_critical
 from cifpoint.variance import VarianceKind, gaynor_variance
 
 from conftest import NEAR_ONE_ROWS, horizons, make_dataset, subject_columns
@@ -556,16 +556,15 @@ class TestWaldClosedForm:
     def test_matches_the_solve(self, rows):
         # the linear scale keeps phi and w as drawn
         phi, w = np.array(rows).transpose(2, 1, 0)
-        scaled = [_scaled(TransformKind.LINEAR, p, (v,)) for p, v in zip(phi, w)]
-        statistic, effect, checks = _wald([((domain,), p, v) for domain, p, (v,) in scaled], 0.5)
-        *domain, singular = checks
-        assert not any(check.fails.any() for check in domain)
+        inside, scaled, (w_scaled,) = _scaled(TransformKind.LINEAR, phi, (w,))
+        assert inside.all()
+        statistic, effect, differ = _wald(scaled, w_scaled)
         for i, (p, v) in enumerate(zip(phi.T, w.T)):
             if np.sum(v == 0.0) >= 2:
-                assert singular.fails[i] == np.any(p != p[0])
+                assert differ[i] == np.any(p != p[0])
                 assert statistic[i] == 0.0
                 continue
-            assert not singular.fails[i]
+            assert not differ[i]
             if len(p) == 2:
                 assert statistic[i] == np.square(p[0] - p[1]) / (v[0] + v[1])
                 assert effect[i] == p[0] - p[1]

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import cifpoint.fixed_time
 import cifpoint.simulation
 import cifpoint.variance
 from cifpoint.data import Dataset, SubjectRecord, event_table_from_arrays
@@ -45,6 +46,7 @@ from cifpoint.simulation import (
     sample_group,
     write_results_csv,
     _battery_rows,
+    _chi2_critical,
     _expected_censored,
     _run_block,
     _sample_block,
@@ -561,8 +563,8 @@ def row_blocks(draw):
 
 
 class TestScaleSteps:
-    """Each group's estimates go onto each scale once per call, whatever
-    the number of tests of that scale."""
+    """The K groups' estimates go onto each scale once per call, whatever
+    the number of groups and of tests of that scale."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -579,17 +581,26 @@ class TestScaleSteps:
             monkeypatch.setitem(_SCALES, kind, scale._replace(phi=phi, divisor=divisor))
         return calls
 
-    def test_battery(self, calls):
-        # five scales and two links (on the llog and logit scales), two
-        # groups each, 14 of each in all; both variances of a scale share
-        # its phi and divisor
+    def test_battery(self, calls, monkeypatch):
+        # five scales and two links (on the llog and logit scales), 7 of
+        # each in all: both groups and both variances of a scale share its
+        # phi and divisor, and one Wald step serves all twelve tests
         rng = np.random.default_rng(7)
         groups = [(label, rng.uniform(0.1, 2.0, (4, 9)), rng.integers(0, 3, (4, 9)))
                   for label in ("a", "b")]
+        walds = []
+
+        def counted(phi, w):
+            walds.append(phi.shape)
+            return wald(phi, w)
+
+        wald = cifpoint.fixed_time._wald
+        monkeypatch.setattr(cifpoint.fixed_time, "_wald", counted)
         _battery_rows(groups, 1, 1.0)
         links = (TransformKind.LOGLOG, TransformKind.LOGIT)
-        assert calls == {(name, kind): 4 if kind in links else 2
+        assert calls == {(name, kind): 2 if kind in links else 1
                          for name in ("phi", "divisor") for kind in TransformKind}
+        assert walds == [(len(TEST_IDS), 2, 4)]
 
     @pytest.mark.parametrize("variance", list(VarianceKind))
     @pytest.mark.parametrize("kind", list(TransformKind))
@@ -597,7 +608,7 @@ class TestScaleSteps:
         tables = [event_table_from_arrays([1.0, 2.0, 3.0, 4.0], [1, 0, 2, 1], label)
                   for label in ("a", "b", "c")]
         k_sample_test(tables, 1, 3.5, kind, variance)
-        assert calls == {("phi", kind): 3, ("divisor", kind): 3}
+        assert calls == {("phi", kind): 1, ("divisor", kind): 1}
 
 
 class TestEngine:
@@ -609,7 +620,7 @@ class TestEngine:
         groups, t = block
         labels = [label for label, _, _ in groups]
         columns = _battery_rows(groups, 1, t)
-        assert list(columns) == list(TEST_IDS)
+        assert [part.test for part in columns.parts] == list(TEST_IDS)
         theta = _pooled_pseudo(np.concatenate([ts for _, ts, _ in groups], axis=-1),
                                np.concatenate([ss for _, _, ss in groups], axis=-1),
                                1, np.array([t]))[..., 0]
@@ -617,15 +628,52 @@ class TestEngine:
             row = [(label, times[r], statuses[r]) for label, times, statuses in groups]
             public, pseudo = public_outcomes(row, t)
             assert np.array_equal(theta[r], pseudo)
-            for test, rows in columns.items():
+            for j, test in enumerate(part.test for part in columns.parts):
                 want, error = public[test]
                 try:
-                    got, got_error = rows.result(r, labels, 1, t), None
+                    got, got_error = columns.result(j, r, labels, 1), None
                 except CifPointError as exc:
                     got, got_error = None, exc
                 assert type(got_error) is type(error), (test, r, got_error, error)
                 assert got == want, (test, r)
                 assert str(got_error) == str(error), (test, r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(row_blocks(), st.sampled_from([0.05, 0.5]))
+    def test_block_counts_match_the_per_test_loop(self, block, alpha):
+        # the engine counts all tests of a block at once; the oracle
+        # takes one test at a time, finds each row's first failing check
+        # by a loop over the checks and counts them with a bincount
+        groups, t = block
+        s = tiny(n1=2, n2=2, t_fixed=t, alpha=alpha, reps=groups[0][1].shape[0])
+        with mock.patch.object(cifpoint.simulation, "_sample_block", return_value=groups):
+            try:
+                got = _run_block((s, 0, s.reps, None))
+            except CifPointError as exc:
+                got = exc
+        tests = _battery_rows(groups, 1, t)
+        rejections, reasons = {}, {}
+        try:
+            for j, test in enumerate(part.test for part in tests.parts):
+                checks = tests.fails[j]
+                first = np.full(checks.shape[-1], -1)
+                for k in reversed(range(len(checks))):
+                    first[checks[k]] = k
+                hits = np.bincount(first + 1, minlength=len(checks) + 1)[1:].tolist()
+                reasons[test] = dict.fromkeys(cifpoint.simulation._EXCLUDING, 0)
+                for k, n in enumerate(hits):
+                    error = tests.errors[j][k]
+                    if not n:
+                        continue
+                    if error not in reasons[test]:
+                        raise error(tests.message(j, k, int(np.argmax(first == k))))
+                    reasons[test][error] += n
+                statistic = tests.statistic[j][first < 0]
+                rejections[test] = int(np.count_nonzero(statistic >= _chi2_critical(alpha)))
+        except CifPointError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            return
+        assert got == (rejections, reasons)
 
     @pytest.mark.parametrize("bounds", [(1.3, 1.3), (0.9, 2.2), (math.inf, math.inf)],
                              ids=["shared", "per-group", "uncensored"])
@@ -691,7 +739,7 @@ class TestEngine:
         # valid row's statistic that chi2_pvalue refuses still stops the run
         def corrupted(*args):
             rows = _battery_rows(*args)
-            rows["aalen_arcs"].statistic[3] = value
+            rows.statistic[TEST_IDS.index("aalen_arcs"), 3] = value
             return rows
 
         s = tiny(reps=10)

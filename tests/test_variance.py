@@ -197,7 +197,7 @@ class TestFinite:
     @given(row_blocks, st.integers(1, 3), st.integers(1, 7).map(lambda k: k / 8.0))
     def test_every_row_block(self, block, cause, t):
         times, statuses = block[..., 0], block[..., 1].astype(int)
-        terms = knot_terms(*_row_knots(times, statuses, cause, t)[4:])
+        terms = knot_terms(*_row_knots(times, statuses, cause, t)[:3])
         for estimator in _ESTIMATORS.values():
             assert np.all(np.isfinite(estimator(terms)))
 
@@ -253,10 +253,10 @@ class TestBlockRows:
     @given(tied_blocks, st.integers(1, 3), st.integers(1, 25).map(lambda k: k / 8.0))
     def test_each_row_equals_its_own_counts(self, block, cause, t):
         times, statuses = (block // 4 + 1) / 8.0, block % 4
-        estimate, variances = _summaries(*_row_knots(times, statuses, cause, t)[4:])
+        estimate, variances = _summaries(*_row_knots(times, statuses, cause, t)[:3])
         for r in range(times.shape[0]):
             own_estimate, own = _summaries(*_row_knots(times[r:r + 1], statuses[r:r + 1],
-                                                       cause, t)[4:])
+                                                       cause, t)[:3])
             assert bits(estimate[r]) == bits(own_estimate[0])
             for kind in VarianceKind:
                 (values, checks), (own_values, own_checks) = variances[kind], own[kind]
