@@ -128,7 +128,7 @@ def ols_no_intercept(design, y):
                 aliased=aliased,
             )
     gap = np.abs(design.T @ (y - design @ coef)).max()
-    if gap >= 1e-8 * np.linalg.norm(y):
+    if gap > 1e-8 * np.linalg.norm(y):
         raise NumericalError(f"least-squares residuals not orthogonal (gap {gap:g})")
     return coef
 

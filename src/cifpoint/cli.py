@@ -40,7 +40,7 @@ from .errors import (
 from .estimation import _finite_horizon, cif_estimate
 from .fixed_time import (TEST_IDS, TEST_METHODS, TransformKind, _check_groups, _check_level,
                          _interval, _table_summaries)
-from .variance import VarianceKind
+from .variance import VarianceKind, _first_row
 
 _NUMERICAL_ERRORS = (
     NotEstimable,
@@ -182,12 +182,12 @@ def _cmd_estimate(args) -> int:
         rows = []
         lines.append(f"group {group} (n={table.size})")
         for t in times:
-            ((estimate, variances),) = _table_summaries((table,), args.cause, t, variance)
+            (summary,) = _table_summaries((table,), args.cause, t, variance)
+            est, var = _first_row(summary, variance)
             try:
-                ci = _interval(estimate, *variances[variance], kind, args.level)
+                ci = _interval(est, var, kind, args.level)
             except NotEstimable:
                 ci = None
-            est, var = float(estimate[0]), float(variances[variance][0][0])
             ci_text = "[not estimable]" if ci is None else "[{:.3f}, {:.3f}]".format(*ci)
             rows.append({"time": t, "estimate": est, "variance": var, "ci": ci})
             lines.append(f"  t={t:g}: estimate {est:.3f}  variance {var:.6f}  {ci_text}")

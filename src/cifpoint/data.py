@@ -2,9 +2,9 @@
 
 Data enters as one row per subject: an observed time, an integer status
 (0 for censored, k >= 1 for failure from cause k), and a group label.
-Everything downstream works from the :class:`EventTable` summary, which
-holds the distinct failure times of one group together with the at-risk
-and event counts at each of them.
+Every estimate works from the at-risk and event counts at each distinct
+failure time, which one function, `_row_knots`, counts for a block of
+data sets at once; an :class:`EventTable` is one group's row at t = inf.
 
 `_checked_columns` is the subject rule: a :class:`SubjectRecord` (after
 a guard on its values' types), both :class:`Dataset` constructors,
@@ -103,8 +103,7 @@ class Dataset:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "causes",
-                           tuple(int(k) for k in np.unique(statuses[statuses > 0])))
+        object.__setattr__(self, "causes", _causes(statuses))
 
     def _code(self, group: str) -> int:
         try:
@@ -364,9 +363,71 @@ def _checked_columns(times, statuses, labels=None, where=lambda i: ""):
     return t, s.astype(np.int64, copy=False), names
 
 
+def _causes(statuses, extra=()) -> tuple[int, ...]:
+    """The distinct causes of failure among `statuses` and `extra`, ascending."""
+    return tuple(sorted({*np.unique(statuses[statuses > 0]).tolist(), *map(int, extra)}))
+
+
+def _take_rows(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """x[r, index[r, ...]] for each row r of the 2-d `x`."""
+    rows, width = x.shape
+    offsets = (np.arange(rows) * width).reshape((rows,) + (1,) * (index.ndim - 1))
+    return np.take(x, index + offsets)
+
+
+def _row_knots(times: np.ndarray, statuses: np.ndarray, causes, t: float):
+    """The knots of each row of (R, n) `times` and `statuses`, one data
+    set per row: its distinct failure times at or before `t`.
+
+    Each row is sorted once.  Its counts are packed in time order into
+    (R, K + 1) arrays, K the most knots of any row, after the empty knot
+    0 (all n at risk, no events), which also pads a row with fewer knots.
+    Its factor 1 and zero jump change no product and, as every sum runs
+    in knot order, no sum: a row's numbers do not depend on K.
+
+    Returns (a, d, dk, order, times, statuses, tail, rank, knot): each
+    knot's at-risk and failure counts as float arrays, and as one
+    (C, R, K + 1) float array its failures of each of the C `causes`;
+    the sorting permutation and the sorted times and statuses; and for
+    each sorted position whether it ends a block of tied times, the
+    number of knots up to it, and whether it is a knot.  The counts are
+    all the variances need; an :class:`EventTable` reads its fields off
+    one row, and `pseudo._pooled_pseudo` ranks each subject from the rest.
+    """
+    rows, n = times.shape
+    order = np.argsort(times, axis=-1)
+    times = _take_rows(times, order)
+    statuses = _take_rows(statuses, order)
+    head = np.ones(times.shape, dtype=bool)
+    head[:, 1:] = times[:, 1:] != times[:, :-1]
+    tail = np.ones(times.shape, dtype=bool)
+    tail[:, :-1] = head[:, 1:]
+    start = np.maximum.accumulate(np.where(head, np.arange(n), 0), axis=-1)
+
+    def block_sums(flags):
+        """The running count of `flags` within each tie block, which is
+        the block's total on its last position."""
+        c = np.cumsum(flags, axis=-1)
+        return c - _take_rows(c - flags, start)
+
+    failures = block_sums(statuses > 0)
+    knot = tail & (times <= t) & (failures > 0)
+    rank = np.cumsum(knot, axis=-1)
+    row, col = np.nonzero(knot)
+    slot = (row, rank[row, col])
+    shape = (rows, int(rank[:, -1].max()) + 1)
+    a, d, dk = np.full(shape, float(n)), np.zeros(shape), np.zeros((len(causes),) + shape)
+    a[slot] = n - start[row, col]
+    d[slot] = failures[row, col]
+    for dk_c, cause in zip(dk, causes):
+        dk_c[slot] = block_sums(statuses == cause)[row, col]
+    return a, d, dk, order, times, statuses, tail, rank, knot
+
+
 def event_table_from_arrays(times, statuses, group: str = "all",
                             causes=None) -> EventTable:
-    """Build an :class:`EventTable` directly from parallel arrays.
+    """Build an :class:`EventTable` directly from parallel arrays, as
+    the one `_row_knots` row of the group at t = inf.
 
     `causes` optionally fixes the set of causes carried in the table;
     causes seen in `statuses` are always included.
@@ -374,18 +435,13 @@ def event_table_from_arrays(times, statuses, group: str = "all",
     for cause in causes or ():
         _check_cause(cause)
     times, statuses, names = _checked_columns(times, statuses, [group] * np.size(times))
-    group = names[group]
-    failed = statuses > 0
-    knots = np.unique(times[failed])
-    at_risk = times.size - np.searchsorted(np.sort(times), knots, side="left")
-    pos = np.searchsorted(knots, times[failed])
-    causes = sorted({int(k) for k in (*np.unique(statuses[failed]), *(causes or ()))})
+    causes = _causes(statuses, causes or ())
+    a, d, dk, _, ordered, ordered_statuses, _, _, knot = _row_knots(
+        times[None], statuses[None], causes, np.inf)
     return EventTable(
-        group=group, times=knots, at_risk=at_risk.astype(int),
-        events=np.bincount(pos, minlength=knots.size).astype(int),
-        cause_events={k: np.bincount(pos[statuses[failed] == k], minlength=knots.size).astype(int)
-                      for k in causes},
-        censor_times=np.sort(times[~failed]), size=int(times.size))
+        group=names[group], times=ordered[knot], at_risk=a[0, 1:].astype(int),
+        events=d[0, 1:].astype(int), cause_events=dict(zip(causes, dk[:, 0, 1:].astype(int))),
+        censor_times=ordered[ordered_statuses == 0], size=int(times.size))
 
 
 def build_event_table(data: Dataset, group: str) -> EventTable:

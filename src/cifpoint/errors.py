@@ -1,7 +1,4 @@
-"""Exception types shared across the package, and the per-row checks
-that raise them when many data sets are computed at once."""
-
-from typing import Any, Callable, NamedTuple
+"""Exception types shared across the package."""
 
 
 class CifPointError(Exception):
@@ -60,19 +57,3 @@ class UnreachableTarget(CifPointError):
         super().__init__(message)
         self.supremum = supremum
 
-
-class _Check(NamedTuple):
-    """One check over the rows of a batch of data sets: the error type
-    it raises, a boolean array of the rows that fail it, and the message
-    of row i's error."""
-
-    error: type
-    fails: Any
-    message: Callable[[int], str]
-
-
-def _raise_first(checks, i: int) -> None:
-    """Raise the error of row `i` from the first of `checks` it fails."""
-    for check in checks:
-        if check.fails[i]:
-            raise check.error(check.message(i))

@@ -106,64 +106,11 @@ def _finite_horizon(t) -> float:
     return t
 
 
-def _take_rows(x: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """x[r, index[r, ...]] for each row r of the 2-d `x`."""
-    rows, width = x.shape
-    offsets = (np.arange(rows) * width).reshape((rows,) + (1,) * (index.ndim - 1))
-    return np.take(x, index + offsets)
-
-
-def _row_knots(times: np.ndarray, statuses: np.ndarray, cause: int, t: float):
-    """The knots of each row of (R, n) `times` and `statuses`, one data
-    set per row: its distinct failure times at or before `t`.
-
-    Each row is sorted once.  Its counts are packed in time order into
-    (R, K + 1) arrays, K the most knots of any row, after the empty knot
-    0 (all n at risk, no events), which also pads a row with fewer knots.
-    Its factor 1 and zero jump change no product and, as every sum runs
-    in knot order, no sum: a row's numbers do not depend on K.
-
-    Returns (a, d, dk, order, statuses, tail, rank, knot): each knot's
-    at-risk, failure and cause-`cause` failure counts as float arrays;
-    the sorting permutation and the sorted statuses; and for each sorted
-    position whether it ends a block of tied times, the number of knots
-    up to it, and whether it is a knot.  The counts are all the variances
-    need; `pseudo._pooled_pseudo` ranks each subject from the rest.
-    """
-    rows, n = times.shape
-    order = np.argsort(times, axis=-1)
-    times = _take_rows(times, order)
-    statuses = _take_rows(statuses, order)
-    pos = np.arange(n)
-    head = np.ones(times.shape, dtype=bool)
-    head[:, 1:] = times[:, 1:] != times[:, :-1]
-    tail = np.ones(times.shape, dtype=bool)
-    tail[:, :-1] = head[:, 1:]
-    start = np.maximum.accumulate(np.where(head, pos, 0), axis=-1)
-
-    def block_sums(flags):
-        """The running count of `flags` within each tie block, which is
-        the block's total on its last position."""
-        before = _lagged(np.cumsum(flags, axis=-1), 0)
-        return before + flags - _take_rows(before, start)
-
-    failures = block_sums(statuses > 0)
-    knot = tail & (times <= t) & (failures > 0)
-    rank = np.cumsum(knot, axis=-1)
-    row, col = np.nonzero(knot)
-    slot = (row, rank[row, col])
-    shape = (rows, int(rank[:, -1].max()) + 1)
-    a, d, dk = np.full(shape, float(n)), np.zeros(shape), np.zeros(shape)
-    a[slot] = n - start[row, col]
-    d[slot] = failures[row, col]
-    dk[slot] = block_sums(statuses == cause)[row, col]
-    return a, d, dk, order, statuses, tail, rank, knot
-
-
 def _table_counts(table: EventTable, cause: int, t: float):
-    """A table's knot counts up to `t` as one row of `_row_knots`'s
-    packed (a, d, dk), the empty knot first: (1, j + 1) float arrays for
-    j failure times.  A cause the table lacks has no failures."""
+    """A table's knot counts up to `t` as packed (a, d, dk), the empty
+    knot first: (1, j + 1) float arrays for j failure times, the prefix
+    of the `data._row_knots` row the table was built from.  A cause the
+    table lacks has no failures."""
     _check_cause(cause)
     j = int(np.searchsorted(table.times, _finite_horizon(t), side="right"))
     dk = table.cause_events.get(cause, np.zeros(j))

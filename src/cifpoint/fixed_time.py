@@ -39,9 +39,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import EventTable
-from .errors import NotEstimable, NumericalError, ZeroVariance, _raise_first
+from .errors import NotEstimable, NumericalError, ZeroVariance
 from .estimation import _table_counts
-from .variance import VarianceKind, _summaries
+from .variance import VarianceKind, _first_row, _negative, _summaries
 
 __all__ = [
     "TEST_IDS",
@@ -350,11 +350,10 @@ def _transform_tests(summaries, tests) -> list[_Part]:
     order, from each group's `variance._summaries`: each scale's phi and
     divisor are evaluated once for all K groups and every variance."""
     estimates = np.array([estimate for estimate, _ in summaries])
-    # the variances the summaries hold, each as (K, R) values and checks
+    # the variances the summaries hold, each as (K, R) values and masks
     computed = list(summaries[0][1])
-    values = np.array([[variances[v][0] for _, variances in summaries] for v in computed])
-    checks = [[variances[v][1][0] for _, variances in summaries] for v in computed]
-    negative = np.array([[check.fails for check in row] for row in checks])
+    values, negative = (np.array([[variances[v][c] for _, variances in summaries]
+                                  for v in computed]) for c in (0, 1))
     scaled, parts = {}, []
     for test, kind, v in _BATTERY:
         if v is None or test not in tests:
@@ -364,7 +363,8 @@ def _transform_tests(summaries, tests) -> list[_Part]:
         inside, phi, ws = scaled[kind]
         e = computed.index(v)
         parts.append(_Part(test, kind, estimates, estimates, values[e], inside, phi, ws[e],
-                           NumericalError, negative[e], lambda g, i, c=checks[e]: c[g].message(i)))
+                           NumericalError, negative[e],
+                           lambda g, i, v=v, e=e: _negative(v, values[e, g, i])))
     return parts
 
 
@@ -421,18 +421,17 @@ def pointwise_ci(table: EventTable, cause: int, t: float,
     mapped back to the probability scale and intersected with [0, 1]."""
     _check_level(level)
     variance = VarianceKind(variance)
-    ((estimate, variances),) = _table_summaries((table,), cause, t, variance)
-    return _interval(estimate, *variances[variance], TransformKind(kind), level)
+    (summary,) = _table_summaries((table,), cause, t, variance)
+    return _interval(*_first_row(summary, variance), TransformKind(kind), level)
 
 
 @_limits
-def _interval(estimate, v, checks, kind: TransformKind, level: float) -> tuple[float, float]:
-    """`pointwise_ci` of one row's estimate and variance; raises its
-    first failing check, then the domain check."""
+def _interval(estimate, v, kind: TransformKind, level: float) -> tuple[float, float]:
+    """`pointwise_ci` of one estimate and its checked variance; raises
+    the domain check's error."""
     from statistics import NormalDist
 
-    _raise_first(checks, 0)
-    phi, w = _one_row(kind, estimate[0], v[0])
+    phi, w = _one_row(kind, estimate, v)
     half = NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(w)
     low, high = np.sort(_SCALES[kind].inverse(phi + np.array([-half, half])))
     return (max(0.0, float(low)), min(1.0, float(high)))

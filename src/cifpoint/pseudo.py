@@ -58,9 +58,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_cause
+from .data import Dataset, _check_cause, _row_knots, _take_rows
 from .errors import NonConvergence, SeparationDetected
-from .estimation import _aalen_johansen, _finite_horizon, _lagged, _row_knots, _take_rows
+from .estimation import _aalen_johansen, _finite_horizon, _lagged
 from .fixed_time import (
     _TESTS,
     PSEUDO_METHODS,
@@ -154,9 +154,10 @@ def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
     in the subjects' order."""
     rows, n = times.shape
     # the knots are each row's failure times up to the last horizon after
-    # the empty knot 0 (see estimation._row_knots), so that each subject
-    # and each horizon has a last knot at or before it
-    a, d, dk, order, statuses, tail, rank, knot = _row_knots(times, statuses, cause, taus.max())
+    # the empty knot 0 (see data._row_knots), so that each subject and
+    # each horizon has a last knot at or before it
+    a, d, (dk,), order, _, statuses, tail, rank, knot = _row_knots(times, statuses, (cause,),
+                                                                   taus.max())
     # a sorted subject's last knot at or before its time is the rank at
     # the end of its tie block, and is at its time when that end is a knot
     end = np.flip(np.minimum.accumulate(np.flip(np.where(tail, np.arange(n), n - 1), -1),

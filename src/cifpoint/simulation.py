@@ -59,7 +59,7 @@ from functools import cache
 
 import numpy as np
 
-from .data import _check_cause, _checked_columns
+from .data import _check_cause, _checked_columns, _row_knots
 from .errors import (
     CifPointError,
     NotEstimable,
@@ -68,7 +68,7 @@ from .errors import (
     UnreachableTarget,
     ZeroVariance,
 )
-from .estimation import _finite_horizon, _row_knots
+from .estimation import _finite_horizon
 from .fixed_time import (
     TEST_IDS,
     TEST_METHODS,
@@ -80,7 +80,7 @@ from .fixed_time import (
     chi2_pvalue,
 )
 from .pseudo import _pooled_pseudo, _pseudo_tests
-from .variance import _summaries
+from .variance import VarianceKind, _summaries
 
 __all__ = [
     "TEST_IDS",
@@ -123,16 +123,17 @@ def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> _Tests:
 
     `groups` holds one (label, times, statuses) per group with (R, n_g)
     arrays; row r of every group is one data set.  Each group's estimate
-    and both variances come from one pass over its sorted rows; the
-    pseudo-value tests pool every group's rows in group order once for
-    both links and split the pseudo-values back into the K groups.  One
-    `fixed_time._stack` builds every requested test.
+    and the variances of the requested tests come from one pass over its
+    sorted rows; the pseudo-value tests pool every group's rows in group
+    order once for both links and split the pseudo-values back into the
+    K groups.  One `fixed_time._stack` builds every requested test.
     """
     labels, times, statuses = zip(*groups)
     parts = []
-    if any(TEST_METHODS[test][1] is not None for test in tests):
-        parts += _transform_tests([_summaries(*_row_knots(ts, ss, cause, t)[:3])
-                                   for ts, ss in zip(times, statuses)], tests)
+    kinds = tuple(map(VarianceKind, sorted({TEST_METHODS[test][1] for test in tests} - {None})))
+    if kinds:
+        counts = (_row_knots(ts, ss, (cause,), t)[:3] for ts, ss in zip(times, statuses))
+        parts += _transform_tests([_summaries(a, d, dk, kinds) for a, d, (dk,) in counts], tests)
     if any(TEST_METHODS[test][1] is None for test in tests):
         theta = _pooled_pseudo(np.concatenate(times, axis=-1), np.concatenate(statuses, axis=-1),
                                int(cause), np.array([t]))[..., 0]

@@ -20,7 +20,7 @@ import enum
 import numpy as np
 
 from .data import EventTable
-from .errors import NumericalError, _Check, _raise_first
+from .errors import NumericalError
 from .estimation import _aalen_johansen, _lagged, _table_counts
 
 __all__ = [
@@ -93,22 +93,34 @@ def gaynor_variance(table: EventTable, cause: int, t: float) -> float:
 
 
 def _variance(kind: VarianceKind, terms):
-    """The `kind` variance of each row of `terms`, and its one check: a
-    value below -_CLAMP fails the row.  Round-off negatives above that
-    become 0."""
+    """The `kind` variance of each row of `terms` and the mask of its one
+    check: a value below -_CLAMP fails the row and is kept for the
+    message (`_negative`).  Round-off negatives above that become 0."""
     values = _ESTIMATORS[kind](terms)
     negative = values < -_CLAMP
-    return np.where(negative, np.nan, np.where(values < 0.0, 0.0, values)), (
-        _Check(NumericalError, negative,
-               lambda i: f"{kind.value} variance is negative: {float(values[i])!r}"),
-    )
+    return np.where((values < 0.0) & ~negative, 0.0, values), negative
+
+
+def _negative(kind: VarianceKind, value) -> str:
+    """The message of a `kind` variance that fails its check."""
+    return f"{kind.value} variance is negative: {float(value)!r}"
+
+
+def _first_row(summary, kind: VarianceKind) -> tuple[float, float]:
+    """Row 0 of a `_summaries` summary: the estimate and the `kind`
+    variance, or the variance's NumericalError raised if it fails."""
+    estimate, variances = summary
+    values, negative = variances[kind]
+    if negative[0]:
+        raise NumericalError(_negative(kind, values[0]))
+    return float(estimate[0]), float(values[0])
 
 
 def _summaries(a, d, dk, kinds=tuple(VarianceKind)):
     """The incidence at the last knot and each of the `kinds` of
-    variance as (values, checks), row by row, from packed knot counts:
-    one data set per row of `a`, `d` and `dk`, as
-    `estimation._row_knots` and `estimation._table_counts` give them."""
+    variance as (values, negative), row by row, from packed knot counts:
+    one data set per row of `a`, `d` and `dk`, from `data._row_knots`
+    or, for a table's prefix, `estimation._table_counts`."""
     s_prev, _, jumps = _aalen_johansen(a, d, dk)
     return (np.cumsum(jumps, axis=-1)[..., -1],
             {kind: _variance(kind, (a, d, dk, s_prev, jumps)) for kind in kinds})
@@ -118,6 +130,4 @@ def cif_variance(table: EventTable, cause: int, t: float,
                  kind: VarianceKind = VarianceKind.GAYNOR) -> float:
     """Dispatch to the requested variance estimator."""
     kind = VarianceKind(kind)
-    values, checks = _summaries(*_table_counts(table, cause, t), (kind,))[1][kind]
-    _raise_first(checks, 0)
-    return float(values[0])
+    return _first_row(_summaries(*_table_counts(table, cause, t), (kind,)), kind)[1]

@@ -75,6 +75,11 @@ class TestOls:
         coef = ols_no_intercept(np.eye(3), y)
         assert np.allclose(coef, y, rtol=0, atol=1e-12)
 
+    def test_all_zero_response(self):
+        # the orthogonality check used to compare a zero gap with a zero bound
+        coef = ols_no_intercept(np.eye(2), np.zeros(2))
+        assert coef.tolist() == [0.0, 0.0]
+
     def test_single_column_mean(self):
         y = np.array([1.0, 2.0, 3.0, 6.0])
         coef = ols_no_intercept(np.ones((4, 1)), y)

@@ -23,7 +23,7 @@ from cifpoint.pseudo import pseudo_test, pseudo_values
 from cifpoint.simulation import run_battery
 from cifpoint.variance import cif_variance
 
-from conftest import group_columns, make_dataset
+from conftest import group_columns, make_dataset, subject_columns
 
 # field values for fuzzing the CSV reader: valid, unparsable and out of range
 FIELDS = ("1.5", "2", "0", "-1", "nan", "inf", "1e400", "x", "", " 3", "1_0",
@@ -132,6 +132,36 @@ class TestEventTable:
             EventTable(group="g", times=np.array([1.0]), at_risk=np.array([12]),
                        events=np.array([1]), cause_events={1: np.array([1])},
                        censor_times=np.array([]), size=1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(subject_columns(groups=("g",)),
+           st.sampled_from([None, (), (5,), (2, 5), (4, 1, 7)]))
+    @example([[1.0], [0], ["g"]], (5,))
+    @example([[2.0, 1.0, 2.0, 2.0, 1.0], [0, 3, 1, 3, 0], ["g"] * 5], (2,))
+    def test_counts_equal_a_loop_over_subjects(self, columns, causes):
+        # every field, bytes and dtype, against counting each knot's
+        # subjects one by one; a cause of `causes` no subject has gets zeros
+        times, statuses, _ = columns
+        subjects = list(zip(times, statuses))
+        knots = sorted({u for u, s in subjects if s > 0})
+        kinds = sorted({s for s in statuses if s > 0} | set(causes or ()))
+
+        def ints(counts):
+            return np.array(counts, dtype=np.int64)
+
+        want = {
+            "times": np.array(knots, dtype=np.float64),
+            "at_risk": ints([sum(u >= k for u in times) for k in knots]),
+            "events": ints([sum(u == k and s > 0 for u, s in subjects) for k in knots]),
+            "censor_times": np.array(sorted(u for u, s in subjects if s == 0), dtype=np.float64),
+            **{c: ints([sum(u == k and s == c for u, s in subjects) for k in knots])
+               for c in kinds},
+        }
+        table = event_table_from_arrays(times, statuses, "g", causes=causes)
+        assert (table.group, table.size, list(table.cause_events)) == ("g", len(times), kinds)
+        for name, y in want.items():
+            x = table.cause_events[name] if name in kinds else getattr(table, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
     def test_cause_sum_must_match(self):
         with pytest.raises(InvalidRecord):

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cifpoint.data import build_event_table, event_table_from_arrays
+from cifpoint.data import _row_knots, build_event_table, event_table_from_arrays
 from cifpoint.estimation import (
     StepFunction,
-    _row_knots,
     _table_counts,
     cif_at,
     cif_estimate,
@@ -130,7 +129,8 @@ class TestPackedCounts:
     @example([[1.0, 1.0, 2.0, 3.0], [1, 2, 1, 0], ["g"] * 4], 3, 2.5)
     def test_table_prefix_is_one_row(self, columns, cause, t):
         times, statuses = np.array(columns[0]), np.array(columns[1])
-        rows = _row_knots(times[None], statuses[None], cause, t)[:3]
+        a, d, (dk,) = _row_knots(times[None], statuses[None], (cause,), t)[:3]
+        rows = a, d, dk
         for causes in ((cause,), None):
             counts = _table_counts(event_table_from_arrays(times, statuses, causes=causes),
                                    cause, t)
@@ -149,7 +149,7 @@ class TestPackedCounts:
         n = min(len(times) for times, _, _ in data_sets)
         times = np.array([columns[0][:n] for columns in data_sets])
         statuses = np.array([columns[1][:n] for columns in data_sets])
-        a, d, dk, order, _, tail, rank, knot = _row_knots(times, statuses, cause, t)
+        a, d, (dk,), order, _, _, tail, rank, knot = _row_knots(times, statuses, (cause,), t)
         for r in range(times.shape[0]):
             knots = np.unique(times[r][(statuses[r] > 0) & (times[r] <= t)])
             empty = np.r_[0, np.arange(knots.size + 1, a.shape[1])]

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cifpoint.data import EventTable, build_event_table, event_table_from_arrays
-from cifpoint.errors import CifPointError, NotEstimable, NumericalError, _raise_first
-from cifpoint.estimation import _aalen_johansen, _row_knots, _table_counts
-from cifpoint.fixed_time import TransformKind, k_sample_test, pointwise_ci
+from cifpoint.data import EventTable, _row_knots, build_event_table, event_table_from_arrays
+from cifpoint.errors import NotEstimable, NumericalError
+from cifpoint.estimation import _aalen_johansen, _table_counts
+from cifpoint.fixed_time import TEST_METHODS, TransformKind, k_sample_test, pointwise_ci
+from cifpoint.simulation import run_battery
 from cifpoint.variance import (
     _ESTIMATORS,
     VarianceKind,
+    _negative,
     _summaries,
     _variance,
     aalen_variance,
@@ -20,7 +22,7 @@ from cifpoint.variance import (
     gaynor_variance,
 )
 
-from conftest import horizons, random_dataset, subject_columns
+from conftest import FIXTURE_A, FIXTURE_B, horizons, random_dataset, subject_columns
 
 TOL = 1e-12
 
@@ -99,14 +101,18 @@ class TestShape:
         assert cif_variance(table_a, 1, 3.0, VarianceKind.GAYNOR) == gaynor_variance(table_a, 1, 3.0)
 
 
-def failure(checks, i):
-    """The type and message of the error row `i` of `checks` raises, or
-    None for a row that fails no check."""
-    try:
-        _raise_first(checks, i)
-    except CifPointError as exc:
-        return type(exc), str(exc)
-    return None
+def failure(kind, variance, i):
+    """The type and message of the error row `i` of the `kind` variance
+    `variance`, its (values, negative), raises, or None for a row that
+    passes its check."""
+    values, negative = variance
+    return (NumericalError, _negative(kind, values[i])) if negative[i] else None
+
+
+def row_counts(times, statuses, cause, t):
+    """The packed (a, d, dk) of `cause` of each row of a block."""
+    a, d, (dk,) = _row_knots(times, statuses, (cause,), t)[:3]
+    return a, d, dk
 
 
 class TestGuards:
@@ -118,16 +124,16 @@ class TestGuards:
         return _variance(VarianceKind.AALEN, terms)
 
     def test_clamp_tolerates_tiny_negative(self, monkeypatch):
-        values, checks = self.rows_with_variances(monkeypatch, [-1e-15, 0.5, -0.0])
-        assert values.tolist() == [0.0, 0.5, -0.0]
-        assert [failure(checks, i) for i in range(3)] == [None] * 3
+        variance = self.rows_with_variances(monkeypatch, [-1e-15, 0.5, -0.0])
+        assert variance[0].tolist() == [0.0, 0.5, -0.0]
+        assert [failure(VarianceKind.AALEN, variance, i) for i in range(3)] == [None] * 3
 
     def test_clamp_rejects_large_negative(self, monkeypatch):
         # only the row below round-off fails, with its own value
-        values, checks = self.rows_with_variances(monkeypatch, [0.5, -1e-12, -1e-15])
-        assert [failure(checks, i) for i in range(3)] == \
+        variance = self.rows_with_variances(monkeypatch, [0.5, -1e-12, -1e-15])
+        assert [failure(VarianceKind.AALEN, variance, i) for i in range(3)] == \
             [None, (NumericalError, "aalen variance is negative: -1e-12"), None]
-        assert values[0] == 0.5 and values[2] == 0.0
+        assert variance[0][0] == 0.5 and variance[0][2] == 0.0
 
     def test_exhausted_risk_set_ok_when_nothing_follows(self):
         # the last subject fails: a-d hits 0 at the final knot, but no
@@ -197,7 +203,7 @@ class TestFinite:
     @given(row_blocks, st.integers(1, 3), st.integers(1, 7).map(lambda k: k / 8.0))
     def test_every_row_block(self, block, cause, t):
         times, statuses = block[..., 0], block[..., 1].astype(int)
-        terms = knot_terms(*_row_knots(times, statuses, cause, t)[:3])
+        terms = knot_terms(*row_counts(times, statuses, cause, t))
         for estimator in _ESTIMATORS.values():
             assert np.all(np.isfinite(estimator(terms)))
 
@@ -213,9 +219,8 @@ class TestNothingToVary:
         estimate, variances = _summaries(*_table_counts(table_a, cause, t))
         assert estimate.tolist() == [0.0]
         for kind in VarianceKind:
-            values, checks = variances[kind]
-            assert values.tolist() == [0.0]
-            assert failure(checks, 0) is None
+            assert variances[kind][0].tolist() == [0.0]
+            assert failure(kind, variances[kind], 0) is None
             v = cif_variance(table_a, cause, t, kind)
             assert v == 0.0 and math.copysign(1.0, v) == 1.0
             assert pointwise_ci(table_a, cause, t, TransformKind.LINEAR, kind) == (0.0, 0.0)
@@ -253,27 +258,30 @@ class TestBlockRows:
     @given(tied_blocks, st.integers(1, 3), st.integers(1, 25).map(lambda k: k / 8.0))
     def test_each_row_equals_its_own_counts(self, block, cause, t):
         times, statuses = (block // 4 + 1) / 8.0, block % 4
-        estimate, variances = _summaries(*_row_knots(times, statuses, cause, t)[:3])
+        estimate, variances = _summaries(*row_counts(times, statuses, cause, t))
         for r in range(times.shape[0]):
-            own_estimate, own = _summaries(*_row_knots(times[r:r + 1], statuses[r:r + 1],
-                                                       cause, t)[:3])
+            own_estimate, own = _summaries(*row_counts(times[r:r + 1], statuses[r:r + 1],
+                                                       cause, t))
             assert bits(estimate[r]) == bits(own_estimate[0])
             for kind in VarianceKind:
-                (values, checks), (own_values, own_checks) = variances[kind], own[kind]
-                assert bits(values[r]) == bits(own_values[0]), (kind, r)
-                assert failure(checks, r) == failure(own_checks, 0)
+                assert bits(variances[kind][0][r]) == bits(own[kind][0][0]), (kind, r)
+                assert failure(kind, variances[kind], r) == failure(kind, own[kind], 0)
 
 
 class TestOneEstimator:
-    # a table function computes only the estimator it returns: the
-    # other one made to fail changes nothing
+    # a table function, and a battery of one estimator's tests, computes
+    # only the estimator it returns: the other one made to fail changes
+    # nothing
 
     @pytest.mark.parametrize("kind", list(VarianceKind))
     def test_other_estimator_never_runs(self, monkeypatch, table_a, table_b, kind):
+        tests = [test for test, (_, v) in TEST_METHODS.items() if v == kind.value]
+
         def calls():
             return (cif_variance(table_a, 1, 3.0, kind),
                     pointwise_ci(table_a, 1, 3.0, TransformKind.LOGLOG, kind),
-                    k_sample_test((table_a, table_b), 1, 3.0, TransformKind.LOG, kind))
+                    k_sample_test((table_a, table_b), 1, 3.0, TransformKind.LOG, kind),
+                    run_battery([("a", *FIXTURE_A), ("b", *FIXTURE_B)], 1, 3.0, tests))
 
         def fail(terms):
             raise AssertionError("the other estimator ran")
