@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CifPointError, NumericalError, RankDeficientDesign
-from .simulation import TEST_IDS
+from .fixed_time import TEST_IDS
 
 __all__ = ["Coefficient", "AnovaTable", "ols_no_intercept", "anova_summarize"]
 

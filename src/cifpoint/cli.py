@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
 failure.  JSON output keeps full double precision; tables round to
 three decimals.
 
-Each command imports the layers it runs when it runs, so `estimate`
-and `plot-data` never load the simulation, pseudo-value or ANOVA code.
+Each command imports the layers it runs when it runs, so `estimate`,
+`test` and `plot-data` never load the simulation, pseudo-value or ANOVA
+code.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .estimation import _finite_horizon, cif_estimate
 from .fixed_time import (TEST_IDS, TEST_METHODS, TransformKind, _check_groups, _check_level,
-                         _interval, _table_summaries)
+                         _interval, _table_summaries, run_battery)
 from .variance import VarianceKind, _first_row
 
 _NUMERICAL_ERRORS = (
@@ -67,6 +68,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cifpoint", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"cifpoint {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    variances = [kind.value for kind in VarianceKind]
 
     def add_input_flags(p):
         p.add_argument("--input", required=True, help="CSV with one row per subject")
@@ -78,7 +80,7 @@ def _build_parser() -> _Parser:
     add_input_flags(est)
     est.add_argument("--cause", type=int, required=True)
     est.add_argument("--times", required=True, help="comma-separated times")
-    est.add_argument("--variance", choices=["aalen", "gaynor"], default="gaynor")
+    est.add_argument("--variance", choices=variances, default="gaynor")
     est.add_argument("--method", choices=[k.value for k in TransformKind], default="llog",
                      help="transform used for the confidence intervals")
     est.add_argument("--level", type=float, default=0.95)
@@ -93,7 +95,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--times", default=None, help="comma-separated times, tested independently")
     tst.add_argument("--method", default="llog",
                      choices=list(dict.fromkeys(m for m, _ in TEST_METHODS.values())) + ["all"])
-    tst.add_argument("--variance", choices=["aalen", "gaynor"], default="gaynor")
+    tst.add_argument("--variance", choices=variances, default="gaynor")
     tst.add_argument("--json", action="store_true")
     tst.add_argument("--out", default=None)
 
@@ -232,8 +234,6 @@ def _result_payload(res) -> dict:
 
 
 def _cmd_test(args) -> int:
-    from .simulation import run_battery
-
     times = (_parse_times(args.times) if args.time is None
              else [_usage(_finite_horizon, args.time)])
     data = _load(args)

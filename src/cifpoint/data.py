@@ -9,7 +9,7 @@ data sets at once; an :class:`EventTable` is one group's row at t = inf.
 `_checked_columns` is the subject rule: a :class:`SubjectRecord` (after
 a guard on its values' types), both :class:`Dataset` constructors,
 :func:`parse_dataset`, :func:`event_table_from_arrays` and
-`simulation.run_battery` all apply it.  Only a value's type differs
+`fixed_time.run_battery` all apply it.  Only a value's type differs
 between them: a record's status is an `int`, a CSV field spells an
 integer, and a numeric array may hold whole floats.
 """
@@ -312,7 +312,7 @@ def _name(label) -> str | None:
     return None
 
 
-def _checked_columns(times, statuses, labels=None, where=lambda i: ""):
+def _checked_columns(times, statuses, labels, where=lambda i: ""):
     """Subjects' times and statuses as float and int64 arrays, and each
     distinct label's text (`_name`), held to the subject rule: the time
     is finite, then > 0; the status is a whole number, then >= 0, then
@@ -342,7 +342,7 @@ def _checked_columns(times, statuses, labels=None, where=lambda i: ""):
               (whole & (s > _MAX_STATUS), f"status must be <= {_MAX_STATUS}, got {{!r}}",
                statuses)]
     try:
-        names = {} if labels is None else {label: _name(label) for label in dict.fromkeys(labels)}
+        names = {label: _name(label) for label in dict.fromkeys(labels)}
     except TypeError:
         names = {None: None}  # stands for an unhashable label, which has no name either
     # a label hides behind an equal one of another type (2.0 behind 2), so
@@ -392,7 +392,7 @@ def _row_knots(times: np.ndarray, statuses: np.ndarray, causes, t: float):
     each sorted position whether it ends a block of tied times, the
     number of knots up to it, and whether it is a knot.  The counts are
     all the variances need; an :class:`EventTable` reads its fields off
-    one row, and `pseudo._pooled_pseudo` ranks each subject from the rest.
+    one row, and `estimation._pooled_pseudo` ranks each subject from the rest.
     """
     rows, n = times.shape
     order = np.argsort(times, axis=-1)

@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CifPointError",
+    "InvalidRecord",
+    "DegenerateRiskSet",
+    "NotEstimable",
+    "ZeroVariance",
+    "SeparationDetected",
+    "NonConvergence",
+    "RankDeficientDesign",
+    "NumericalError",
+    "UnreachableTarget",
+]
+
 
 class CifPointError(Exception):
     """Base class for all errors raised by this package."""

@@ -15,15 +15,24 @@ closed form; X2 above is its K = 2 case, and `_wald` builds it for
 all tests at once from groups already on each test's scale.
 
 Each transform is one entry of the table `_SCALES`, in numpy (the same
-doubles at any shape), which also gives `pseudo.py` its links.
-`TEST_METHODS` names the twelve tests of the battery: each transform
-with each variance estimator, then the two pseudo-value links.  Two
-builders give their `_Part`s, `_transform_tests` here and
-`pseudo._pseudo_tests`, each putting the K groups on each scale once
-(`_scaled`), and `_stack` makes them one `_Tests`: one `_wald` for all
-and every check in one array.  `_scaled` is the one domain check of
-every scale: `transform`, `transform_variance` and `pointwise_ci` are
-one-row calls of it.
+doubles at any shape), which also gives the pseudo-value links their
+scales (`_link_scale`).  `TEST_METHODS` names the twelve tests of the
+battery: each transform with each variance estimator, then the two
+pseudo-value links.  Two builders give their `_Part`s:
+`_transform_tests` from each group's estimate and variances, and
+`_pseudo_tests` from the pooled pseudo-values
+(`estimation._pooled_pseudo`) by the closed form of `pseudo`'s
+docstring.  Each puts the K groups on each scale once (`_scaled`), and
+`_stack` makes them one `_Tests`: one `_wald` for all and every check
+in one array.  `_scaled` is the one domain check of every scale:
+`transform`, `transform_variance` and `pointwise_ci` are one-row calls
+of it.
+
+The battery has one engine, `_battery_rows`: the requested tests on R
+data sets at once, one (R, n_g) block per group.  The simulation runs
+it on blocks of replications; `run_battery`, which `cifpoint test`
+runs, and `pseudo_test` run it on one row.  A test's first failing
+check excludes it when its error is one of `_EXCLUDING`.
 """
 
 from __future__ import annotations
@@ -38,9 +47,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import EventTable
-from .errors import NotEstimable, NumericalError, ZeroVariance
-from .estimation import _table_counts
+from .data import EventTable, _check_cause, _checked_columns, _row_knots
+from .errors import CifPointError, NotEstimable, NumericalError, SeparationDetected, ZeroVariance
+from .estimation import _finite_horizon, _pooled_pseudo, _table_counts
 from .variance import VarianceKind, _first_row, _negative, _summaries
 
 __all__ = [
@@ -57,6 +66,8 @@ __all__ = [
     "two_sample_test",
     "k_sample_test",
     "pointwise_ci",
+    "BatteryOutcome",
+    "run_battery",
 ]
 
 
@@ -157,6 +168,15 @@ _SCALES = {
         lambda y: 1.0 / (1.0 + np.exp(-y))),
 }
 _limits = np.errstate(over="ignore", divide="ignore")
+
+
+def _link_scale(m, link: LinkKind):
+    """(kind, p) with g(m) the transform `kind` at p, and g'(m)^2 its
+    delta-method factor there: logit is the logit scale at m, and
+    cloglog(m) = log(-log(1 - m)) is the log(-log) scale at 1 - m."""
+    if link is LinkKind.LOGIT:
+        return TransformKind.LOGIT, m
+    return TransformKind.LOGLOG, 1.0 - m
 
 
 def _undefined(kind: TransformKind, p) -> str:
@@ -368,6 +388,32 @@ def _transform_tests(summaries, tests) -> list[_Part]:
     return parts
 
 
+def _pseudo_tests(thetas, labels, tests) -> list[_Part]:
+    """The requested pseudo-value tests over R rows from the K >= 2
+    groups' (R, n_g) pseudo-values, in group order: `_wald` of the group
+    means on each link's scale with the squared standard errors of the
+    means as their variances, the closed form of `pseudo`'s docstring.
+    Each mean is checked once for a value within N * eps of 0 or 1, as
+    in `gee_fit`."""
+    edge = sum(theta.shape[-1] for theta in thetas) * np.finfo(float).eps
+    means = np.array([theta.mean(axis=-1) for theta in thetas])
+    errors = np.array([np.square(theta - m[..., None]).sum(axis=-1) / theta.shape[-1]**2
+                       for theta, m in zip(thetas, means)])
+    separated = ~((edge < means) & (means < 1.0 - edge))
+
+    def message(g, i):
+        return f"group {labels[g]} mean pseudo-value outside (0, 1): {float(means[g, i])!r}"
+
+    parts = []
+    for link in PSEUDO_METHODS:
+        if (test := _TESTS[link, None]) in tests:
+            kind, p = _link_scale(means, link)
+            inside, phi, (w,) = _scaled(kind, p, (errors,))
+            parts.append(_Part(test, kind, p, means, None, inside, phi, w,
+                               SeparationDetected, separated, message))
+    return parts
+
+
 def _table_summaries(tables, cause: int, t: float, variance: VarianceKind):
     """Each table's one-row `variance._summaries` at `t`, with only the
     `variance` estimator computed."""
@@ -436,3 +482,77 @@ def _interval(estimate, v, kind: TransformKind, level: float) -> tuple[float, fl
     low, high = np.sort(_SCALES[kind].inverse(phi + np.array([-half, half])))
     return (max(0.0, float(low)), min(1.0, float(high)))
 
+
+# errors that exclude one test of one data set; the simulation counts
+# them and stops at any other error, and `run_battery` reports them and
+# a NumericalError
+_EXCLUDING = (NotEstimable, ZeroVariance, SeparationDetected)
+
+
+@dataclass(frozen=True)
+class BatteryOutcome:
+    """One test of the battery at one time: its result, or the error
+    that excluded it."""
+
+    test: str
+    method: str
+    variance: str | None
+    result: FixedTimeTestResult | None
+    error: CifPointError | None
+
+
+def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> _Tests:
+    """The requested tests of the battery over R data sets at once, in
+    TEST_IDS order, stacked.
+
+    `groups` holds one (label, times, statuses) per group with (R, n_g)
+    arrays; row r of every group is one data set.  Each group's estimate
+    and the variances of the requested tests come from one pass over its
+    sorted rows; the pseudo-value tests pool every group's rows in group
+    order once for both links and split the pseudo-values back into the
+    K groups.  One `_stack` builds every requested test.
+    """
+    labels, times, statuses = zip(*groups)
+    parts = []
+    kinds = tuple(map(VarianceKind, sorted({TEST_METHODS[test][1] for test in tests} - {None})))
+    if kinds:
+        counts = (_row_knots(ts, ss, (cause,), t)[:3] for ts, ss in zip(times, statuses))
+        parts += _transform_tests([_summaries(a, d, dk, kinds) for a, d, (dk,) in counts], tests)
+    if any(TEST_METHODS[test][1] is None for test in tests):
+        theta = _pooled_pseudo(np.concatenate(times, axis=-1), np.concatenate(statuses, axis=-1),
+                               int(cause), np.array([t]))[..., 0]
+        cuts = np.cumsum([ts.shape[-1] for ts in times[:-1]])
+        parts += _pseudo_tests(np.split(theta, cuts, axis=-1), labels, tests)
+    return _stack(parts, t)
+
+
+def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOutcome]:
+    """Run the requested tests of the battery at `t`, in TEST_IDS order.
+
+    `groups` holds one (label, times, statuses) per group, two or more
+    (`_check_groups`); the battery is one row of `_battery_rows`, and
+    every test compares the K groups with K - 1 degrees of freedom.  The
+    pseudo-value tests pool the groups' subjects in group order.  Every
+    result and error equals that of `two_sample_test`, `k_sample_test`
+    or `pseudo_test` bit for bit.
+    """
+    if unknown := set(tests) - set(TEST_IDS):
+        raise ValueError(f"unknown tests {sorted(unknown)}")
+    _check_groups(len(groups))
+    _check_cause(cause)
+    t = _finite_horizon(t)
+    columns = []
+    for label, times, statuses in groups:
+        times, statuses, names = _checked_columns(times, statuses, [label] * np.size(times))
+        columns.append((names[label], times[None], statuses[None]))
+    labels = [label for label, _, _ in columns]
+    battery = _battery_rows(columns, cause, t, tests)
+    outcomes = []
+    for j, part in enumerate(battery.parts):
+        method = TEST_METHODS[part.test]
+        try:
+            outcome = BatteryOutcome(part.test, *method, battery.result(j, 0, labels, cause), None)
+        except (*_EXCLUDING, NumericalError) as exc:
+            outcome = BatteryOutcome(part.test, *method, None, exc)
+        outcomes.append(outcome)
+    return outcomes

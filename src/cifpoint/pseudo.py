@@ -7,11 +7,12 @@ contribution
 
 where C is the pooled-sample cumulative incidence estimate and
 C_minus_i the same estimate with subject i removed (Klein & Andersen
-2005).  Without censoring the pseudo-values reduce to the event
-indicators 1{T_i <= tau, cause k}.  Group effects are then estimated
-from generalized estimating equations with an independence working
-covariance (Liang & Zeger 1986), and the group coefficients give a
-Wald test of equal incidence at the horizon.
+2005); `estimation._pooled_pseudo` computes them for all subjects
+without a refit.  Without censoring the pseudo-values reduce to the
+event indicators 1{T_i <= tau, cause k}.  Group effects are then
+estimated from generalized estimating equations with an independence
+working covariance (Liang & Zeger 1986), and the group coefficients
+give a Wald test of equal incidence at the horizon.
 
 At one horizon with an intercept and K - 1 indicators for K groups
 the model is saturated, and the estimating equations are solved
@@ -25,31 +26,14 @@ for g(m_g) and no covariance between groups (Andersen, Klein &
 Rosthoj 2003).  The Wald test of the K - 1 group effects is therefore
 `fixed_time._wald` at any K, with each group mean on its link's scale
 and the squared standard error of the mean, over the scale's divisor,
-as its variance; at K = 2 the effect is g(m_1) - g(m_2).
-`pseudo_test` uses this closed form; `gee_fit` solves the two-group
-model, one effect at any number of horizons, by Newton iteration
-through the Schur complement of the intercepts, which keeps its digits
-where one group's mean is near 0 or 1; it is the closed form's test
-oracle at K = 2.  Both links are transforms of `fixed_time`: logit,
-and cloglog(m) = llog(1 - m).  `_pseudo_tests` builds both links'
-tests, every group's mean checked once and put on each link's scale
-in one step for all K groups.
-
-The leave-one-out estimates need no refit.  Write Y_j, d_j and dk_j
-for the at-risk count, the failures and the cause-k failures at the
-j-th distinct failure time t_j, S and F for the full-sample
-Aalen-Johansen survival and incidence, and t_m for the last failure
-time at or before both T_i and tau.  Removing subject i lowers Y_j by
-one at every t_j <= t_m, removes its own failure from d_m and dk_m
-when T_i = t_m, and changes no count after t_m.  Hence
-
-    C_minus_i(tau) = F'(t_m) + S'(t_m) / S(t_m) * (F(tau) - F(t_m))
-
-where F' and S' run the Aalen-Johansen recursion over t_1..t_m with
-Y_j - 1 in place of Y_j, which for all subjects at once is one shared
-prefix product and prefix sum plus a per-subject correction at t_m.
-After one sort the cost is O(N + K) per horizon for K distinct
-failure times, against O(N K) for N separate refits.
+as its variance; at K = 2 the effect is g(m_1) - g(m_2).  Both links
+are transforms of `fixed_time`: logit, and cloglog(m) = llog(1 - m).
+This closed form is `fixed_time._pseudo_tests`, the battery's builder
+of both links' tests, and `pseudo_test` is one test of the battery on
+a dataset's groups.  `gee_fit` solves the two-group model, one effect
+at any number of horizons, by Newton iteration through the Schur
+complement of the intercepts, which keeps its digits where one group's
+mean is near 0 or 1; it is the closed form's test oracle at K = 2.
 """
 
 from __future__ import annotations
@@ -58,24 +42,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_cause, _row_knots, _take_rows
+from .data import Dataset, _check_cause
 from .errors import NonConvergence, SeparationDetected
-from .estimation import _aalen_johansen, _finite_horizon, _lagged
+from .estimation import _finite_horizon, _pooled_pseudo
 from .fixed_time import (
     _TESTS,
     PSEUDO_METHODS,
     FixedTimeTestResult,
     LinkKind,
-    TransformKind,
+    _battery_rows,
     _check_groups,
-    _Part,
-    _scaled,
-    _stack,
+    _link_scale,
     transform,
 )
 
 __all__ = [
-    "LinkKind",
     "PSEUDO_METHODS",
     "PseudoValueMatrix",
     "GeeFit",
@@ -87,15 +68,6 @@ __all__ = [
 _GEE_TOL = 1e-10
 _GEE_STEP_TOL = 1e-8
 _GEE_MAX_ITER = 50
-
-
-def _link_scale(m, link: LinkKind):
-    """(kind, p) with g(m) the transform `kind` at p, and g'(m)^2 its
-    delta-method factor there: logit is the logit scale at m, and
-    cloglog(m) = log(-log(1 - m)) is the log(-log) scale at 1 - m."""
-    if link is LinkKind.LOGIT:
-        return TransformKind.LOGIT, m
-    return TransformKind.LOGLOG, 1.0 - m
 
 
 def _inverse_link(eta: np.ndarray, kind: LinkKind) -> np.ndarray:
@@ -145,66 +117,6 @@ class GeeFit:
     @property
     def group_effect_variance(self) -> float:
         return float(self.sandwich[-1, -1])
-
-
-def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
-                   taus: np.ndarray) -> np.ndarray:
-    """Pseudo-values of each row of (R, N) `times` and `statuses`, one
-    pooled sample per row, at the horizons `taus`, as an (R, N, H) array
-    in the subjects' order."""
-    rows, n = times.shape
-    # the knots are each row's failure times up to the last horizon after
-    # the empty knot 0 (see data._row_knots), so that each subject and
-    # each horizon has a last knot at or before it
-    a, d, (dk,), order, _, statuses, tail, rank, knot = _row_knots(times, statuses, (cause,),
-                                                                   taus.max())
-    # a sorted subject's last knot at or before its time is the rank at
-    # the end of its tie block, and is at its time when that end is a knot
-    end = np.flip(np.minimum.accumulate(np.flip(np.where(tail, np.arange(n), n - 1), -1),
-                                        axis=-1), -1)
-    last, own = _take_rows(rank, end), _take_rows(knot, end)
-    del tail, rank, knot, end  # freed before the (subject, horizon) grid
-
-    # full sample: survival just after, and incidence up to, each knot
-    _, surv, jumps = _aalen_johansen(a, d, dk)
-    inc = np.cumsum(jumps, axis=-1)
-
-    # the same with one subject fewer at risk, as seen by a subject still
-    # at risk at every knot so far; entry j covers the knots before j.  A
-    # lone subject at risk can only be one failing at the last knot, and
-    # taking out its own event leaves nothing there to divide.
-    fewer = a - 1.0
-    fewer[fewer == 0.0] = 1.0
-    surv_fewer, _, jumps_fewer = _aalen_johansen(fewer, d, dk)
-    inc_fewer = _lagged(np.cumsum(jumps_fewer, axis=-1), 0.0)
-
-    # (subject, horizon) grid: j is the last knot at or before both the
-    # subject's time and the horizon, whose last knot is that of its last
-    # subject.  Leaving subject i out lowers the at-risk count at knots up
-    # to j, takes its own event out of knot j, and leaves every later
-    # knot as in the full sample.
-    within = np.sum(times[..., None] <= taus, axis=-2)
-    cut = _take_rows(np.concatenate((np.zeros((rows, 1), int), last), axis=-1), within)
-    j = np.minimum(last[..., None], cut[:, None, :])
-
-    def at(values):
-        return _take_rows(values, j)
-
-    own = ((statuses > 0) & own)[..., None] & (j == last[..., None])
-    d_i = at(d) - own
-    dk_i = at(dk) - (own & (statuses == cause)[..., None])
-    fewer_j, surv_fewer_j = at(fewer), at(surv_fewer)
-    inc_i = at(inc_fewer) + surv_fewer_j * dk_i / fewer_j
-    surv_i = surv_fewer_j * ((fewer_j - d_i) / fewer_j)
-
-    # past knot j the leave-one-out curve is the full-sample tail rescaled
-    # by the ratio of the two survivals at j, which is positive there
-    full = _take_rows(inc, cut)[:, None, :]
-    ratio = np.divide(surv_i, at(surv), out=np.zeros_like(surv_i), where=j < cut[:, None, :])
-    loo = inc_i + ratio * (full - at(inc))
-    values = np.empty_like(loo)
-    values[np.arange(rows)[:, None], order] = loo + n * (full - loo)
-    return values
 
 
 def pseudo_values(data: Dataset, cause: int, times) -> PseudoValueMatrix:
@@ -336,46 +248,23 @@ def gee_fit(pseudo: PseudoValueMatrix | np.ndarray, x, link: LinkKind = LinkKind
     return GeeFit(beta=beta, sandwich=sandwich, iterations=iterations, link=link)
 
 
-def _pseudo_tests(thetas, labels, tests) -> list[_Part]:
-    """The requested pseudo-value tests over R rows from the K >= 2
-    groups' (R, n_g) pseudo-values, in group order: `_wald` of the group
-    means on each link's scale with the squared standard errors of the
-    means as their variances, the closed form of the module docstring.
-    Each mean is checked once for a value within N * eps of 0 or 1, as
-    in `gee_fit`."""
-    edge = sum(theta.shape[-1] for theta in thetas) * np.finfo(float).eps
-    means = np.array([theta.mean(axis=-1) for theta in thetas])
-    errors = np.array([np.square(theta - m[..., None]).sum(axis=-1) / theta.shape[-1]**2
-                       for theta, m in zip(thetas, means)])
-    separated = ~((edge < means) & (means < 1.0 - edge))
-
-    def message(g, i):
-        return f"group {labels[g]} mean pseudo-value outside (0, 1): {float(means[g, i])!r}"
-
-    parts = []
-    for link in PSEUDO_METHODS:
-        if (test := _TESTS[link, None]) in tests:
-            kind, p = _link_scale(means, link)
-            inside, phi, (w,) = _scaled(kind, p, (errors,))
-            parts.append(_Part(test, kind, p, means, None, inside, phi, w,
-                               SeparationDetected, separated, message))
-    return parts
-
-
 def pseudo_test(data: Dataset, cause: int, t: float,
                 link: LinkKind = LinkKind.CLOGLOG) -> FixedTimeTestResult:
     """Wald test of equal incidence of `cause` at `t` across the K >= 2
     groups of `data`, with K - 1 degrees of freedom.
 
     The fit is the closed-form saturated GEE of the module docstring,
-    whose K - 1 group effects are tested together.  At K = 2 the effect
-    is the first group's transformed mean minus the second's, so a
-    positive effect means higher transformed incidence in the first
-    group; beyond two groups it is None, as in `k_sample_test`.
+    whose K - 1 group effects are tested together: the test's row of
+    `fixed_time._battery_rows` on the groups of `data`, each with its
+    subjects in dataset order.  At K = 2 the effect is the first
+    group's transformed mean minus the second's, so a positive effect
+    means higher transformed incidence in the first group; beyond two
+    groups it is None, as in `k_sample_test`.
     """
     test = _TESTS[LinkKind(link), None]
     _check_groups(len(data.groups))
-    theta = pseudo_values(data, cause, [t]).values[:, 0]
-    thetas = [theta[data.codes == g][None] for g in range(len(data.groups))]
-    return _stack(_pseudo_tests(thetas, data.groups, (test,)), float(t)).result(
-        0, 0, data.groups, cause)
+    _check_cause(cause)
+    t = _finite_horizon(t)
+    groups = [(group, data.times[data.codes == g][None], data.statuses[data.codes == g][None])
+              for g, group in enumerate(data.groups)]
+    return _battery_rows(groups, cause, t, (test,)).result(0, 0, data.groups, cause)

@@ -13,9 +13,9 @@ the second group.  Censoring is uniform on (0, b) with b calibrated by
 bisection so the expected censored fraction hits a target.  Each
 replication runs the whole battery of twelve tests (five transforms
 times two variance estimators, plus the two pseudo-value links) at one
-fixed time and records rejections at level alpha.  The battery,
-`run_battery`, is also what `cifpoint test` runs on observed data; it
-takes each group's (label, times, statuses) and nothing else.
+fixed time and records rejections at level alpha.  The battery lives in
+`fixed_time`, whose `run_battery` is also what `cifpoint test` runs on
+observed data; this module only draws the data and counts.
 
 Replications use independent counter-based streams keyed by the master
 seed and the replication index, so results are reproducible bit for
@@ -25,26 +25,18 @@ fresh state of its key.
 
 The battery runs on a block of replications at once: each group's
 times and statuses are (R, n_g) arrays, one replication per row, and
-every step (sorting, the Aalen-Johansen recursion over each row's
-knots, both variances, the pooled pseudo-values, the transforms and
-each exclusion reason as a mask over the rows) is array arithmetic
-over the block.  Two builders make the twelve tests, one per family
-of tests, each putting all groups' estimates on each scale once per
-block, and `fixed_time._stack` makes them one array per quantity: one
-Wald step gives every (test, row) statistic and one (test, check, row)
-mask every check, from which `_run_block` counts rejections and
-exclusion reasons without a loop over tests or rows.  A block holds at
-most _BLOCK_CELLS subjects in all, R (n1 + n2) <= 2**18, which bounds
-its arrays to a few megabytes whatever the scenario; the replication
-range is cut into such blocks and the counts summed.  Every number of
-a row equals that of the public test on the row's data set bit for
-bit, whatever the block's size, so the counts do not depend on where
-the range is cut.  `run_battery` is the same engine at R = 1, for any
-number of groups; a test's exclusion is its row's first failing check.
-A valid row is rejected when its statistic reaches
-`_chi2_critical(alpha)`, the smallest double whose p-value is below
-alpha, which is the p-value's own decision; the p-values `run_battery`
-reports are exact.
+`fixed_time._battery_rows` gives every (test, row) statistic and one
+(test, check, row) mask every check, from which `_run_block` counts
+rejections and exclusion reasons without a loop over tests or rows.
+A block holds at most _BLOCK_CELLS subjects in all, R (n1 + n2) <=
+2**18, which bounds its arrays to a few megabytes whatever the
+scenario; the replication range is cut into such blocks and the counts
+summed.  Every number of a row equals that of the public test on the
+row's data set bit for bit, whatever the block's size, so the counts
+do not depend on where the range is cut.  A test's exclusion is its
+row's first failing check.  A valid row is rejected when its statistic
+reaches `_chi2_critical(alpha)`, the smallest double whose p-value is
+below alpha, which is the p-value's own decision.
 """
 
 from __future__ import annotations
@@ -59,34 +51,21 @@ from functools import cache
 
 import numpy as np
 
-from .data import _check_cause, _checked_columns, _row_knots
-from .errors import (
-    CifPointError,
-    NotEstimable,
-    NumericalError,
-    SeparationDetected,
-    UnreachableTarget,
-    ZeroVariance,
-)
+from .errors import CifPointError, UnreachableTarget
 from .estimation import _finite_horizon
-from .fixed_time import (
+
+# TEST_METHODS and run_battery are not used here; they stay importable
+# from this module for code that looks them up in it
+from .fixed_time import (  # noqa: F401
+    _EXCLUDING,
     TEST_IDS,
     TEST_METHODS,
-    FixedTimeTestResult,
-    _check_groups,
-    _stack,
-    _Tests,
-    _transform_tests,
+    _battery_rows,
     chi2_pvalue,
+    run_battery,
 )
-from .pseudo import _pooled_pseudo, _pseudo_tests
-from .variance import VarianceKind, _summaries
 
 __all__ = [
-    "TEST_IDS",
-    "TEST_METHODS",
-    "BatteryOutcome",
-    "run_battery",
     "Scenario",
     "ScenarioResult",
     "analytic_cif",
@@ -99,79 +78,6 @@ __all__ = [
     "read_results_csv",
     "results_to_json",
 ]
-
-# errors that exclude one test of one replication; any other error is a
-# fault and stops the run
-_EXCLUDING = (NotEstimable, ZeroVariance, SeparationDetected)
-
-
-@dataclass(frozen=True)
-class BatteryOutcome:
-    """One test of the battery at one time: its result, or the error
-    that excluded it."""
-
-    test: str
-    method: str
-    variance: str | None
-    result: FixedTimeTestResult | None
-    error: CifPointError | None
-
-
-def _battery_rows(groups, cause: int, t: float, tests=TEST_IDS) -> _Tests:
-    """The requested tests of the battery over R data sets at once, in
-    TEST_IDS order, stacked.
-
-    `groups` holds one (label, times, statuses) per group with (R, n_g)
-    arrays; row r of every group is one data set.  Each group's estimate
-    and the variances of the requested tests come from one pass over its
-    sorted rows; the pseudo-value tests pool every group's rows in group
-    order once for both links and split the pseudo-values back into the
-    K groups.  One `fixed_time._stack` builds every requested test.
-    """
-    labels, times, statuses = zip(*groups)
-    parts = []
-    kinds = tuple(map(VarianceKind, sorted({TEST_METHODS[test][1] for test in tests} - {None})))
-    if kinds:
-        counts = (_row_knots(ts, ss, (cause,), t)[:3] for ts, ss in zip(times, statuses))
-        parts += _transform_tests([_summaries(a, d, dk, kinds) for a, d, (dk,) in counts], tests)
-    if any(TEST_METHODS[test][1] is None for test in tests):
-        theta = _pooled_pseudo(np.concatenate(times, axis=-1), np.concatenate(statuses, axis=-1),
-                               int(cause), np.array([t]))[..., 0]
-        cuts = np.cumsum([ts.shape[-1] for ts in times[:-1]])
-        parts += _pseudo_tests(np.split(theta, cuts, axis=-1), labels, tests)
-    return _stack(parts, t)
-
-
-def run_battery(groups, cause: int, t: float, tests=TEST_IDS) -> list[BatteryOutcome]:
-    """Run the requested tests of the battery at `t`, in TEST_IDS order.
-
-    `groups` holds one (label, times, statuses) per group, two or more
-    (`fixed_time._check_groups`); the battery is one row of the batched
-    one the simulation runs, and every test compares the K groups with
-    K - 1 degrees of freedom.  The pseudo-value tests pool the groups'
-    subjects in group order.  Every result and error equals that of
-    `two_sample_test`, `k_sample_test` or `pseudo_test` bit for bit.
-    """
-    if unknown := set(tests) - set(TEST_IDS):
-        raise ValueError(f"unknown tests {sorted(unknown)}")
-    _check_groups(len(groups))
-    _check_cause(cause)
-    t = _finite_horizon(t)
-    columns = []
-    for label, times, statuses in groups:
-        times, statuses, names = _checked_columns(times, statuses, [label] * np.size(times))
-        columns.append((names[label], times[None], statuses[None]))
-    labels = [label for label, _, _ in columns]
-    battery = _battery_rows(columns, cause, t, tests)
-    outcomes = []
-    for j, part in enumerate(battery.parts):
-        method = TEST_METHODS[part.test]
-        try:
-            outcome = BatteryOutcome(part.test, *method, battery.result(j, 0, labels, cause), None)
-        except (*_EXCLUDING, NumericalError) as exc:
-            outcome = BatteryOutcome(part.test, *method, None, exc)
-        outcomes.append(outcome)
-    return outcomes
 
 
 @dataclass(frozen=True, slots=True)
@@ -469,7 +375,8 @@ def run_scenario(s: Scenario, workers: int = 1,
         shared = calibrate_censoring(s.beta, s.p, (s.n1, s.n2), s.censor_fraction)
         bounds = (shared, shared)
 
-    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or s.reps < 2 * workers:
         parts = [_run_block((s, 0, s.reps, bounds))]
     else:
@@ -656,7 +563,7 @@ def results_to_json(results) -> str:
     payload = []
     for res in results:
         s = res.scenario
-        rejections, excluded = res.rejections, res.excluded
+        rejections, excluded, reasons = res.rejections, res.excluded, res.reasons
         payload.append({
             "scenario": {
                 "n1": s.n1, "n2": s.n2, "shr": s.shr, "beta": s.beta,
@@ -669,7 +576,7 @@ def results_to_json(results) -> str:
                     "valid": res.valid(test),
                     "rate": res.rate(test),
                     "excluded": excluded[test],
-                    "reasons": res.reasons.get(test, {}),
+                    "reasons": reasons.get(test, {}),
                 }
                 for test in TEST_IDS
             },

@@ -116,7 +116,7 @@ def _first_row(summary, kind: VarianceKind) -> tuple[float, float]:
     return float(estimate[0]), float(values[0])
 
 
-def _summaries(a, d, dk, kinds=tuple(VarianceKind)):
+def _summaries(a, d, dk, kinds):
     """The incidence at the last knot and each of the `kinds` of
     variance as (values, negative), row by row, from packed knot counts:
     one data set per row of `a`, `d` and `dk`, from `data._row_knots`

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -63,6 +64,32 @@ def fresh_process(code):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout.splitlines()[-1]
+
+
+# the package's public names, sorted, and its layer modules
+PUBLIC_NAMES = [
+    "AnovaTable", "BatteryOutcome", "CifCurve", "CifPointError", "Coefficient", "Dataset",
+    "DegenerateRiskSet", "EventTable", "FixedTimeTestResult", "GeeFit", "GroupSummary",
+    "InvalidRecord", "LinkKind", "NonConvergence", "NotEstimable", "NumericalError",
+    "PseudoValueMatrix", "RankDeficientDesign", "Scenario", "ScenarioResult",
+    "SeparationDetected", "StepFunction", "SubjectRecord", "TEST_IDS", "TEST_METHODS",
+    "TransformKind", "UnreachableTarget", "VarianceKind", "ZeroVariance", "__version__",
+    "aalen_variance", "analytic_cif", "analytic_survival", "anova_summarize",
+    "build_event_table", "calibrate_censoring", "chi2_pvalue", "cif_at", "cif_estimate",
+    "cif_variance", "event_table_from_arrays", "gaynor_variance", "gee_fit",
+    "inverse_transform", "k_sample_test", "km_survival", "ols_no_intercept", "parse_dataset",
+    "parse_scenarios", "pointwise_ci", "pseudo_test", "pseudo_values", "read_results_csv",
+    "results_to_json", "run_battery", "run_scenario", "sample_group", "transform",
+    "transform_variance", "two_sample_test", "write_results_csv",
+]
+LAYERS = ("data", "errors", "estimation", "fixed_time", "variance", "pseudo", "simulation",
+          "anova")
+
+
+def listing(name):
+    """The layer modules whose `__all__` lists `name`."""
+    return [f"cifpoint.{layer}" for layer in LAYERS
+            if name in getattr(importlib.import_module(f"cifpoint.{layer}"), "__all__", ())]
 
 
 def run(args, capsys):
@@ -787,19 +814,31 @@ class TestTopLevel:
         )
         assert fresh_process(code) == "[]"
 
-    def test_estimate_imports_only_what_it_runs(self, data_csv):
-        # the simulation, pseudo-value and ANOVA layers cost an estimate
-        # process ~25 ms of import it never uses
-        argv = ["estimate", "--input", str(data_csv), "--group-col", "arm", "--cause", "1",
-                "--times", "1,3"]
+    @staticmethod
+    def loaded_by(argv):
+        """The cifpoint modules a new process loads running `argv`."""
         code = (
             "import json, sys\n"
             "from cifpoint.cli import run_cli\n"
             f"assert run_cli({argv!r}) == 0\n"
             "print(json.dumps([m for m in sys.modules if m.partition('.')[0] == 'cifpoint']))\n"
         )
-        loaded = set(json.loads(fresh_process(code)))
+        return set(json.loads(fresh_process(code)))
+
+    def test_estimate_imports_only_what_it_runs(self, data_csv):
+        # the simulation, pseudo-value and ANOVA layers cost an estimate
+        # process ~25 ms of import it never uses
+        loaded = self.loaded_by(["estimate", "--input", str(data_csv), "--group-col", "arm",
+                                 "--cause", "1", "--times", "1,3"])
         assert "cifpoint.data" in loaded
+        assert not loaded & {"cifpoint.simulation", "cifpoint.pseudo", "cifpoint.anova"}
+
+    def test_test_all_imports_no_simulation_layer(self, data_csv):
+        # the twelve tests, the pseudo-value links among them, live in
+        # fixed_time: a test process loads no Monte Carlo, GEE or ANOVA code
+        loaded = self.loaded_by(["test", "--input", str(data_csv), "--group-col", "arm",
+                                 "--cause", "1", "--time", "3", "--method", "all"])
+        assert "cifpoint.fixed_time" in loaded
         assert not loaded & {"cifpoint.simulation", "cifpoint.pseudo", "cifpoint.anova"}
 
     def test_simulation_setup_imports_only_what_it_runs(self, tmp_path):
@@ -818,7 +857,7 @@ class TestTopLevel:
         loaded = set(json.loads(fresh_process(code)))
         assert {m for m in loaded if m.partition(".")[0] == "cifpoint"} == {
             "cifpoint", "cifpoint.data", "cifpoint.errors", "cifpoint.estimation",
-            "cifpoint.fixed_time", "cifpoint.pseudo", "cifpoint.simulation", "cifpoint.variance"}
+            "cifpoint.fixed_time", "cifpoint.simulation", "cifpoint.variance"}
         assert not loaded & {"multiprocessing", "concurrent.futures"}
 
     def test_cli_import_loads_only_the_layers_every_command_needs(self):
@@ -837,6 +876,24 @@ class TestTopLevel:
             "cifpoint.estimation", "cifpoint.fixed_time", "cifpoint.variance"}
         assert not loaded & {"statistics", "fractions", "decimal", "multiprocessing",
                              "concurrent.futures"}
+
+    def test_public_surface_is_pinned(self):
+        # each name is the object of the module that defines it, and of
+        # every layer that lists it
+        assert sorted(cifpoint.__all__) == PUBLIC_NAMES
+        for name in PUBLIC_NAMES:
+            if name == "__version__":
+                continue
+            value = getattr(cifpoint, name)
+            homes = {getattr(value, "__module__", None)} - {None} or set(listing(name))
+            assert homes, name
+            for module in {*homes, *listing(name)}:
+                assert getattr(sys.modules[module], name) is value, (module, name)
+
+    def test_each_public_name_is_listed_by_one_layer(self):
+        for name in PUBLIC_NAMES:
+            if name != "__version__":
+                assert len(listing(name)) == 1, (name, listing(name))
 
     def test_every_exported_name_resolves(self):
         star = {}

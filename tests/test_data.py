@@ -193,7 +193,7 @@ class TestArrayStatuses:
 
     def test_integer_array_taken_as_is(self):
         statuses = np.array([1, 0, 2])
-        assert _checked_columns([1.0, 2.0, 3.0], statuses)[1] is statuses
+        assert _checked_columns([1.0, 2.0, 3.0], statuses, ["a"] * 3)[1] is statuses
 
 
 # every public call that takes a cause, given the cause `k` on two

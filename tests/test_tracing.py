@@ -26,6 +26,7 @@ ABSENT = [
     "cifpoint.pseudo.chi2_pvalue",
     "cifpoint.cli.two_sample_test",
     "cifpoint.cli.pointwise_ci",
+    "cifpoint.simulation._pooled_pseudo",
     "cifpoint.simulation.gee_fit",
     "cifpoint.cli.pseudo_test",
 ]

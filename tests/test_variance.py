@@ -216,7 +216,7 @@ class TestNothingToVary:
     @pytest.mark.parametrize("cause, t", [(1, 0.5), (9, 3.0)],
                              ids=["empty-prefix", "absent-cause"])
     def test_zero_estimate_and_variances(self, table_a, table_b, cause, t):
-        estimate, variances = _summaries(*_table_counts(table_a, cause, t))
+        estimate, variances = _summaries(*_table_counts(table_a, cause, t), tuple(VarianceKind))
         assert estimate.tolist() == [0.0]
         for kind in VarianceKind:
             assert variances[kind][0].tolist() == [0.0]
@@ -258,10 +258,10 @@ class TestBlockRows:
     @given(tied_blocks, st.integers(1, 3), st.integers(1, 25).map(lambda k: k / 8.0))
     def test_each_row_equals_its_own_counts(self, block, cause, t):
         times, statuses = (block // 4 + 1) / 8.0, block % 4
-        estimate, variances = _summaries(*row_counts(times, statuses, cause, t))
+        estimate, variances = _summaries(*row_counts(times, statuses, cause, t), tuple(VarianceKind))
         for r in range(times.shape[0]):
             own_estimate, own = _summaries(*row_counts(times[r:r + 1], statuses[r:r + 1],
-                                                       cause, t))
+                                                       cause, t), tuple(VarianceKind))
             assert bits(estimate[r]) == bits(own_estimate[0])
             for kind in VarianceKind:
                 assert bits(variances[kind][0][r]) == bits(own[kind][0][0]), (kind, r)
