@@ -16,6 +16,7 @@ each move.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -44,8 +45,10 @@ from cifpoint.simulation import (
     Scenario,
     analytic_cif,
     run_battery,
+    results_to_json,
     run_scenario,
     sample_group,
+    write_results_csv,
 )
 from cifpoint.variance import VarianceKind, aalen_variance, gaynor_variance
 
@@ -371,15 +374,24 @@ class TestCriterion7AnovaOrdering:
         assert r >= 0.85, f"deviation-pattern correlation {r:.3f}"
 
 
+# sha256 of the results written by results_to_json and write_results_csv
+JSON_SHA256 = "25978ab36db153da97398232516afe8755db5746abdd5ad77179b8de51ea8b8d"
+CSV_SHA256 = "1ff87b4eb8068a16409d7ef03208437d1930c58d4c9c45c9d85073c4327a4ec9"
+
+
 class TestPinnedCounts:
     def test_counts_match_the_file(self, null_200, null_50, power_even, power_uneven,
-                                   null_grid):
+                                   null_grid, tmp_path):
         results = [null_200[0], null_50, power_even, power_uneven, *null_grid,
                    *map(run_scenario, EXCLUDING_CELLS)]
         pinned = json.loads(COUNTS_FILE.read_text())
         assert len(pinned) == len(results)
         for result, expected in zip(results, pinned):
             assert counts(result) == expected
+        # the output bytes of both formats
+        assert hashlib.sha256(results_to_json(results).encode()).hexdigest() == JSON_SHA256
+        write_results_csv(results, tmp_path / "results.csv")
+        assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == CSV_SHA256
 
 
 EBMT_ENV = "CIFPOINT_EBMT_CSV"
