@@ -27,13 +27,16 @@ The battery runs on a block of replications at once: each group's
 times and statuses are (R, n_g) arrays, one replication per row, and
 `fixed_time._battery_rows` gives every (test, row) statistic and one
 (test, check, row) mask every check, from which `_run_block` counts
-rejections and exclusion reasons without a loop over tests or rows.
-A block holds at most _BLOCK_CELLS subjects in all, R (n1 + n2) <=
-2**18, which bounds its arrays to a few megabytes whatever the
-scenario; the replication range is cut into such blocks and the counts
-summed.  Every number of a row equals that of the public test on the
-row's data set bit for bit, whatever the block's size, so the counts
-do not depend on where the range is cut.  A test's exclusion is its
+rejections and exclusion reasons without a loop over tests or rows
+into one integer tally (test, count) in TEST_IDS order: rejections,
+then exclusions by `_EXCLUDING` reason, then exclusions of no recorded
+reason, which only a result read from a CSV file has.  A block holds
+at most _BLOCK_CELLS subjects in all, R (n1 + n2) <= 2**18, which
+bounds its arrays to a few megabytes whatever the scenario; the
+replication range is cut into such blocks and their tallies summed.
+Every number of a row equals that of the public test on the row's data
+set bit for bit, whatever the block's size, so the counts do not
+depend on where the range is cut.  A test's exclusion is its
 row's first failing check.  A valid row is rejected when its statistic
 reaches `_chi2_critical(alpha)`, the smallest double whose p-value is
 below alpha, which is the p-value's own decision.
@@ -53,17 +56,7 @@ import numpy as np
 
 from .errors import CifPointError, UnreachableTarget
 from .estimation import _finite_horizon
-
-# TEST_METHODS and run_battery are not used here; they stay importable
-# from this module for code that looks them up in it
-from .fixed_time import (  # noqa: F401
-    _EXCLUDING,
-    TEST_IDS,
-    TEST_METHODS,
-    _battery_rows,
-    chi2_pvalue,
-    run_battery,
-)
+from .fixed_time import _EXCLUDING, TEST_IDS, _battery_rows, chi2_pvalue
 
 __all__ = [
     "Scenario",
@@ -111,8 +104,9 @@ class Scenario:
             raise ValueError("group sizes must be at least 2")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        # a tally counts in int64
+        if not 1 <= self.reps < 2**63:
+            raise ValueError(f"reps must be in [1, 2**63), got {self.reps!r}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed!r}")
 
@@ -125,27 +119,27 @@ class Scenario:
 class ScenarioResult:
     """Empirical rejection proportions of the twelve tests.
 
-    `rejections` and `excluded` map each test to its count.  `reasons`
-    splits a test's exclusions by the error type that excluded them
-    (test -> {type name: count}, nonzero counts only, tests without
-    exclusions left out); a result read back from a CSV file has none,
-    and it takes no part in equality.  The counts are held as tuples in
-    TEST_IDS order, so that a grid of many results stays small.
+    Built from a scenario's tally.  `rejections` and `excluded` map
+    each test to its count.  `reasons` splits a test's recorded
+    exclusions by the error type that excluded them (test -> {type
+    name: count}, nonzero counts only, tests without them left out);
+    they take no part in equality.  The tally is held as tuples, so that
+    a grid of many results stays small: the rejections and exclusions
+    in TEST_IDS order, and the reason columns unless all are 0.
     """
 
     scenario: Scenario
     _counts: tuple[int, ...]
     _reasons: tuple[int, ...] = field(compare=False)
 
-    def __init__(self, scenario: Scenario, rejections: dict[str, int],
-                 excluded: dict[str, int], reasons=None):
-        reasons = reasons or {}
+    def __init__(self, scenario: Scenario, tally):
+        tally = np.asarray(tally)
+        reasons = tally[:, 1:-1]
         object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "_counts", (*(rejections[test] for test in TEST_IDS),
-                                             *(excluded[test] for test in TEST_IDS)))
-        object.__setattr__(self, "_reasons", tuple(
-            reasons.get(test, {}).get(error.__name__, 0)
-            for test in TEST_IDS for error in _EXCLUDING) if any(reasons.values()) else ())
+        object.__setattr__(self, "_counts", tuple(tally[:, 0].tolist()
+                                                  + tally[:, 1:].sum(axis=1).tolist()))
+        object.__setattr__(self, "_reasons", tuple(reasons.ravel().tolist())
+                           if reasons.any() else ())
 
     @property
     def rejections(self) -> dict[str, int]:
@@ -172,10 +166,6 @@ class ScenarioResult:
     def rate(self, test: str) -> float:
         n = self.valid(test)
         return self._counts[TEST_IDS.index(test)] / n if n else float("nan")
-
-    @property
-    def rejection(self) -> dict[str, float]:
-        return {test: self.rate(test) for test in TEST_IDS}
 
 
 def analytic_cif(t, cause: int, beta: float, z: int, p: float):
@@ -317,19 +307,21 @@ def _chi2_critical(alpha: float) -> float:
     return float(np.int64(hi).view(np.float64))
 
 
+# columns of a tally: rejections, the reasons, no recorded reason
+_TALLY_WIDTH = len(_EXCLUDING) + 2
+
 # replications per engine call: R rows of n1 + n2 subjects keep R (n1 + n2)
 # at or below this many cells, which bounds the block's arrays
 _BLOCK_CELLS = 2**18
 
 
-def _run_block(args) -> tuple[dict, dict]:
-    """Rejection counts and exclusion counts by error type of
-    replications `start` to `stop`, computed a block of rows at a time:
-    each block's tests are counted at once from their stacked arrays."""
+def _run_block(args) -> np.ndarray:
+    """The tally of replications `start` to `stop`, whose last column
+    is 0, computed a block of rows at a time: each block's tests are
+    counted at once from their stacked arrays."""
     s, start, stop, bounds = args
     critical = _chi2_critical(s.alpha)
-    rejections = np.zeros(len(TEST_IDS), dtype=int)
-    reasons = {test: dict.fromkeys(_EXCLUDING, 0) for test in TEST_IDS}
+    tally = np.zeros((len(TEST_IDS), _TALLY_WIDTH), dtype=np.int64)
     step = max(1, _BLOCK_CELLS // (s.n1 + s.n2))
     for first in range(start, stop, step):
         battery = _battery_rows(_sample_block(s, first, min(first + step, stop), bounds),
@@ -344,19 +336,19 @@ def _run_block(args) -> tuple[dict, dict]:
             error = battery.errors[j][c]
             if error not in _EXCLUDING:
                 raise error(battery.message(j, c, int(np.argmax(failure[j] == c))))
-            reasons[TEST_IDS[j]][error] += int(hits[j, c])
+            tally[j, 1 + _EXCLUDING.index(error)] += hits[j, c]
         statistic = battery.statistic[~excluded]
         outside = ~(statistic >= 0.0)
         if outside.any():
             # the ValueError chi2_pvalue raises for its first such value
             chi2_pvalue(float(statistic[np.argmax(outside)]), 1)
-        rejections += np.count_nonzero((battery.statistic >= critical) & ~excluded, axis=1)
-    return dict(zip(TEST_IDS, rejections.tolist())), reasons
+        tally[:, 0] += np.count_nonzero((battery.statistic >= critical) & ~excluded, axis=1)
+    return tally
 
 
 def run_scenario(s: Scenario, workers: int = 1,
                  per_group_censoring: bool = False) -> ScenarioResult:
-    """Replicate a scenario and aggregate rejection counts.
+    """Replicate a scenario and sum the tallies of its blocks.
 
     `per_group_censoring` calibrates a separate uniform bound against
     each group's own failure-time law instead of the pooled mixture.
@@ -387,12 +379,7 @@ def run_scenario(s: Scenario, workers: int = 1,
         blocks = [(s, int(a), int(b), bounds) for a, b in zip(edges[:-1], edges[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_block, blocks))
-    rejections = {test: sum(rej[test] for rej, _ in parts) for test in TEST_IDS}
-    reasons = {test: {error.__name__: count for error in _EXCLUDING
-                      if (count := sum(part[test][error] for _, part in parts))}
-               for test in TEST_IDS}
-    excluded = {test: sum(counts.values()) for test, counts in reasons.items()}
-    return ScenarioResult(s, rejections, excluded, reasons)
+    return ScenarioResult(s, sum(parts))
 
 
 def parse_scenarios(path) -> list[Scenario]:
@@ -514,8 +501,9 @@ def write_results_csv(results, path) -> None:
 
 
 def read_results_csv(path) -> list[ScenarioResult]:
-    """Rebuild scenario results written by `write_results_csv`."""
-    grouped: dict[Scenario, tuple[dict, dict]] = {}
+    """Rebuild scenario results written by `write_results_csv`, their
+    exclusions of no recorded reason."""
+    tallies: dict[Scenario, np.ndarray] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         missing = set(_CSV_COLUMNS) - {"beta"} - set(reader.fieldnames or ())
@@ -542,18 +530,22 @@ def read_results_csv(path) -> list[ScenarioResult]:
                 raise CifPointError(
                     f"{path}: scenario {scenario} test {test!r}: {counts[0]} rejections and "
                     f"{counts[1]} exclusions do not fit {scenario.reps} replications")
-            rejections, excluded = grouped.setdefault(scenario, ({}, {}))
-            if test in rejections:
+            # the row of a test not yet read is -1
+            tally = tallies.setdefault(scenario, np.full((len(TEST_IDS), _TALLY_WIDTH), -1,
+                                                         dtype=np.int64))
+            i = TEST_IDS.index(test)
+            if tally[i, 0] >= 0:
                 raise CifPointError(f"{path}: scenario {scenario} repeats test {test!r}")
-            rejections[test], excluded[test] = counts
-    if not grouped:
+            tally[i] = 0
+            tally[i, [0, -1]] = counts
+    if not tallies:
         raise CifPointError(f"{path}: no results")
     results = []
-    for scenario, (rejections, excluded) in grouped.items():
-        absent = [t for t in TEST_IDS if t not in rejections]
+    for scenario, tally in tallies.items():
+        absent = [test for test, rejections in zip(TEST_IDS, tally[:, 0]) if rejections < 0]
         if absent:
             raise CifPointError(f"{path}: scenario {scenario} lacks tests {absent}")
-        results.append(ScenarioResult(scenario, rejections, excluded))
+        results.append(ScenarioResult(scenario, tally))
     return results
 
 

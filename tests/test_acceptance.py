@@ -34,6 +34,7 @@ from cifpoint.fixed_time import (
     TransformKind,
     k_sample_test,
     pointwise_ci,
+    run_battery,
     transform,
     transform_variance,
     two_sample_test,
@@ -44,7 +45,6 @@ from cifpoint.simulation import (
     TEST_IDS,
     Scenario,
     analytic_cif,
-    run_battery,
     results_to_json,
     run_scenario,
     sample_group,

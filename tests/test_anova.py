@@ -16,9 +16,17 @@ from hypothesis import strategies as st
 
 from cifpoint.anova import AnovaTable, _aliased_columns, anova_summarize, ols_no_intercept
 from cifpoint.errors import CifPointError, RankDeficientDesign
-from cifpoint.simulation import TEST_IDS, Scenario, ScenarioResult
+from cifpoint.simulation import _TALLY_WIDTH, TEST_IDS, Scenario, ScenarioResult
 
 COEFFICIENTS_FILE = pathlib.Path(__file__).parent / "data" / "anova_coefficients.json"
+
+
+def tally(rejections, excluded):
+    """The tally of these counts, exclusions of no recorded reason."""
+    counts = np.zeros((len(TEST_IDS), _TALLY_WIDTH), dtype=np.int64)
+    counts[:, 0] = [rejections[test] for test in TEST_IDS]
+    counts[:, -1] = [excluded[test] for test in TEST_IDS]
+    return counts
 
 
 def fake_result(n1, n2, t, cen, rates, reps=1000, excluded=None):
@@ -28,7 +36,7 @@ def fake_result(n1, n2, t, cen, rates, reps=1000, excluded=None):
         rates = {test: rates for test in TEST_IDS}
     rejections = {test: int(round(rates[test] * reps)) for test in TEST_IDS}
     excluded = excluded or {test: 0 for test in TEST_IDS}
-    return ScenarioResult(scenario=s, rejections=rejections, excluded=excluded)
+    return ScenarioResult(s, tally(rejections, excluded))
 
 
 def additive_grid():
@@ -57,7 +65,7 @@ def seeded_grid():
                 excluded = {test: int(rng.integers(0, 60)) for test in TEST_IDS}
                 rejections = {test: int(rng.integers(0, 1000 - excluded[test]))
                               for test in TEST_IDS}
-                results.append(ScenarioResult(s, rejections, excluded))
+                results.append(ScenarioResult(s, tally(rejections, excluded)))
     return results
 
 

@@ -48,9 +48,12 @@ def grid_cfg(tmp_path):
 def results_csv(path):
     """A results file of one 20/20 scenario with 1 rejection and 1
     exclusion of each test."""
+    from cifpoint.simulation import _TALLY_WIDTH
+
     scenario = cifpoint.Scenario(n1=20, n2=20, beta=0.0, censor_fraction=0.0, t_fixed=0.5, reps=20)
-    counts = dict.fromkeys(cifpoint.TEST_IDS, 1)
-    cifpoint.write_results_csv([cifpoint.ScenarioResult(scenario, counts, counts)], path)
+    tally = np.zeros((len(cifpoint.TEST_IDS), _TALLY_WIDTH), dtype=np.int64)
+    tally[:, [0, -1]] = 1
+    cifpoint.write_results_csv([cifpoint.ScenarioResult(scenario, tally)], path)
     return path
 
 

@@ -40,15 +40,18 @@ from cifpoint.errors import CifPointError, NotEstimable
 from cifpoint.estimation import cif_estimate
 from cifpoint.fixed_time import (
     PSEUDO_METHODS,
+    TEST_IDS,
+    TEST_METHODS,
     TransformKind,
     _scaled,
     k_sample_test,
     pointwise_ci,
+    run_battery,
     transform_variance,
     two_sample_test,
 )
 from cifpoint.pseudo import pseudo_test, pseudo_values
-from cifpoint.simulation import TEST_IDS, TEST_METHODS, Scenario, run_battery
+from cifpoint.simulation import Scenario
 from cifpoint.variance import VarianceKind, cif_variance
 
 from conftest import FIXTURE_A, FIXTURE_B, group_columns, make_dataset

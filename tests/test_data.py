@@ -18,9 +18,9 @@ from cifpoint.data import (
 )
 from cifpoint.errors import InvalidRecord
 from cifpoint.estimation import cif_estimate
-from cifpoint.fixed_time import TransformKind, k_sample_test, pointwise_ci, two_sample_test
+from cifpoint.fixed_time import (TransformKind, k_sample_test, pointwise_ci, run_battery,
+                                 two_sample_test)
 from cifpoint.pseudo import pseudo_test, pseudo_values
-from cifpoint.simulation import run_battery
 from cifpoint.variance import cif_variance
 
 from conftest import group_columns, make_dataset, subject_columns

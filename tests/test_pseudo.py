@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from cifpoint.data import Dataset, build_event_table
 from cifpoint.errors import NonConvergence, SeparationDetected, ZeroVariance
 from cifpoint.estimation import cif_estimate
-from cifpoint.fixed_time import (TEST_IDS, TransformKind, chi2_pvalue, transform,
-                                 transform_variance)
+from cifpoint.fixed_time import (TEST_IDS, TransformKind, chi2_pvalue, run_battery,
+                                 transform, transform_variance)
 from cifpoint.pseudo import LinkKind, _inverse_link, gee_fit, pseudo_test, pseudo_values
-from cifpoint.simulation import run_battery
 
 from conftest import FIXTURE_A, make_dataset, random_dataset
 

@@ -25,15 +25,16 @@ from cifpoint.errors import (
 from cifpoint.estimation import cif_at, cif_estimate
 from cifpoint.fixed_time import (
     _SCALES,
+    TEST_METHODS,
     TransformKind,
     k_sample_test,
     pointwise_ci,
+    run_battery,
     transform,
 )
 from cifpoint.pseudo import LinkKind, _pooled_pseudo, pseudo_test, pseudo_values
 from cifpoint.simulation import (
     TEST_IDS,
-    TEST_METHODS,
     Scenario,
     analytic_cif,
     analytic_survival,
@@ -41,7 +42,6 @@ from cifpoint.simulation import (
     parse_scenarios,
     read_results_csv,
     results_to_json,
-    run_battery,
     run_scenario,
     sample_group,
     write_results_csv,
@@ -189,8 +189,9 @@ class TestScenario:
             tiny(censor_fraction=1.0)
         with pytest.raises(ValueError):
             tiny(p=0.0)
-        with pytest.raises(ValueError):
-            tiny(reps=0)
+        for bad in (0, 2**63):
+            with pytest.raises(ValueError, match=r"^reps must be in \[1, 2\*\*63\), got "):
+                tiny(reps=bad)
         for bad in (math.nan, 0.0, -1.0, math.inf):
             with pytest.raises(ValueError, match="^time must be finite and positive, got "):
                 tiny(t_fixed=bad)
@@ -652,28 +653,32 @@ class TestEngine:
             except CifPointError as exc:
                 got = exc
         tests = _battery_rows(groups, 1, t)
-        rejections, reasons = {}, {}
+        # one row per test: rejections, then exclusions by reason, then
+        # exclusions of no recorded reason, which the engine never has
+        excluding = cifpoint.fixed_time._EXCLUDING
+        want = np.zeros((len(TEST_IDS), len(excluding) + 2), dtype=np.int64)
         try:
             for j, test in enumerate(part.test for part in tests.parts):
+                row = TEST_IDS.index(test)
                 checks = tests.fails[j]
                 first = np.full(checks.shape[-1], -1)
                 for k in reversed(range(len(checks))):
                     first[checks[k]] = k
                 hits = np.bincount(first + 1, minlength=len(checks) + 1)[1:].tolist()
-                reasons[test] = dict.fromkeys(cifpoint.simulation._EXCLUDING, 0)
                 for k, n in enumerate(hits):
                     error = tests.errors[j][k]
                     if not n:
                         continue
-                    if error not in reasons[test]:
+                    if error not in excluding:
                         raise error(tests.message(j, k, int(np.argmax(first == k))))
-                    reasons[test][error] += n
+                    want[row, 1 + excluding.index(error)] += n
                 statistic = tests.statistic[j][first < 0]
-                rejections[test] = int(np.count_nonzero(statistic >= _chi2_critical(alpha)))
+                want[row, 0] = np.count_nonzero(statistic >= _chi2_critical(alpha))
         except CifPointError as exc:
             assert type(got) is type(exc) and str(got) == str(exc)
             return
-        assert got == (rejections, reasons)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("bounds", [(1.3, 1.3), (0.9, 2.2), (math.inf, math.inf)],
                              ids=["shared", "per-group", "uncensored"])
@@ -748,21 +753,20 @@ class TestEngine:
         with pytest.raises(ValueError, match=f"statistic must be >= 0, got {value!r}"):
             _run_block((s, 0, s.reps, (math.inf, math.inf)))
 
-    def test_any_split_gives_the_same_counts(self, monkeypatch):
-        s = tiny(n1=6, n2=6, t_fixed=0.08, reps=40)
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=3), st.integers(1, 8))
+    def test_any_split_gives_the_same_counts(self, cuts, block):
+        # the range cut at `cuts` and run in blocks of `block`
+        # replications, so that cuts fall inside and across blocks; at
+        # alpha 0.5 the cell both rejects and excludes
+        s = tiny(n1=6, n2=6, t_fixed=0.08, alpha=0.5, reps=40)
         bounds = (1.0, 1.0)
         whole = _run_block((s, 0, s.reps, bounds))
-        assert any(any(counts.values()) for counts in whole[1].values())
-        # blocks of five replications, so that splits fall inside and
-        # across blocks
-        monkeypatch.setattr(cifpoint.simulation, "_BLOCK_CELLS", 5 * (s.n1 + s.n2))
-        for cut in (0, 1, 5, 7, 20, 39, 40):
-            parts = [_run_block((s, a, b, bounds)) for a, b in ((0, cut), (cut, s.reps))]
-            rejections = {test: sum(rej[test] for rej, _ in parts) for test in TEST_IDS}
-            reasons = {test: {error: sum(reas[test][error] for _, reas in parts)
-                              for error in whole[1][test]}
-                       for test in TEST_IDS}
-            assert (rejections, reasons) == whole
+        assert whole[:, 0].any() and whole[:, 1:-1].any()
+        edges = [0, *sorted(cuts), s.reps]
+        with mock.patch.object(cifpoint.simulation, "_BLOCK_CELLS", block * (s.n1 + s.n2)):
+            parts = [_run_block((s, a, b, bounds)) for a, b in zip(edges[:-1], edges[1:])]
+        assert np.array_equal(sum(parts), whole)
 
     @pytest.mark.parametrize("n, t", [(6, 0.08), (25, 0.1)])
     def test_reasons_match_public_replay(self, n, t):
@@ -946,8 +950,10 @@ class TestResultsIo:
         write_results_csv([res], path)
         (back,) = read_results_csv(path)
         assert back.reasons == {}
+        assert back.excluded == res.excluded
         # the reasons take no part in equality
         assert back == res
+        assert hash(back) == hash(res)
 
     def test_read_rejects_a_file_without_results(self, tmp_path):
         # summarize-anova used to fail on it with a ValueError

@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 from cifpoint.data import EventTable, _row_knots, build_event_table, event_table_from_arrays
 from cifpoint.errors import NotEstimable, NumericalError
 from cifpoint.estimation import _aalen_johansen, _table_counts
-from cifpoint.fixed_time import TEST_METHODS, TransformKind, k_sample_test, pointwise_ci
-from cifpoint.simulation import run_battery
+from cifpoint.fixed_time import (TEST_METHODS, TransformKind, k_sample_test, pointwise_ci,
+                                 run_battery)
 from cifpoint.variance import (
     _ESTIMATORS,
     VarianceKind,
