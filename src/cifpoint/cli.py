@@ -158,7 +158,7 @@ def _load(args):
 
 
 def _emit(payload: dict, args, human: str) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2) if args.json or args.out else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -393,6 +393,12 @@ def _row_knots(times: np.ndarray, statuses: np.ndarray, causes, t: float):
     number of knots up to it, and whether it is a knot.  The counts are
     all the variances need; an :class:`EventTable` reads its fields off
     one row, and `estimation._pooled_pseudo` ranks each subject from the rest.
+
+    A block with no tied times in any row, as every simulated block,
+    skips the tie bookkeeping: each subject is a block of its own, so a
+    knot at sorted position `col` has n - col at risk, one failure, and
+    one failure of the cause its status names.  These are the integers
+    the tied path sums, so both paths give the same counts.
     """
     rows, n = times.shape
     order = np.argsort(times, axis=-1)
@@ -402,7 +408,6 @@ def _row_knots(times: np.ndarray, statuses: np.ndarray, causes, t: float):
     head[:, 1:] = times[:, 1:] != times[:, :-1]
     tail = np.ones(times.shape, dtype=bool)
     tail[:, :-1] = head[:, 1:]
-    start = np.maximum.accumulate(np.where(head, np.arange(n), 0), axis=-1)
 
     def block_sums(flags):
         """The running count of `flags` within each tie block, which is
@@ -410,17 +415,27 @@ def _row_knots(times: np.ndarray, statuses: np.ndarray, causes, t: float):
         c = np.cumsum(flags, axis=-1)
         return c - _take_rows(c - flags, start)
 
-    failures = block_sums(statuses > 0)
+    failures = statuses > 0
+    tied = not head.all()
+    if tied:
+        start = np.maximum.accumulate(np.where(head, np.arange(n), 0), axis=-1)
+        failures = block_sums(failures)
     knot = tail & (times <= t) & (failures > 0)
     rank = np.cumsum(knot, axis=-1)
     row, col = np.nonzero(knot)
     slot = (row, rank[row, col])
     shape = (rows, int(rank[:, -1].max()) + 1)
     a, d, dk = np.full(shape, float(n)), np.zeros(shape), np.zeros((len(causes),) + shape)
-    a[slot] = n - start[row, col]
-    d[slot] = failures[row, col]
-    for dk_c, cause in zip(dk, causes):
-        dk_c[slot] = block_sums(statuses == cause)[row, col]
+    if tied:
+        a[slot] = n - start[row, col]
+        d[slot] = failures[row, col]
+        for dk_c, cause in zip(dk, causes):
+            dk_c[slot] = block_sums(statuses == cause)[row, col]
+    else:
+        a[slot] = n - col
+        d[slot] = 1.0
+        for dk_c, cause in zip(dk, causes):
+            dk_c[slot] = statuses[row, col] == cause
     return a, d, dk, order, times, statuses, tail, rank, knot
 
 

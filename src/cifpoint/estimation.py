@@ -174,11 +174,17 @@ def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
     a, d, (dk,), order, _, statuses, tail, rank, knot = _row_knots(times, statuses, (cause,),
                                                                    taus.max())
     # a sorted subject's last knot at or before its time is the rank at
-    # the end of its tie block, and is at its time when that end is a knot
-    end = np.flip(np.minimum.accumulate(np.flip(np.where(tail, np.arange(n), n - 1), -1),
-                                        axis=-1), -1)
-    last, own = _take_rows(rank, end), _take_rows(knot, end)
-    del tail, rank, knot, end  # freed before the (subject, horizon) grid
+    # the end of its tie block, and is at its time when that end is a knot.
+    # Without ties every subject ends its own block, so the gathers would
+    # return rank and knot themselves.
+    if tail.all():
+        last, own = rank, knot
+    else:
+        end = np.flip(np.minimum.accumulate(np.flip(np.where(tail, np.arange(n), n - 1), -1),
+                                            axis=-1), -1)
+        last, own = _take_rows(rank, end), _take_rows(knot, end)
+        del end
+    del tail, rank, knot  # freed before the (subject, horizon) grid
 
     # full sample: survival just after, and incidence up to, each knot
     _, surv, jumps = _aalen_johansen(a, d, dk)

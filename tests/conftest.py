@@ -109,10 +109,14 @@ def subject_columns(groups=("a", "b")):
     subjects with every label of `groups` present.  Times lie on a grid
     of eighths, so ties are common and a rescaling by any factor keeps
     their order and ties; statuses are censored or one of three causes.
+    A drawn switch makes all times distinct in part of the examples, so
+    that the tie-free path of the knot builder runs too.
     """
     row = st.tuples(st.integers(1, 24).map(lambda k: k / 8.0), st.integers(0, 3),
                     st.sampled_from(groups))
-    return (st.lists(row, min_size=len(groups), max_size=40)
+    return (st.booleans()
+            .flatmap(lambda distinct: st.lists(row, min_size=len(groups), max_size=40,
+                                               unique_by=(lambda r: r[0]) if distinct else None))
             .filter(lambda rows: {r[2] for r in rows} == set(groups))
             .map(lambda rows: [list(col) for col in zip(*rows)]))
 

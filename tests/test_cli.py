@@ -121,6 +121,23 @@ class TestEstimate:
         assert "group x" in out and "group y" in out
         assert "t=3" in out
 
+    def test_human_mode_encodes_no_json(self, data_csv, monkeypatch, capsys):
+        # the JSON text used to be encoded, then dropped, in human mode
+        calls = []
+        dumps = json.dumps
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(cifpoint.cli.json, "dumps", counted)
+        argv = ["estimate", "--input", str(data_csv), "--group-col", "arm",
+                "--cause", "1", "--times", "1,3"]
+        assert run(argv, capsys)[0] == 0
+        assert calls == []
+        assert run(argv + ["--json"], capsys)[0] == 0
+        assert len(calls) == 1
+
     def test_json_curve_round_trip(self, data_csv, capsys):
         code, out, _ = run(
             ["estimate", "--input", str(data_csv), "--group-col", "arm",

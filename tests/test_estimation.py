@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cifpoint.data import _row_knots, build_event_table, event_table_from_arrays
 from cifpoint.estimation import (
     StepFunction,
+    _pooled_pseudo,
     _table_counts,
     cif_at,
     cif_estimate,
@@ -161,3 +162,45 @@ class TestPackedCounts:
             assert rank[r].tolist() == np.where(tail[r], np.searchsorted(knots, sorted_times, "right"),
                                                 np.searchsorted(knots, sorted_times)).tolist()
             assert knot[r].tolist() == (tail[r] & np.isin(sorted_times, knots)).tolist()
+
+
+@st.composite
+def tie_free_blocks(draw):
+    """(R, n) times, each row's distinct, on a grid of sixty-fourths;
+    statuses censored or one of three causes; and a row of n times on
+    the same grid with at least one tie."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(2, 12))
+    times = draw(st.lists(st.lists(st.integers(1, 128), min_size=n, max_size=n, unique=True),
+                          min_size=rows, max_size=rows))
+    statuses = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                             min_size=rows, max_size=rows))
+    tied = draw(st.lists(st.integers(1, 128), min_size=n - 1, max_size=n - 1))
+    return np.array(times) / 64.0, np.array(statuses), np.array(tied[:1] + tied) / 64.0
+
+
+class TestTieFreePath:
+    # a block without ties takes the tie-free path of `_row_knots` and of
+    # `_pooled_pseudo`.  One more row of censored subjects with a tie
+    # sends the same rows through the tied path and adds no knot, so with
+    # that row dropped every output is the same, dtype included.
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_free_blocks(),
+           st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+           horizons | st.just(math.inf),
+           st.lists(horizons, min_size=1, max_size=3, unique=True).map(sorted))
+    def test_tied_path_gives_the_same_outputs(self, block, causes, t, taus):
+        times, statuses, tied = block
+        rows = times.shape[0]
+        with_tie = np.vstack((times, tied)), np.vstack((statuses, np.zeros_like(tied, int)))
+        fast = _row_knots(times, statuses, causes, t)
+        slow = _row_knots(*with_tie, causes, t)
+        assert fast[6].all() and not slow[6].all()  # `tail`: ties only in the last row
+        # dk leads with an axis of causes
+        slow = tuple(x[:, :rows] if i == 2 else x[:rows] for i, x in enumerate(slow))
+        taus = np.array(taus)
+        fast += (_pooled_pseudo(times, statuses, causes[0], taus),)
+        slow += (_pooled_pseudo(*with_tie, causes[0], taus)[:rows],)
+        for x, y in zip(fast, slow):
+            assert x.dtype == y.dtype
+            assert np.array_equal(x, y)

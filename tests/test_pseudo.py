@@ -175,8 +175,12 @@ class TestLeaveOneOutKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        rows=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2)),
-                      min_size=1, max_size=25),
+        # times on 1..6, or, by a drawn switch, distinct times on a grid of
+        # eighths, which take the kernel's tie-free path
+        rows=st.booleans().flatmap(lambda distinct: st.lists(
+            st.tuples(st.integers(1, 48).map(lambda k: k / 8.0) if distinct
+                      else st.integers(1, 6), st.integers(0, 2)),
+            min_size=1, max_size=25, unique_by=(lambda r: r[0]) if distinct else None)),
         taus=st.lists(st.sampled_from([0.5, 1.0, 2.5, 4.0, 7.0]),
                       min_size=1, max_size=3, unique=True).map(sorted),
         cause=st.sampled_from([1, 2]),

@@ -548,7 +548,11 @@ def row_blocks(draw):
     """R data sets of two to four groups, as (label, times, statuses)
     with (R, n_g) rows, with times on a grid of eighths (ties, and
     censorings at failure times) and a horizon on a grid of sixteenths,
-    from before the first failure to past the last."""
+    from before the first failure to past the last.  A drawn switch
+    gives each data set distinct times over all its groups instead, on
+    a grid of sixty-fourths over the same range, so that the block
+    takes the tie-free path of the knot builder."""
+    distinct = draw(st.booleans())
     rows = draw(st.integers(1, 6))
 
     def group():
@@ -560,6 +564,13 @@ def row_blocks(draw):
         return np.array(times) / 8.0, np.array(statuses)
 
     groups = [(str(g), *group()) for g in range(1, draw(st.integers(2, 4)) + 1)]
+    if distinct:
+        sizes = [times.shape[1] for _, times, _ in groups]
+        pooled = np.array(draw(st.lists(st.lists(st.integers(1, 128), min_size=sum(sizes),
+                                                 max_size=sum(sizes), unique=True),
+                                        min_size=rows, max_size=rows))) / 64.0
+        parts = np.split(pooled, np.cumsum(sizes)[:-1], axis=1)
+        groups = [(label, times, statuses) for (label, _, statuses), times in zip(groups, parts)]
     return groups, draw(st.integers(1, 36)) / 16.0
 
 
