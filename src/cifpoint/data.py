@@ -379,29 +379,39 @@ def _row_knots(times: np.ndarray, statuses: np.ndarray, causes, t: float):
     """The knots of each row of (R, n) `times` and `statuses`, one data
     set per row: its distinct failure times at or before `t`.
 
-    Each row is sorted once.  Its counts are packed in time order into
-    (R, K + 1) arrays, K the most knots of any row, after the empty knot
-    0 (all n at risk, no events), which also pads a row with fewer knots.
-    Its factor 1 and zero jump change no product and, as every sum runs
-    in knot order, no sum: a row's numbers do not depend on K.
+    Each row is sorted once, and only its sorted prefix is kept: its
+    first width = min(n, 1 + the most subjects at or before `t` of any
+    row) positions, so every row holds all its subjects at or before
+    `t` and, unless the prefix is the whole row, at least one past it.  A
+    subject past `t` only adds to the at-risk counts, which are n less
+    a sorted position, so nothing past the prefix is looked at; at
+    t = inf the prefix is the whole row.  The counts are packed in time
+    order into (R, K + 1) arrays, K the most knots of any row, after the
+    empty knot 0 (all n at risk, no events), which also pads a row with
+    fewer knots.  Its factor 1 and zero jump change no product and, as
+    every sum runs in knot order, no sum: a row's numbers do not depend
+    on K.
 
     Returns (a, d, dk, order, times, statuses, tail, rank, knot): each
     knot's at-risk and failure counts as float arrays, and as one
     (C, R, K + 1) float array its failures of each of the C `causes`;
-    the sorting permutation and the sorted times and statuses; and for
-    each sorted position whether it ends a block of tied times, the
-    number of knots up to it, and whether it is a knot.  The counts are
-    all the variances need; an :class:`EventTable` reads its fields off
-    one row, and `estimation._pooled_pseudo` ranks each subject from the rest.
+    and, as (R, width) arrays over the sorted prefix, the sorting
+    permutation, the sorted times and statuses, and for each position
+    whether it ends a block of tied times within the prefix (the last
+    position always does), the number of knots up to it, and whether it
+    is a knot.  The counts are all the variances need; an
+    :class:`EventTable` reads its fields off one row, and
+    `estimation._pooled_pseudo` ranks each subject from the rest.
 
-    A block with no tied times in any row, as every simulated block,
-    skips the tie bookkeeping: each subject is a block of its own, so a
-    knot at sorted position `col` has n - col at risk, one failure, and
-    one failure of the cause its status names.  These are the integers
-    the tied path sums, so both paths give the same counts.
+    A block with no tied times in any row's prefix, as every simulated
+    block, skips the tie bookkeeping: each subject is a block of its
+    own, so a knot at sorted position `col` has n - col at risk, one
+    failure, and one failure of the cause its status names.  These are
+    the integers the tied path sums, so both paths give the same counts.
     """
     rows, n = times.shape
-    order = np.argsort(times, axis=-1)
+    width = min(n, int((times <= t).sum(axis=-1).max()) + 1)
+    order = np.argsort(times, axis=-1)[:, :width]
     times = _take_rows(times, order)
     statuses = _take_rows(statuses, order)
     head = np.ones(times.shape, dtype=bool)
@@ -418,7 +428,7 @@ def _row_knots(times: np.ndarray, statuses: np.ndarray, causes, t: float):
     failures = statuses > 0
     tied = not head.all()
     if tied:
-        start = np.maximum.accumulate(np.where(head, np.arange(n), 0), axis=-1)
+        start = np.maximum.accumulate(np.where(head, np.arange(width), 0), axis=-1)
         failures = block_sums(failures)
     knot = tail & (times <= t) & (failures > 0)
     rank = np.cumsum(knot, axis=-1)

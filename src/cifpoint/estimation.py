@@ -33,9 +33,13 @@ no count after t_m.  Hence
 
 where F' and S' run the recursion over t_1..t_m with Y_j - 1 in place
 of Y_j, which for all subjects at once is one shared prefix product and
-prefix sum plus a per-subject correction at t_m.  After one sort the
-cost is O(N + K) per horizon for K distinct failure times, against
-O(N K) for N separate refits.
+prefix sum plus a per-subject correction at t_m.  A subject observed
+after the last horizon has t_m the last knot and no event there, so all
+such subjects share one pseudo-value, and the kernel works only through
+the sorted prefix of `data._row_knots`.  After one sort the cost is
+O(M + K) per horizon, for the M <= N subjects of that prefix and the K
+distinct failure times up to the last horizon, plus one copy of the
+shared value per later subject, against O(N K) for N separate refits.
 """
 
 from __future__ import annotations
@@ -171,8 +175,8 @@ def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
     # the knots are each row's failure times up to the last horizon after
     # the empty knot 0 (see data._row_knots), so that each subject and
     # each horizon has a last knot at or before it
-    a, d, (dk,), order, _, statuses, tail, rank, knot = _row_knots(times, statuses, (cause,),
-                                                                   taus.max())
+    a, d, (dk,), order, times, statuses, tail, rank, knot = _row_knots(times, statuses, (cause,),
+                                                                       taus.max())
     # a sorted subject's last knot at or before its time is the rank at
     # the end of its tie block, and is at its time when that end is a knot.
     # Without ties every subject ends its own block, so the gathers would
@@ -180,8 +184,9 @@ def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
     if tail.all():
         last, own = rank, knot
     else:
-        end = np.flip(np.minimum.accumulate(np.flip(np.where(tail, np.arange(n), n - 1), -1),
-                                            axis=-1), -1)
+        width = tail.shape[1]
+        end = np.where(tail, np.arange(width), width - 1)
+        end = np.flip(np.minimum.accumulate(np.flip(end, -1), axis=-1), -1)
         last, own = _take_rows(rank, end), _take_rows(knot, end)
         del end
     del tail, rank, knot  # freed before the (subject, horizon) grid
@@ -203,7 +208,8 @@ def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
     # subject's time and the horizon, whose last knot is that of its last
     # subject.  Leaving subject i out lowers the at-risk count at knots up
     # to j, takes its own event out of knot j, and leaves every later
-    # knot as in the full sample.
+    # knot as in the full sample.  The grid covers the sorted prefix,
+    # which holds every subject at or before the last horizon.
     within = np.sum(times[..., None] <= taus, axis=-2)
     cut = _take_rows(np.concatenate((np.zeros((rows, 1), int), last), axis=-1), within)
     j = np.minimum(last[..., None], cut[:, None, :])
@@ -223,6 +229,10 @@ def _pooled_pseudo(times: np.ndarray, statuses: np.ndarray, cause: int,
     full = _take_rows(inc, cut)[:, None, :]
     ratio = np.divide(surv_i, at(surv), out=np.zeros_like(surv_i), where=j < cut[:, None, :])
     loo = inc_i + ratio * (full - at(inc))
-    values = np.empty_like(loo)
-    values[np.arange(rows)[:, None], order] = loo + n * (full - loo)
+    theta = loo + n * (full - loo)
+    # a subject past the prefix is past the last horizon, as its last
+    # column is, with the same j and no event of its own there
+    values = np.empty((rows, n, theta.shape[-1]))
+    values[:] = theta[:, -1:]
+    values[np.arange(rows)[:, None], order] = theta
     return values

@@ -332,8 +332,9 @@ def _run_block(args) -> np.ndarray:
         failure = np.where(excluded, battery.fails.argmax(axis=1), checks)
         hits = np.bincount((failure + np.arange(tests)[:, None] * (checks + 1)).ravel(),
                            minlength=tests * (checks + 1)).reshape(tests, checks + 1)
+        errors = battery.errors  # built anew on each read
         for j, c in zip(*np.nonzero(hits[:, :-1])):
-            error = battery.errors[j][c]
+            error = errors[j][c]
             if error not in _EXCLUDING:
                 raise error(battery.message(j, c, int(np.argmax(failure[j] == c))))
             tally[j, 1 + _EXCLUDING.index(error)] += hits[j, c]

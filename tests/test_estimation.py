@@ -167,22 +167,25 @@ class TestPackedCounts:
 @st.composite
 def tie_free_blocks(draw):
     """(R, n) times, each row's distinct, on a grid of sixty-fourths;
-    statuses censored or one of three causes; and a row of n times on
-    the same grid with at least one tie."""
+    statuses censored or one of three causes; and n - 1 more times on
+    the same grid, for a row with a tie."""
     rows, n = draw(st.integers(1, 4)), draw(st.integers(2, 12))
     times = draw(st.lists(st.lists(st.integers(1, 128), min_size=n, max_size=n, unique=True),
                           min_size=rows, max_size=rows))
     statuses = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
                              min_size=rows, max_size=rows))
-    tied = draw(st.lists(st.integers(1, 128), min_size=n - 1, max_size=n - 1))
-    return np.array(times) / 64.0, np.array(statuses), np.array(tied[:1] + tied) / 64.0
+    more = draw(st.lists(st.integers(1, 128), min_size=n - 1, max_size=n - 1))
+    return np.array(times) / 64.0, np.array(statuses), np.array(more) / 64.0
 
 
 class TestTieFreePath:
     # a block without ties takes the tie-free path of `_row_knots` and of
-    # `_pooled_pseudo`.  One more row of censored subjects with a tie
-    # sends the same rows through the tied path and adds no knot, so with
-    # that row dropped every output is the same, dtype included.
+    # `_pooled_pseudo`.  One more row of censored subjects, tied at its
+    # smallest time, which is at or before t and the last horizon, sends
+    # the same rows through the tied path and adds no knot.  It may widen
+    # the sorted prefix by subjects past t, so with that row dropped the
+    # per-subject outputs agree over the tie-free prefix, and every other
+    # output is the same, dtype included.
 
     @settings(max_examples=200, deadline=None)
     @given(tie_free_blocks(),
@@ -190,17 +193,87 @@ class TestTieFreePath:
            horizons | st.just(math.inf),
            st.lists(horizons, min_size=1, max_size=3, unique=True).map(sorted))
     def test_tied_path_gives_the_same_outputs(self, block, causes, t, taus):
-        times, statuses, tied = block
+        times, statuses, more = block
         rows = times.shape[0]
+        low = min(more.min(), t, taus[-1])
+        tied = np.r_[low, low, np.sort(more)[1:]]
         with_tie = np.vstack((times, tied)), np.vstack((statuses, np.zeros_like(tied, int)))
         fast = _row_knots(times, statuses, causes, t)
         slow = _row_knots(*with_tie, causes, t)
         assert fast[6].all() and not slow[6].all()  # `tail`: ties only in the last row
-        # dk leads with an axis of causes
-        slow = tuple(x[:, :rows] if i == 2 else x[:rows] for i, x in enumerate(slow))
+        width = fast[3].shape[1]
+        # dk leads with an axis of causes; order to knot are per subject
+        slow = tuple(x[:, :rows] if i == 2 else x[:rows, :width] if i >= 3 else x[:rows]
+                     for i, x in enumerate(slow))
         taus = np.array(taus)
         fast += (_pooled_pseudo(times, statuses, causes[0], taus),)
         slow += (_pooled_pseudo(*with_tie, causes[0], taus)[:rows],)
         for x, y in zip(fast, slow):
             assert x.dtype == y.dtype
             assert np.array_equal(x, y)
+
+
+def full_width_knots(times, statuses, causes, t):
+    """`_row_knots` of an (R, n) block by its definition: each row sorted
+    whole, its knots by `np.unique` and its counts by `np.searchsorted`,
+    then cut to the sorted prefix, which ends a tie block."""
+    rows, n = times.shape
+    order = np.argsort(times, axis=-1)
+    times, statuses = np.take_along_axis(times, order, -1), np.take_along_axis(statuses, order, -1)
+    knots = [np.unique(ts[(ss > 0) & (ts <= t)]) for ts, ss in zip(times, statuses)]
+    shape = (rows, max(map(len, knots)) + 1)
+    a, d, dk = np.full(shape, float(n)), np.zeros(shape), np.zeros((len(causes),) + shape)
+    tail = np.c_[times[:, 1:] != times[:, :-1], np.ones(rows, bool)]
+    rank, knot = np.zeros(times.shape, int), np.zeros(times.shape, bool)
+    for r, (ts, ss, x) in enumerate(zip(times, statuses, knots)):
+        k = slice(1, x.size + 1)
+        a[r, k] = n - np.searchsorted(ts, x)
+        d[r, k] = np.searchsorted(ts[ss > 0], x, "right") - np.searchsorted(ts[ss > 0], x)
+        for dk_c, cause in zip(dk, causes):
+            hit = ts[ss == cause]
+            dk_c[r, k] = np.searchsorted(hit, x, "right") - np.searchsorted(hit, x)
+        rank[r] = np.where(tail[r], np.searchsorted(x, ts, "right"), np.searchsorted(x, ts))
+        knot[r] = tail[r] & np.isin(ts, x)
+    width = min(n, int(np.max(np.sum(times <= t, axis=-1))) + 1)
+    tail[:, width - 1] = True
+    return (a, d, dk) + tuple(x[:, :width] for x in (order, times, statuses, tail, rank, knot))
+
+
+@st.composite
+def knot_blocks(draw):
+    """(R, n) times on a grid of eighths in (0, 3], with ties or, by a
+    drawn switch, distinct in each row, and statuses censored or one of
+    three causes."""
+    rows, n, distinct = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.booleans())
+    times = draw(st.lists(st.lists(st.integers(1, 24), min_size=n, max_size=n, unique=distinct),
+                          min_size=rows, max_size=rows))
+    statuses = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                             min_size=rows, max_size=rows))
+    return np.array(times) / 8.0, np.array(statuses)
+
+
+class TestSortedPrefix:
+    # each row keeps its sorted prefix: every subject at or before t and
+    # at least one past it, width = min(n, max_r #{times <= t} + 1).  The
+    # horizons run from before the first time to past the last.
+
+    @settings(max_examples=300, deadline=None)
+    @given(knot_blocks(), st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+           horizons | st.just(math.inf))
+    def test_equals_the_full_width_reference(self, block, causes, t):
+        times, statuses = block
+        got = _row_knots(times, statuses, causes, t)
+        want = full_width_knots(times, statuses, causes, t)
+        assert got[3].shape[1] == min(times.shape[1], np.sum(times <= t, axis=-1).max() + 1)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype
+            assert np.array_equal(x, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(knot_blocks(), st.integers(1, 3),
+           st.lists(horizons, min_size=1, max_size=3, unique=True).map(sorted))
+    def test_subjects_past_the_last_horizon_share_a_value(self, block, cause, taus):
+        times, statuses = block
+        values = _pooled_pseudo(times, statuses, cause, np.array(taus))
+        for row, past in zip(values, times > taus[-1]):
+            assert len({x.tobytes() for x in row[past]}) <= 1
